@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -144,14 +143,6 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
     digest = config_hash(raw_text + f"|seed={seed}")
     provenance = f"arfdx {__version__} seed={seed} config={digest}"
     return RunConfig(parser=parser, out_dir=out_dir, seed=seed, provenance=provenance)
-
-
-def thread_count() -> int:
-    raw = os.environ.get("ARFDX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # --- shared artifact loading ---------------------------------------------------
@@ -417,39 +408,29 @@ def run_train(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
     splits = load_splits_csv(cfg.input_path("splits", "splits.csv"))
     grid = cfg.sweep_grid()
-    families = cfg.families()
     ehr_dim = data.ehr.shape[1]
     emb_dim = data.emb_first.shape[1]
 
-    def run_one(task: tuple[str, int]) -> tuple[tuple[str, int], models.SweepResult]:
-        family, split_index = task
-        assignment = splits[split_index]
-        train_idx = split_indices(data, assignment, evaluation.ROLE_TRAIN)
-        val_idx = split_indices(data, assignment, evaluation.ROLE_VAL)
-        train_set = models.ArrayDataset(
-            labels=data.label_matrix[train_idx], ehr=data.ehr[train_idx], emb=data.emb_first[train_idx]
-        )
-        val_set = models.ArrayDataset(
-            labels=data.label_matrix[val_idx], ehr=data.ehr[val_idx], emb=data.emb_first[val_idx]
-        )
-        result = models.sweep(
-            family, grid, train_set, val_set,
-            seed=stage_seed(cfg.seed, f"train/{family}/split{split_index}"),
-            ehr_dim=ehr_dim, emb_dim=emb_dim,
-        )
-        return task, result
-
-    tasks = [(family, assignment.split_index) for family in families for assignment in splits]
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(run_one, tasks))
-    else:
-        results = dict(run_one(task) for task in tasks)
+    results = []
+    for family in cfg.families():
+        for assignment in splits:
+            train_idx = split_indices(data, assignment, evaluation.ROLE_TRAIN)
+            val_idx = split_indices(data, assignment, evaluation.ROLE_VAL)
+            train_set = models.ArrayDataset(
+                labels=data.label_matrix[train_idx], ehr=data.ehr[train_idx], emb=data.emb_first[train_idx]
+            )
+            val_set = models.ArrayDataset(
+                labels=data.label_matrix[val_idx], ehr=data.ehr[val_idx], emb=data.emb_first[val_idx]
+            )
+            result = models.sweep(
+                family, grid, train_set, val_set,
+                seed=stage_seed(cfg.seed, f"train/{family}/split{assignment.split_index}"),
+                ehr_dim=ehr_dim, emb_dim=emb_dim,
+            )
+            results.append(((family, assignment.split_index), result))
 
     log_rows = []
-    for family, split_index in tasks:
-        result = results[(family, split_index)]
+    for (family, split_index), result in results:
         models.save_checkpoint(
             checkpoint_path(cfg, family, split_index),
             result.spec,
@@ -479,7 +460,7 @@ def run_train(cfg: RunConfig) -> None:
             log_rows,
         ),
     )
-    print(f"train: wrote {len(tasks)} checkpoints")
+    print(f"train: wrote {len(results)} checkpoints")
 
 
 def _predicted_probs(data: PipelineData, checkpoint: models.Checkpoint, idx: np.ndarray) -> np.ndarray:

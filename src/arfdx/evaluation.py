@@ -10,7 +10,7 @@ the diagnostic odds ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -93,17 +93,10 @@ def auroc(scores, labels) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("AUROC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.shape[0], dtype=float)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average rank (1-based) across the tied block
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    _, block, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    # average 1-based rank (i + j) / 2 + 1 of each tied block, i..j its 0-based sorted positions
+    ranks = ((ends - counts + ends - 1) / 2.0 + 1.0)[block]
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -203,6 +196,16 @@ def dor_from_confusion(tp: float, fp: float, fn: float, tn: float) -> tuple[floa
     return (tp * tn) / (fp * fn), corrected
 
 
+def _counts_at_or_above(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct scores ascending, with the positives and negatives scoring at
+    or above each one (suffix sums of the per-value counts)."""
+    thresholds, block = np.unique(scores, return_inverse=True)
+    u = thresholds.shape[0]
+    tp = np.cumsum(np.bincount(block[labels == 1], minlength=u)[::-1])[::-1]
+    fp = np.cumsum(np.bincount(block[labels == 0], minlength=u)[::-1])[::-1]
+    return thresholds, tp, fp
+
+
 def threshold_at_ppv(preds, labels, target: float = 0.5) -> ThresholdResult:
     """Operating point with PPV >= target: maximal sensitivity, ties to
     maximal specificity. Classification is positive when pred >= threshold,
@@ -212,25 +215,21 @@ def threshold_at_ppv(preds, labels, target: float = 0.5) -> ThresholdResult:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("threshold selection needs both classes present")
-    best = None
-    for thr in np.unique(preds):
-        predicted = preds >= thr
-        tp = int(np.sum(predicted & (labels == 1)))
-        fp = int(np.sum(predicted & (labels == 0)))
-        fn = n_pos - tp
-        tn = n_neg - fp
-        if tp + fp == 0 or tp / (tp + fp) < target:
-            continue
-        sens = tp / n_pos
-        spec = tn / n_neg
-        if best is None or sens > best[0] or (sens == best[0] and spec > best[1]):
-            best = (sens, spec, float(thr), (tp, fp, fn, tn))
-    if best is None:
+    thresholds, tp, fp = _counts_at_or_above(preds, labels)
+    attained = ~(tp / (tp + fp) < target)  # each threshold is some score, so tp + fp >= 1
+    if not attained.any():
         raise PPVUnattainable(f"no threshold reaches PPV >= {target}")
-    sens, spec, thr, confusion = best
+    sens = tp / n_pos
+    spec = (n_neg - fp) / n_neg
+    # maximal sensitivity, ties to maximal specificity
+    candidates = np.flatnonzero(attained)
+    candidates = candidates[sens[candidates] == sens[candidates].max()]
+    k = int(candidates[np.argmax(spec[candidates])])
+    tp_k, fp_k = int(tp[k]), int(fp[k])
+    confusion = (tp_k, fp_k, n_pos - tp_k, n_neg - fp_k)
     dor, corrected = dor_from_confusion(*confusion)
     return ThresholdResult(
-        threshold=thr, sensitivity=sens, specificity=spec,
+        threshold=float(thresholds[k]), sensitivity=tp_k / n_pos, specificity=(n_neg - fp_k) / n_neg,
         dor=dor, corrected=corrected, confusion=confusion,
     )
 
@@ -275,12 +274,12 @@ def roc_points(scores, labels) -> list[tuple[float, float, float]]:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("ROC needs both classes present")
+    thresholds, tp, fp = _counts_at_or_above(scores, labels)
     points = [(0.0, 0.0, float("inf"))]
-    for thr in sorted(np.unique(scores), reverse=True):
-        predicted = scores >= thr
-        tp = int(np.sum(predicted & (labels == 1)))
-        fp = int(np.sum(predicted & (labels == 0)))
-        points.append((fp / n_neg, tp / n_pos, float(thr)))
+    points.extend(
+        (f / n_neg, t / n_pos, thr)
+        for thr, t, f in zip(thresholds[::-1].tolist(), tp[::-1].tolist(), fp[::-1].tolist())
+    )
     return points
 
 

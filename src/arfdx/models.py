@@ -8,6 +8,14 @@ directly or after the EHR hidden layer. Training is minibatch SGD with
 momentum and L2 weight decay, early-stopped on validation macro AUROC, and a
 grid sweep treats the architecture within a family as one more
 hyperparameter.
+
+For one architecture and seed, every (learning rate, momentum, weight decay)
+config starts from the same initialization and sees the same batch order,
+so the sweep trains each architecture's whole grid in one pass: parameters
+are stacked along a leading config axis, the forward and backward kernels
+broadcast the shared batch across it, and a config that stops early is
+dropped from the stack. Unstacked parameters are the single-config case of
+the same kernels.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -129,7 +137,6 @@ class HyperParams:
 
 @dataclass
 class TrainHistory:
-    train_loss: list[float] = field(default_factory=list)
     val_auroc: list[float] = field(default_factory=list)
     best_epoch: int = 0  # 1-based; first epoch reaching the best validation macro AUROC
 
@@ -154,13 +161,6 @@ class ArrayDataset:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def take(self, idx: np.ndarray) -> "ArrayDataset":
-        return ArrayDataset(
-            labels=self.labels[idx],
-            ehr=None if self.ehr is None else self.ehr[idx],
-            emb=None if self.emb is None else self.emb[idx],
-        )
-
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> Params:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) per layer, biases included."""
@@ -177,12 +177,9 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> Params:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_inputs(spec: ModelSpec, ehr, emb) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -205,8 +202,27 @@ def _check_inputs(spec: ModelSpec, ehr, emb) -> tuple[Optional[np.ndarray], Opti
     return ehr, emb
 
 
+def _t(w: np.ndarray) -> np.ndarray:
+    return w.swapaxes(-1, -2)
+
+
+def _concat(emb: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[emb ; x] along features; a shared emb is broadcast over x's config axis."""
+    e = emb.shape[-1]
+    out = np.empty(x.shape[:-1] + (e + x.shape[-1],))
+    out[..., :e] = emb
+    out[..., e:] = x
+    return out
+
+
+# The kernels below take parameters either unstacked (W (out, in), b (out,))
+# or stacked along a leading config axis (W (G, out, in), b (G, 1, out)); the
+# inputs are one (n, features) batch shared by every config, and outputs
+# gain the same leading axis as the parameters.
+
+
 def forward(spec: ModelSpec, params: Params, ehr=None, emb=None) -> np.ndarray:
-    """Per-diagnosis probabilities, shape (n, 3).
+    """Per-diagnosis probabilities, shape (n, 3), or (G, n, 3) for stacked parameters.
 
     ehr_linear:      sigmoid(W x + b)
     ehr_two_layer:   sigmoid(W2 relu(W1 x + b1) + b2)
@@ -217,17 +233,17 @@ def forward(spec: ModelSpec, params: Params, ehr=None, emb=None) -> np.ndarray:
     ehr, emb = _check_inputs(spec, ehr, emb)
     k = spec.kind
     if k is ModelKind.EHR_LINEAR:
-        z = ehr @ params["W"].T + params["b"]
+        z = ehr @ _t(params["W"]) + params["b"]
     elif k is ModelKind.EHR_TWO_LAYER:
-        hidden = np.maximum(ehr @ params["W1"].T + params["b1"], 0.0)
-        z = hidden @ params["W2"].T + params["b2"]
+        hidden = np.maximum(ehr @ _t(params["W1"]) + params["b1"], 0.0)
+        z = hidden @ _t(params["W2"]) + params["b2"]
     elif k is ModelKind.IMAGE_LINEAR:
-        z = emb @ params["W"].T + params["b"]
+        z = emb @ _t(params["W"]) + params["b"]
     elif k is ModelKind.COMBINED_DIRECT:
-        z = np.concatenate([emb, ehr], axis=1) @ params["W"].T + params["b"]
+        z = _concat(emb, ehr) @ _t(params["W"]) + params["b"]
     elif k is ModelKind.COMBINED_HIDDEN:
-        hidden = np.maximum(ehr @ params["W1"].T + params["b1"], 0.0)
-        z = np.concatenate([emb, hidden], axis=1) @ params["W2"].T + params["b2"]
+        hidden = np.maximum(ehr @ _t(params["W1"]) + params["b1"], 0.0)
+        z = _concat(emb, hidden) @ _t(params["W2"]) + params["b2"]
     else:
         raise ModelError(f"unknown model kind {k!r}")
     return _sigmoid(z)
@@ -246,7 +262,8 @@ def loss(probs: np.ndarray, label_matrix: np.ndarray) -> float:
 
 
 def backward(spec: ModelSpec, params: Params, ehr, emb, label_matrix) -> Params:
-    """Analytic gradient of the batch-mean cross-entropy for every parameter."""
+    """Analytic gradient of the batch-mean cross-entropy for every parameter,
+    per config for stacked parameters."""
     ehr, emb = _check_inputs(spec, ehr, emb)
     y = np.atleast_2d(np.asarray(label_matrix, dtype=float))
     n = y.shape[0]
@@ -260,33 +277,44 @@ def backward(spec: ModelSpec, params: Params, ehr, emb, label_matrix) -> Params:
         elif k is ModelKind.IMAGE_LINEAR:
             x = emb
         else:
-            x = np.concatenate([emb, ehr], axis=1)
-        probs = _sigmoid(x @ params["W"].T + params["b"])
-        dz = (probs - y) / n  # (n, 3)
-        return {"W": dz.T @ x, "b": dz.sum(axis=0)}
+            x = _concat(emb, ehr)
+        probs = _sigmoid(x @ _t(params["W"]) + params["b"])
+        dz = (probs - y) / n  # (..., n, 3)
+        return {"W": _t(dz) @ x, "b": dz.sum(axis=-2).reshape(params["b"].shape)}
 
-    pre1 = ehr @ params["W1"].T + params["b1"]
+    pre1 = ehr @ _t(params["W1"]) + params["b1"]
     hidden = np.maximum(pre1, 0.0)
     if k is ModelKind.EHR_TWO_LAYER:
         top_in = hidden
+        w2_hidden = params["W2"]
     elif k is ModelKind.COMBINED_HIDDEN:
-        top_in = np.concatenate([emb, hidden], axis=1)
+        top_in = _concat(emb, hidden)
+        w2_hidden = params["W2"][..., spec.emb_dim :]
     else:
         raise ModelError(f"unknown model kind {k!r}")
-    probs = _sigmoid(top_in @ params["W2"].T + params["b2"])
+    probs = _sigmoid(top_in @ _t(params["W2"]) + params["b2"])
     dz = (probs - y) / n
-    grad_w2 = dz.T @ top_in
-    grad_b2 = dz.sum(axis=0)
-    if k is ModelKind.COMBINED_HIDDEN:
-        w2_hidden = params["W2"][:, spec.emb_dim :]
-    else:
-        w2_hidden = params["W2"]
     dhidden = (dz @ w2_hidden) * (pre1 > 0)
-    return {"W1": dhidden.T @ ehr, "b1": dhidden.sum(axis=0), "W2": grad_w2, "b2": grad_b2}
+    return {
+        "W1": _t(dhidden) @ ehr,
+        "b1": dhidden.sum(axis=-2).reshape(params["b1"].shape),
+        "W2": _t(dz) @ top_in,
+        "b2": dz.sum(axis=-2).reshape(params["b2"].shape),
+    }
 
 
-def sgd_step(params: Params, velocity: Params, grads: Params, hp: HyperParams) -> tuple[Params, Params]:
-    """v' = momentum v + (g + weight_decay theta); theta' = theta - lr v'."""
+class _Rates(NamedTuple):
+    """Per-config SGD rates as (G, 1, 1) columns, for stacked parameters."""
+
+    learning_rate: np.ndarray
+    momentum: np.ndarray
+    weight_decay: np.ndarray
+
+
+def sgd_step(params: Params, velocity: Params, grads: Params, hp: HyperParams | _Rates) -> tuple[Params, Params]:
+    """v' = momentum v + (g + weight_decay theta); theta' = theta - lr v'.
+
+    For stacked parameters the rates are per-config columns (`_Rates`)."""
     new_params: Params = {}
     new_velocity: Params = {}
     for name, theta in params.items():
@@ -299,8 +327,94 @@ def sgd_step(params: Params, velocity: Params, grads: Params, hp: HyperParams) -
     return new_params, new_velocity
 
 
-def _dataset_inputs(spec: ModelSpec, data: ArrayDataset) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    return (data.ehr if spec.needs_ehr else None, data.emb if spec.needs_emb else None)
+def train_stacked(
+    spec: ModelSpec,
+    hps: Sequence[HyperParams],
+    train_set: ArrayDataset,
+    val_set: ArrayDataset,
+    seed: int,
+) -> list[tuple[Params, TrainHistory]]:
+    """`train` for several configs of one architecture in one pass.
+
+    Every config gets the same initialization and batch order from `seed`,
+    so they must share `batch_size`; each result equals what `train` returns
+    for that config alone. Parameters are stacked along a leading config
+    axis, and a config leaves the stack when it stops.
+    """
+    if not hps:
+        raise ModelError("no hyperparameter configs to train")
+    batch_size = hps[0].batch_size
+    if any(hp.batch_size != batch_size for hp in hps):
+        raise ModelError("configs trained together share their batch order, so they need one batch_size")
+    if len(train_set) == 0 or len(val_set) == 0:
+        raise ModelError("train and validation sets must be non-empty")
+    train_ehr, train_emb = _check_inputs(spec, train_set.ehr, train_set.emb)
+    val_ehr, val_emb = _check_inputs(spec, val_set.ehr, val_set.emb)
+
+    rng = np.random.default_rng(seed)
+    g_count = len(hps)
+    shapes = spec.param_shapes()
+    # every config starts from the same draw: W (G, out, in), b (G, 1, out)
+    theta = {
+        name: np.repeat(value.reshape((1,) * (3 - value.ndim) + value.shape), g_count, axis=0)
+        for name, value in init_params(spec, rng).items()
+    }
+    velocity = {name: np.zeros_like(value) for name, value in theta.items()}
+    best = {name: value.copy() for name, value in theta.items()}
+
+    def column(attr: str) -> np.ndarray:
+        return np.array([getattr(hp, attr) for hp in hps], dtype=float).reshape(g_count, 1, 1)
+
+    rates = _Rates(column("learning_rate"), column("momentum"), column("weight_decay"))
+    histories = [TrainHistory() for _ in hps]
+    best_metric = [-np.inf] * g_count
+    stale_epochs = [0] * g_count
+    active = np.arange(g_count)  # stack row -> config index
+    n = len(train_set)
+
+    for epoch in range(1, max(hp.max_epochs for hp in hps) + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            grads = backward(
+                spec, theta,
+                None if train_ehr is None else train_ehr[idx],
+                None if train_emb is None else train_emb[idx],
+                train_set.labels[idx],
+            )
+            try:
+                theta, velocity = sgd_step(theta, velocity, grads, rates)
+            except Diverged as exc:
+                raise Diverged(f"epoch {epoch}: {exc}") from exc
+
+        probs = forward(spec, theta, val_ehr, val_emb)
+        keep = np.ones(active.size, dtype=bool)
+        for row, g in enumerate(active):
+            history = histories[g]
+            val_metric = macro_auroc(probs[row], val_set.labels)
+            history.val_auroc.append(val_metric)
+            if val_metric > best_metric[g]:
+                best_metric[g] = val_metric
+                for name, value in theta.items():
+                    best[name][g] = value[row]
+                history.best_epoch = epoch
+                stale_epochs[g] = 0
+            else:
+                stale_epochs[g] += 1
+                keep[row] = stale_epochs[g] < hps[g].patience
+            keep[row] &= epoch < hps[g].max_epochs
+        if not keep.all():
+            active = active[keep]
+            if active.size == 0:
+                break
+            theta = {name: value[keep] for name, value in theta.items()}
+            velocity = {name: value[keep] for name, value in velocity.items()}
+            rates = _Rates(*(rate[keep] for rate in rates))
+
+    return [
+        ({name: value[g].reshape(shapes[name]).copy() for name, value in best.items()}, histories[g])
+        for g in range(g_count)
+    ]
 
 
 def train(
@@ -317,44 +431,7 @@ def train(
     training stops after `patience` consecutive epochs without a new best,
     or at `max_epochs`. Deterministic for a fixed seed.
     """
-    if len(train_set) == 0 or len(val_set) == 0:
-        raise ModelError("train and validation sets must be non-empty")
-    rng = np.random.default_rng(seed)
-    params = init_params(spec, rng)
-    velocity = {name: np.zeros_like(value) for name, value in params.items()}
-    val_ehr, val_emb = _dataset_inputs(spec, val_set)
-    history = TrainHistory()
-    best_params = {name: value.copy() for name, value in params.items()}
-    best_metric = -np.inf
-    stale_epochs = 0
-    n = len(train_set)
-
-    for epoch in range(1, hp.max_epochs + 1):
-        order = rng.permutation(n)
-        total_loss = 0.0
-        for start in range(0, n, hp.batch_size):
-            batch = train_set.take(order[start : start + hp.batch_size])
-            ehr, emb = _dataset_inputs(spec, batch)
-            try:
-                grads = backward(spec, params, ehr, emb, batch.labels)
-                params, velocity = sgd_step(params, velocity, grads, hp)
-            except Diverged as exc:
-                raise Diverged(f"epoch {epoch}: {exc}") from exc
-            total_loss += loss(forward(spec, params, ehr, emb), batch.labels) * len(batch)
-        history.train_loss.append(total_loss / n)
-
-        val_metric = macro_auroc(forward(spec, params, val_ehr, val_emb), val_set.labels)
-        history.val_auroc.append(val_metric)
-        if val_metric > best_metric:
-            best_metric = val_metric
-            best_params = {name: value.copy() for name, value in params.items()}
-            history.best_epoch = epoch
-            stale_epochs = 0
-        else:
-            stale_epochs += 1
-            if stale_epochs >= hp.patience:
-                break
-    return best_params, history
+    return train_stacked(spec, [hp], train_set, val_set, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -417,17 +494,24 @@ def sweep(
     emb_dim: int = 0,
 ) -> SweepResult:
     """Train every (architecture, hyperparameter) combination in a family and
-    keep the best validation macro AUROC; ties go to the earlier grid entry."""
+    keep the best validation macro AUROC; ties go to the earlier grid entry.
+
+    Each architecture's configs train together in one `train_stacked` call."""
     if family not in FAMILIES:
         raise ModelError(f"unknown model family {family!r}; expected one of {sorted(FAMILIES)}")
     configs = enumerate_configs(FAMILIES[family], grid)
     if not configs:
         raise ModelError("empty sweep grid")
+    trained = {}
+    for kind in FAMILIES[family]:
+        spec = ModelSpec(kind=kind, ehr_dim=ehr_dim, emb_dim=emb_dim)
+        hps = [hp for config_kind, hp in configs if config_kind is kind]
+        trained[kind] = (spec, iter(train_stacked(spec, hps, train_set, val_set, seed)))
     best: Optional[SweepResult] = None
     runs: list[SweepRun] = []
     for kind, hp in configs:
-        spec = ModelSpec(kind=kind, ehr_dim=ehr_dim, emb_dim=emb_dim)
-        params, history = train(spec, hp, train_set, val_set, seed)
+        spec, results = trained[kind]
+        params, history = next(results)
         val_metric = history.val_auroc[history.best_epoch - 1]
         runs.append(SweepRun(spec=spec, hp=hp, val_auroc=val_metric))
         if best is None or val_metric > best.val_auroc:

@@ -1,13 +1,16 @@
 """Independent oracles shared by the unit and acceptance tests.
 
 These deliberately avoid the package's code paths: AUROC by brute-force pair
-counting, AUPR by recounting the confusion at every distinct threshold, and
-gradients by central finite differences through the loss itself.
+counting, AUPR, ROC points and the PPV operating point by recounting the
+confusion at every distinct threshold, gradients by central finite
+differences through the loss itself, and training by the plain one-config,
+one-batch-at-a-time loop.
 """
 
 import numpy as np
 
 from arfdx import models
+from arfdx.evaluation import dor_from_confusion, macro_auroc
 
 
 def auroc_bruteforce(scores, labels):
@@ -39,6 +42,80 @@ def aupr_stepsum(scores, labels):
         area += (recall - recall_prev) * (tp / (tp + fp))
         recall_prev = recall
     return area
+
+
+def roc_points_loop(scores, labels):
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(labels.sum())
+    n_neg = labels.shape[0] - n_pos
+    points = [(0.0, 0.0, float("inf"))]
+    for thr in sorted(np.unique(scores), reverse=True):
+        predicted = scores >= thr
+        tp = int(np.sum(predicted & (labels == 1)))
+        fp = int(np.sum(predicted & (labels == 0)))
+        points.append((fp / n_neg, tp / n_pos, float(thr)))
+    return points
+
+
+def threshold_at_ppv_loop(preds, labels, target):
+    """(threshold, sensitivity, specificity, dor, corrected, confusion) or None
+    when no threshold reaches the target PPV."""
+    preds = np.asarray(preds, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(labels.sum())
+    n_neg = labels.shape[0] - n_pos
+    best = None
+    for thr in np.unique(preds):
+        predicted = preds >= thr
+        tp = int(np.sum(predicted & (labels == 1)))
+        fp = int(np.sum(predicted & (labels == 0)))
+        if tp + fp == 0 or tp / (tp + fp) < target:
+            continue
+        sens = tp / n_pos
+        spec = (n_neg - fp) / n_neg
+        if best is None or sens > best[1] or (sens == best[1] and spec > best[2]):
+            best = (float(thr), sens, spec, (tp, fp, n_pos - tp, n_neg - fp))
+    if best is None:
+        return None
+    return best[:3] + dor_from_confusion(*best[3]) + (best[3],)
+
+
+def train_reference(spec, hp, train_set, val_set, seed):
+    """One config trained alone, one batch at a time, through the public
+    single-config kernels: (best params, per-epoch val macro AUROC, best epoch)."""
+    rng = np.random.default_rng(seed)
+    params = models.init_params(spec, rng)
+    velocity = {name: np.zeros_like(value) for name, value in params.items()}
+    ehr = train_set.ehr if spec.needs_ehr else None
+    emb = train_set.emb if spec.needs_emb else None
+    val_ehr = val_set.ehr if spec.needs_ehr else None
+    val_emb = val_set.emb if spec.needs_emb else None
+    best_params = {name: value.copy() for name, value in params.items()}
+    best_metric, best_epoch, stale_epochs = -np.inf, 0, 0
+    val_aurocs = []
+    n = len(train_set)
+    for epoch in range(1, hp.max_epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, hp.batch_size):
+            idx = order[start : start + hp.batch_size]
+            grads = models.backward(
+                spec, params,
+                None if ehr is None else ehr[idx],
+                None if emb is None else emb[idx],
+                train_set.labels[idx],
+            )
+            params, velocity = models.sgd_step(params, velocity, grads, hp)
+        metric = macro_auroc(models.forward(spec, params, val_ehr, val_emb), val_set.labels)
+        val_aurocs.append(metric)
+        if metric > best_metric:
+            best_metric, best_epoch, stale_epochs = metric, epoch, 0
+            best_params = {name: value.copy() for name, value in params.items()}
+        else:
+            stale_epochs += 1
+            if stale_epochs >= hp.patience:
+                break
+    return best_params, val_aurocs, best_epoch
 
 
 def finite_diff_grads(spec, params, ehr, emb, y, h=1e-4):

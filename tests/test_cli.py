@@ -74,13 +74,6 @@ class TestPipelineStages:
         assert cli.main(["featurize", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "cohort.ndjson").read_bytes() == before
 
-    def test_thread_parallelism_does_not_change_results(self, mini_run, monkeypatch):
-        config, out = mini_run
-        serial = (out / "sweep_log.csv").read_bytes()
-        monkeypatch.setenv("ARFDX_THREADS", "3")
-        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
-        assert (out / "sweep_log.csv").read_bytes() == serial
-
 
 class TestErrorHandling:
     def test_missing_config_file_exits_2(self, tmp_path):

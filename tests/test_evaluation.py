@@ -1,3 +1,5 @@
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,9 @@ from arfdx.evaluation import (
     ROLE_TEST,
     ROLE_TRAIN,
     ROLE_VAL,
+    DiagnosisMetrics,
     EvalError,
+    MetricsReport,
     NoPositives,
     PhysicianCase,
     PPVUnattainable,
@@ -26,7 +30,18 @@ from arfdx.evaluation import (
     threshold_at_ppv,
 )
 from arfdx.labels import ChartReview
-from oracles import aupr_stepsum, auroc_bruteforce
+from oracles import aupr_stepsum, auroc_bruteforce, roc_points_loop, threshold_at_ppv_loop
+
+
+@st.composite
+def tied_scores_and_labels(draw, max_size=40):
+    """Scores in [0, 1] rounded to 1 or 2 decimals (heavy ties) and 0/1 labels
+    with both classes present."""
+    n = draw(st.integers(min_value=2, max_value=max_size))
+    decimals = draw(st.sampled_from((1, 2)))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda ys: len(set(ys)) == 2))
+    return np.round(np.array(raw), decimals), np.array(labels)
 
 
 class TestMakeSplits:
@@ -109,6 +124,12 @@ class TestAuroc:
         squashed = auroc([1 / (1 + np.exp(-s)) for s in scores], labels)
         assert affine == pytest.approx(base, abs=1e-12)
         assert squashed == pytest.approx(base, abs=1e-12)
+
+    @given(tied_scores_and_labels())
+    @settings(max_examples=150)
+    def test_rounded_scores_match_bruteforce(self, case):
+        scores, labels = case
+        assert auroc(scores, labels) == pytest.approx(auroc_bruteforce(scores, labels), abs=1e-12)
 
     def test_negation_complements_without_ties(self):
         rng = np.random.default_rng(21)
@@ -219,6 +240,21 @@ class TestThresholdAtPpv:
         with pytest.raises(PPVUnattainable):
             threshold_at_ppv([0.5, 0.5], [1, 0], target=0.9)
 
+    @given(tied_scores_and_labels(), st.sampled_from((0.2, 0.5, 0.7, 0.9, 1.0)))
+    @settings(max_examples=150)
+    def test_matches_threshold_scan_oracle(self, case, target):
+        preds, labels = case
+        expected = threshold_at_ppv_loop(preds, labels, target)
+        if expected is None:
+            with pytest.raises(PPVUnattainable):
+                threshold_at_ppv(preds, labels, target=target)
+            return
+        result = threshold_at_ppv(preds, labels, target=target)
+        got = (result.threshold, result.sensitivity, result.specificity, result.dor, result.corrected,
+               result.confusion)
+        assert got == expected
+        assert all(type(v) is int for v in result.confusion)
+
     def test_achieved_ppv_meets_target(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -278,8 +314,19 @@ class TestRocPoints:
         assert fprs == sorted(fprs)
         assert tprs == sorted(tprs)
 
+    @given(tied_scores_and_labels())
+    @settings(max_examples=150)
+    def test_matches_threshold_scan_oracle(self, case):
+        scores, labels = case
+        assert roc_points(scores, labels) == roc_points_loop(scores, labels)
+
 
 class TestMetricsReport:
+    def test_type_hints_resolve(self):
+        for cls in (DiagnosisMetrics, MetricsReport):
+            hints = typing.get_type_hints(cls)
+            assert set(hints) == {f.name for f in cls.__dataclass_fields__.values()}
+
     def test_complete_report(self):
         rng = np.random.default_rng(41)
         n = 40

@@ -23,8 +23,9 @@ from arfdx.models import (
     sgd_step,
     sweep,
     train,
+    train_stacked,
 )
-from oracles import finite_diff_grads, max_relative_error, random_gradcheck_instance
+from oracles import finite_diff_grads, max_relative_error, random_gradcheck_instance, train_reference
 
 ALL_SPECS = [
     ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=7),
@@ -226,6 +227,71 @@ class TestTrain:
         assert history.val_auroc[history.best_epoch - 1] == pytest.approx(max(history.val_auroc))
 
 
+def noisy_dataset(n, rng):
+    """EHR bits and a 3-wide embedding that each carry some label signal."""
+    x = rng.integers(0, 2, size=(n, 4)).astype(float)
+    y = (x[:, :3] + rng.normal(0.0, 0.7, size=(n, 3)) > 0.5).astype(float)
+    emb = y + rng.normal(0.0, 1.0, size=(n, 3))
+    return ArrayDataset(labels=y, ehr=x, emb=emb)
+
+
+STACK_SPECS = [ModelSpec(kind, ehr_dim=4, emb_dim=3) for kind in ModelKind]
+
+# configs that stop at different epochs: lr 1e-12 barely moves the
+# validation ranking and runs out of patience, and one config has its own
+# max_epochs and patience
+STACK_HPS = [
+    HyperParams(learning_rate=1e-12, momentum=0.9, weight_decay=1e-4, max_epochs=12, patience=3),
+    HyperParams(learning_rate=0.5, momentum=0.9, weight_decay=1e-4, max_epochs=12, patience=3),
+    HyperParams(learning_rate=0.05, momentum=0.8, weight_decay=1e-2, max_epochs=12, patience=3),
+    HyperParams(learning_rate=0.5, momentum=0.8, weight_decay=1e-3, max_epochs=7, patience=12),
+]
+
+
+class TestTrainStacked:
+    @pytest.mark.parametrize("hps", [STACK_HPS, STACK_HPS[1:2]], ids=["grid", "one_config"])
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda s: s.kind.value)
+    def test_each_config_equals_the_reference_loop(self, spec, hps):
+        rng = np.random.default_rng(18)
+        train_set, val_set = noisy_dataset(70, rng), noisy_dataset(30, rng)
+        stacked = train_stacked(spec, hps, train_set, val_set, seed=5)
+        epochs_run = []
+        for hp, (params, history) in zip(hps, stacked):
+            ref_params, ref_aurocs, ref_best_epoch = train_reference(spec, hp, train_set, val_set, seed=5)
+            assert history.val_auroc == ref_aurocs
+            assert history.best_epoch == ref_best_epoch
+            assert params.keys() == ref_params.keys()
+            for name in params:
+                assert params[name].shape == ref_params[name].shape
+                assert np.array_equal(params[name], ref_params[name])
+            epochs_run.append(len(history.val_auroc))
+        if len(hps) > 1:
+            # configs left the stack at different epochs, by patience and by max_epochs
+            assert len(set(epochs_run)) >= 2
+            assert any(run < hp.max_epochs for run, hp in zip(epochs_run, hps))
+            assert any(run == hp.max_epochs for run, hp in zip(epochs_run, hps))
+
+    def test_mixed_batch_size_raises(self):
+        rng = np.random.default_rng(20)
+        data = noisy_dataset(20, rng)
+        hps = [HyperParams(batch_size=32), HyperParams(batch_size=16)]
+        with pytest.raises(ModelError, match="batch_size"):
+            train_stacked(STACK_SPECS[0], hps, data, data, seed=0)
+
+    def test_empty_config_list_raises(self):
+        data = noisy_dataset(10, np.random.default_rng(21))
+        with pytest.raises(ModelError):
+            train_stacked(STACK_SPECS[0], [], data, data, seed=0)
+
+    def test_huge_learning_rate_diverges_naming_the_epoch(self):
+        rng = np.random.default_rng(22)
+        data = noisy_dataset(40, rng)
+        hps = [HyperParams(learning_rate=0.1), HyperParams(learning_rate=1e308)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Diverged, match=r"^epoch 1: non-finite update"):
+                train_stacked(STACK_SPECS[1], hps, data, data, seed=0)
+
+
 class TestSweep:
     def test_full_grid_size_per_architecture(self):
         configs = enumerate_configs([ModelKind.EHR_LINEAR], SweepGrid())
@@ -267,6 +333,36 @@ class TestSweep:
         assert result.hp.learning_rate == 0.5
         assert len(result.runs) == 4  # 2 learning rates x 2 architectures
         assert result.val_auroc == max(run.val_auroc for run in result.runs)
+
+    def test_winner_matches_reference_loop_in_grid_order(self):
+        rng = np.random.default_rng(23)
+        train_set, val_set = noisy_dataset(60, rng), noisy_dataset(30, rng)
+        grid = SweepGrid(learning_rates=(1e-12, 0.5, 0.05), momentums=(0.9,), weight_decays=(1e-4, 1e-2),
+                         max_epochs=10, patience=3)
+        result = sweep("combined", grid, train_set, val_set, seed=6, ehr_dim=4, emb_dim=3)
+        configs = enumerate_configs(models.FAMILIES["combined"], grid)
+        assert len(result.runs) == len(configs)
+        best = None
+        for (kind, hp), run in zip(configs, result.runs):
+            spec = ModelSpec(kind, ehr_dim=4, emb_dim=3)
+            params, aurocs, best_epoch = train_reference(spec, hp, train_set, val_set, seed=6)
+            assert (run.spec, run.hp) == (spec, hp)
+            assert run.val_auroc == aurocs[best_epoch - 1]
+            if best is None or run.val_auroc > best[2]:
+                best = (spec, hp, run.val_auroc, params, best_epoch)
+        assert (result.spec, result.hp, result.val_auroc) == best[:3]
+        assert result.history.best_epoch == best[4]
+        assert all(np.array_equal(result.params[k], best[3][k]) for k in best[3])
+
+    def test_tie_goes_to_the_earlier_grid_entry(self):
+        rng = np.random.default_rng(24)
+        train_set, val_set = noisy_dataset(40, rng), noisy_dataset(20, rng)
+        # both learning rates leave the initial ranking in place: equal AUROC
+        grid = SweepGrid(learning_rates=(1e-13, 1e-12), momentums=(0.9,), weight_decays=(1e-4,),
+                         max_epochs=4, patience=2)
+        result = sweep("image", grid, train_set, val_set, seed=7, emb_dim=3)
+        assert result.runs[0].val_auroc == result.runs[1].val_auroc
+        assert result.hp.learning_rate == 1e-13
 
 
 def _with_emb(data, rng):
