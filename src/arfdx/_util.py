@@ -26,23 +26,22 @@ def config_hash(text: str) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    """`atomic_write_bytes` of the UTF-8 text, newlines written as given."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write via a temp file in the same directory, then rename into place.
+
+    Every file the package writes goes through here, so a reader never sees
+    a partly written artifact. The file gets the mode a plain open() would
+    give it (0o666 less the umask), not mkstemp's owner-only 0o600."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp_name, path)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, cohort, evaluation, explain, featurize, imaging, labels, models, synth
-from ._util import atomic_write_bytes, atomic_write_text, config_hash, csv_text, stage_seed
+from ._util import atomic_write_text, config_hash, csv_text, stage_seed
 
 EXIT_OK = 0
 EXIT_MODULE_ERROR = 1
@@ -90,6 +88,10 @@ class RunConfig:
             return self.out_dir / default_name
         path = Path(raw)
         return path if path.is_absolute() else self.out_dir / path
+
+    def write_csv(self, key: str, columns: Sequence[str], rows) -> None:
+        """The CSV artifact `key` (default `<key>.csv`), under this run's provenance line."""
+        atomic_write_text(self.path(key, f"{key}.csv"), csv_text(self.provenance, columns, rows))
 
     def input_path(self, key: str, default_name: str) -> Path:
         path = self.path(key, default_name)
@@ -219,10 +221,27 @@ class PipelineData:
 
     patient_ids: list[str]
     ehr: np.ndarray  # (n, d)
-    emb_first: np.ndarray  # (n, e): first image of the selected study
-    emb_all: list[list[np.ndarray]]  # all images of the selected study
+    emb: np.ndarray  # (m, e): every image of each patient's selected study, patient by patient
+    image_counts: np.ndarray  # (n,): rows of `emb` per patient
     label_matrix: np.ndarray  # (n, 3)
     stays_by_id: dict[str, cohort.PatientStay]
+
+    def _image_starts(self) -> np.ndarray:
+        return np.cumsum(self.image_counts) - self.image_counts
+
+    def first_images(self, idx: np.ndarray) -> np.ndarray:
+        """(len(idx), e): the first image of each patient's study, which training reads."""
+        return self.emb[self._image_starts()[idx]]
+
+    def images(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every image row of the patients `idx`, with per-patient counts, for `models.predict`."""
+        starts = self._image_starts()
+        rows = [np.arange(starts[i], starts[i] + self.image_counts[i]) for i in idx]
+        return self.emb[np.concatenate(rows)], self.image_counts[idx]
+
+    def predict(self, checkpoint: models.Checkpoint, idx: np.ndarray) -> np.ndarray:
+        """Per-patient probabilities of the patients `idx`, averaged over their images."""
+        return models.predict(checkpoint.spec, checkpoint.params, self.ehr[idx], *self.images(idx))
 
 
 def assemble_data(cfg: RunConfig) -> PipelineData:
@@ -232,37 +251,31 @@ def assemble_data(cfg: RunConfig) -> PipelineData:
     label_map = load_labels_csv(cfg.input_path("labels", "labels.csv"))
     embeddings = imaging.load_embeddings(cfg.input_path("embeddings", "embeddings.bin"))
 
-    ids = []
     ehr_rows = []
-    emb_first = []
-    emb_all = []
+    emb_rows = []
+    image_counts = []
     label_rows = []
-    stays_by_id = {}
     for stay in stays:
         pid = stay.patient_id
         if pid not in features:
             raise ConfigError(f"patient {pid} missing from the feature file")
         if pid not in label_map:
             raise ConfigError(f"patient {pid} missing from the label file")
-        study = cohort.select_study(stay)
-        vectors = []
-        for ref in study.image_refs:
+        refs = cohort.select_study(stay).image_refs
+        for ref in refs:
             if ref not in embeddings:
                 raise ConfigError(f"image {ref} missing from the embedding file")
-            vectors.append(embeddings[ref].vector.astype(float))
-        ids.append(pid)
+            emb_rows.append(embeddings[ref].vector)
+        image_counts.append(len(refs))
         ehr_rows.append(features[pid].astype(float))
-        emb_first.append(vectors[0])
-        emb_all.append(vectors)
         label_rows.append([label_map[pid][d] for d in labels.DIAGNOSES])
-        stays_by_id[pid] = stay
     return PipelineData(
-        patient_ids=ids,
+        patient_ids=[stay.patient_id for stay in stays],
         ehr=np.stack(ehr_rows),
-        emb_first=np.stack(emb_first),
-        emb_all=emb_all,
+        emb=np.stack(emb_rows).astype(float),
+        image_counts=np.asarray(image_counts),
         label_matrix=np.asarray(label_rows, dtype=float),
-        stays_by_id=stays_by_id,
+        stays_by_id={stay.patient_id: stay for stay in stays},
     )
 
 
@@ -273,6 +286,13 @@ def split_indices(data: PipelineData, assignment: evaluation.SplitAssignment, ro
 
 def checkpoint_path(cfg: RunConfig, family: str, split_index: int) -> Path:
     return cfg.out_dir / f"checkpoint_{family}_split{split_index}.json"
+
+
+def load_trained_checkpoint(cfg: RunConfig, family: str, split_index: int) -> models.Checkpoint:
+    path = checkpoint_path(cfg, family, split_index)
+    if not path.exists():
+        raise ConfigError(f"missing checkpoint {path}; run the train stage first")
+    return models.load_checkpoint(path)
 
 
 # --- stages ----------------------------------------------------------------
@@ -289,23 +309,15 @@ def run_synth(cfg: RunConfig) -> None:
         seed=stage_seed(cfg.seed, "synth"),
     )
     generated = synth.generate(spec)
-    cohort_lines = ["# " + cfg.provenance]
-    cohort_lines.extend(cohort.stay_to_json(stay) for stay in generated.stays)
-    atomic_write_text(cfg.path("cohort", "cohort.ndjson"), "".join(line + "\n" for line in cohort_lines))
-    ordered = [generated.embeddings[key] for key in sorted(generated.embeddings)]
-    atomic_write_bytes(cfg.path("embeddings", "embeddings.bin"), imaging.embeddings_to_bytes(ordered))
-    atomic_write_text(cfg.path("truth", "truth_labels.csv"), synth.truth_csv_text(generated.truth, cfg.provenance))
-    ruleset_payload = {
-        diag: {
-            "icd": sorted(generated.ruleset.rules[diag].icd_codes),
-            "medications": sorted(generated.ruleset.rules[diag].medications),
-        }
-        for diag in labels.DIAGNOSES
-    }
-    ruleset_payload["_provenance"] = cfg.provenance
-    atomic_write_text(
-        cfg.path("ruleset", "ruleset.json"), json.dumps(ruleset_payload, indent=2, sort_keys=True) + "\n"
+    cohort.write_cohort(cfg.path("cohort", "cohort.ndjson"), generated.stays, header=cfg.provenance)
+    imaging.write_embeddings(
+        cfg.path("embeddings", "embeddings.bin"), [generated.embeddings[key] for key in sorted(generated.embeddings)]
     )
+    truth_rows = ([pid] + [int(b) for b in generated.truth[pid]] for pid in sorted(generated.truth))
+    atomic_write_text(
+        cfg.path("truth", "truth_labels.csv"), csv_text(cfg.provenance, ("patient_id",) + labels.DIAGNOSES, truth_rows)
+    )
+    labels.save_ruleset(cfg.path("ruleset", "ruleset.json"), generated.ruleset, provenance=cfg.provenance)
     print(f"synth: wrote {len(generated.stays)} stays to {cfg.path('cohort', 'cohort.ndjson')}")
 
 
@@ -328,28 +340,15 @@ def run_label(cfg: RunConfig) -> None:
                     used.source,
                 ]
             )
-    atomic_write_text(
-        cfg.path("labels", "labels.csv"),
-        csv_text(cfg.provenance, ("patient_id", "diagnosis", "chart_review", "code_med", "label", "source"), rows),
-    )
+    cfg.write_csv("labels", ("patient_id", "diagnosis", "chart_review", "code_med", "label", "source"), rows)
 
-    reviewed = [stay.reviews for stay in stays if len(stay.reviews) >= 2]
-    agreement_rows = []
-    for diag in labels.DIAGNOSES:
-        if not reviewed:
-            agreement_rows.append([diag, None, None, 0])
-            continue
-        a, b, c, d = labels.pooled_table(reviewed, diag)
-        try:
-            kappa, raw = labels.kappa_from_table(a, b, c, d)
-        except labels.DegenerateMarginals:
-            # unanimous single-sided calls leave kappa undefined for this diagnosis
-            kappa, raw = None, (a + d) / (a + b + c + d)
-        agreement_rows.append([diag, kappa, raw, (a + b + c + d) / 2.0])
-    atomic_write_text(
-        cfg.path("agreement", "agreement.csv"),
-        csv_text(cfg.provenance, ("diagnosis", "kappa", "raw_agreement", "n_pairs"), agreement_rows),
-    )
+    reviews = [stay.reviews for stay in stays]
+    if any(len(r) >= 2 for r in reviews):
+        agreement = labels.rater_agreement(reviews)
+        agreement_rows = [[d, r.kappa, r.raw_agreement, r.n_pairs] for d, r in agreement.items()]
+    else:
+        agreement_rows = [[d, None, None, 0] for d in labels.DIAGNOSES]
+    cfg.write_csv("agreement", ("diagnosis", "kappa", "raw_agreement", "n_pairs"), agreement_rows)
     print(f"label: wrote labels for {len(stays)} patients")
 
 
@@ -363,14 +362,11 @@ def run_featurize(cfg: RunConfig) -> None:
     fitted = featurize.fit(rows, config)
     feature_bits = featurize.encode_rows(rows, fitted)
 
-    payload = json.loads(fitted.to_json())
-    payload["_provenance"] = cfg.provenance
-    atomic_write_text(cfg.path("featurizer", "featurizer.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    lines = ["# " + cfg.provenance]
-    for stay, bits in zip(stays, feature_bits):
-        lines.append(json.dumps({"patient_id": stay.patient_id, "bits": featurize.pack_bits_hex(bits)}, sort_keys=True))
-    atomic_write_text(cfg.path("features", "features.ndjson"), "".join(line + "\n" for line in lines))
+    atomic_write_text(cfg.path("featurizer", "featurizer.json"), fitted.to_json(provenance=cfg.provenance) + "\n")
+    featurize.write_features(
+        cfg.path("features", "features.ndjson"), [stay.patient_id for stay in stays], feature_bits,
+        header=cfg.provenance,
+    )
 
     ruleset = labels.load_ruleset(cfg.input_path("ruleset", "ruleset.json"))
     label_matrix = np.asarray(
@@ -382,10 +378,7 @@ def run_featurize(cfg: RunConfig) -> None:
         for var in fitted.config.variables
         for diag in labels.DIAGNOSES
     ]
-    atomic_write_text(
-        cfg.path("missingness", "missingness.csv"),
-        csv_text(cfg.provenance, ("variable", "diagnosis", "spearman"), missing_rows),
-    )
+    cfg.write_csv("missingness", ("variable", "diagnosis", "spearman"), missing_rows)
     print(f"featurize: {len(stays)} patients encoded to {fitted.dim} bits")
 
 
@@ -397,10 +390,7 @@ def run_split(cfg: RunConfig) -> None:
     for assignment in splits:
         for pid in ids:
             rows.append([assignment.split_index, pid, assignment.roles[pid]])
-    atomic_write_text(
-        cfg.path("splits", "splits.csv"),
-        csv_text(cfg.provenance, ("split_index", "patient_id", "role"), rows),
-    )
+    cfg.write_csv("splits", ("split_index", "patient_id", "role"), rows)
     print(f"split: wrote {N_SPLITS} splits over {len(ids)} patients")
 
 
@@ -408,35 +398,30 @@ def run_train(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
     splits = load_splits_csv(cfg.input_path("splits", "splits.csv"))
     grid = cfg.sweep_grid()
-    ehr_dim = data.ehr.shape[1]
-    emb_dim = data.emb_first.shape[1]
+
+    def dataset(idx: np.ndarray) -> models.ArrayDataset:
+        return models.ArrayDataset(labels=data.label_matrix[idx], ehr=data.ehr[idx], emb=data.first_images(idx))
 
     results = []
     for family in cfg.families():
         for assignment in splits:
-            train_idx = split_indices(data, assignment, evaluation.ROLE_TRAIN)
-            val_idx = split_indices(data, assignment, evaluation.ROLE_VAL)
-            train_set = models.ArrayDataset(
-                labels=data.label_matrix[train_idx], ehr=data.ehr[train_idx], emb=data.emb_first[train_idx]
-            )
-            val_set = models.ArrayDataset(
-                labels=data.label_matrix[val_idx], ehr=data.ehr[val_idx], emb=data.emb_first[val_idx]
-            )
+            seed = stage_seed(cfg.seed, f"train/{family}/split{assignment.split_index}")
             result = models.sweep(
-                family, grid, train_set, val_set,
-                seed=stage_seed(cfg.seed, f"train/{family}/split{assignment.split_index}"),
-                ehr_dim=ehr_dim, emb_dim=emb_dim,
+                family, grid,
+                dataset(split_indices(data, assignment, evaluation.ROLE_TRAIN)),
+                dataset(split_indices(data, assignment, evaluation.ROLE_VAL)),
+                seed=seed, ehr_dim=data.ehr.shape[1], emb_dim=data.emb.shape[1],
             )
-            results.append(((family, assignment.split_index), result))
+            results.append((family, assignment.split_index, seed, result))
 
     log_rows = []
-    for (family, split_index), result in results:
+    for family, split_index, seed, result in results:
         models.save_checkpoint(
             checkpoint_path(cfg, family, split_index),
             result.spec,
             result.params,
             result.hp,
-            seed=stage_seed(cfg.seed, f"train/{family}/split{split_index}"),
+            seed=seed,
             val_metrics={"macro_auroc": result.val_auroc, "best_epoch": result.history.best_epoch},
             provenance=cfg.provenance,
         )
@@ -452,30 +437,33 @@ def run_train(cfg: RunConfig) -> None:
                     run.val_auroc,
                 ]
             )
-    atomic_write_text(
-        cfg.path("sweep_log", "sweep_log.csv"),
-        csv_text(
-            cfg.provenance,
-            ("family", "split", "kind", "learning_rate", "momentum", "weight_decay", "val_macro_auroc"),
-            log_rows,
-        ),
+    cfg.write_csv(
+        "sweep_log",
+        ("family", "split", "kind", "learning_rate", "momentum", "weight_decay", "val_macro_auroc"),
+        log_rows,
     )
     print(f"train: wrote {len(results)} checkpoints")
 
 
-def _predicted_probs(data: PipelineData, checkpoint: models.Checkpoint, idx: np.ndarray) -> np.ndarray:
-    """Per-patient probabilities, averaging over all images of the selected study."""
-    rows = []
-    for i in idx:
-        rows.append(
-            models.predict_patient(
-                checkpoint.spec,
-                checkpoint.params,
-                ehr_x=data.ehr[i],
-                embeddings=data.emb_all[i],
-            )
-        )
-    return np.stack(rows)
+def physician_rows(cfg: RunConfig, data: PipelineData, split_index: int, test_idx: np.ndarray,
+                   test_probs: np.ndarray) -> list[list]:
+    """Held-out physician vs model on one split's test patients with 3+ reviews."""
+    cases = []
+    for i, probs in zip(test_idx, test_probs):
+        stay = data.stays_by_id[data.patient_ids[i]]
+        if len(stay.reviews) >= 3:
+            cases.append(evaluation.PhysicianCase(stay.reviews, dict(zip(labels.DIAGNOSES, probs.tolist()))))
+    if not cases:
+        return []
+    rng = np.random.default_rng(stage_seed(cfg.seed, f"physician/split{split_index}"))
+    try:
+        comparison = evaluation.physician_comparison(cases, rng)
+    except evaluation.EvalError:
+        return []
+    return [
+        [split_index, diag, comparison.physician_auroc[diag], comparison.model_auroc[diag], comparison.n_patients]
+        for diag in labels.DIAGNOSES + ("macro",)
+    ]
 
 
 def run_evaluate(cfg: RunConfig) -> None:
@@ -486,22 +474,20 @@ def run_evaluate(cfg: RunConfig) -> None:
     bin_rows = []
     roc_rows = []
     recal_rows = []
+    comparison_rows = []
     summary_values: dict[tuple[str, str, str], list[Optional[float]]] = {}
 
     for family in families:
         for assignment in splits:
             split_index = assignment.split_index
-            ckpt_file = checkpoint_path(cfg, family, split_index)
-            if not ckpt_file.exists():
-                raise ConfigError(f"missing checkpoint {ckpt_file}; run the train stage first")
-            checkpoint = models.load_checkpoint(ckpt_file)
+            checkpoint = load_trained_checkpoint(cfg, family, split_index)
             test_idx = split_indices(data, assignment, evaluation.ROLE_TEST)
             val_idx = split_indices(data, assignment, evaluation.ROLE_VAL)
-            test_probs = _predicted_probs(data, checkpoint, test_idx)
-            val_probs = _predicted_probs(data, checkpoint, val_idx)
+            test_probs = data.predict(checkpoint, test_idx)
             test_y = data.label_matrix[test_idx].astype(int)
-            val_y = data.label_matrix[val_idx].astype(int)
-            report = evaluation.metrics_report(test_probs, test_y, val_probs, val_y)
+            report = evaluation.metrics_report(
+                test_probs, test_y, data.predict(checkpoint, val_idx), data.label_matrix[val_idx].astype(int)
+            )
 
             for d_idx, diag in enumerate(labels.DIAGNOSES):
                 cell = report.per_diagnosis[diag]
@@ -538,27 +524,17 @@ def run_evaluate(cfg: RunConfig) -> None:
             ):
                 metric_rows.append([family, split_index, "macro", metric, value])
                 summary_values.setdefault((family, "macro", metric), []).append(value)
+            if family == "combined":
+                comparison_rows.extend(physician_rows(cfg, data, split_index, test_idx, test_probs))
 
-    atomic_write_text(
-        cfg.path("metrics", "metrics.csv"),
-        csv_text(cfg.provenance, ("model", "split", "diagnosis", "metric", "value"), metric_rows),
+    cfg.write_csv("metrics", ("model", "split", "diagnosis", "metric", "value"), metric_rows)
+    cfg.write_csv(
+        "calibration_bins",
+        ("model", "split", "diagnosis", "bin", "mean_prediction", "observed_fraction", "count"),
+        bin_rows,
     )
-    atomic_write_text(
-        cfg.path("calibration_bins", "calibration_bins.csv"),
-        csv_text(
-            cfg.provenance,
-            ("model", "split", "diagnosis", "bin", "mean_prediction", "observed_fraction", "count"),
-            bin_rows,
-        ),
-    )
-    atomic_write_text(
-        cfg.path("roc_points", "roc_points.csv"),
-        csv_text(cfg.provenance, ("model", "split", "diagnosis", "fpr", "tpr", "threshold"), roc_rows),
-    )
-    atomic_write_text(
-        cfg.path("recalibration", "recalibration.csv"),
-        csv_text(cfg.provenance, ("model", "split", "diagnosis", "slope", "intercept"), recal_rows),
-    )
+    cfg.write_csv("roc_points", ("model", "split", "diagnosis", "fpr", "tpr", "threshold"), roc_rows)
+    cfg.write_csv("recalibration", ("model", "split", "diagnosis", "slope", "intercept"), recal_rows)
 
     summary_rows = []
     for (family, diag, metric), values in sorted(summary_values.items()):
@@ -567,55 +543,9 @@ def run_evaluate(cfg: RunConfig) -> None:
             summary_rows.append([family, diag, metric, median, low, high])
         else:
             summary_rows.append([family, diag, metric, None, None, None])
-    atomic_write_text(
-        cfg.path("cross_split_summary", "cross_split_summary.csv"),
-        csv_text(cfg.provenance, ("model", "diagnosis", "metric", "median", "min", "max"), summary_rows),
-    )
-
-    comparison_rows = []
-    if "combined" in families:
-        for assignment in splits:
-            split_index = assignment.split_index
-            checkpoint = models.load_checkpoint(checkpoint_path(cfg, "combined", split_index))
-            test_idx = split_indices(data, assignment, evaluation.ROLE_TEST)
-            cases = []
-            for i in test_idx:
-                stay = data.stays_by_id[data.patient_ids[i]]
-                if len(stay.reviews) < 3:
-                    continue
-                probs = models.predict_patient(
-                    checkpoint.spec, checkpoint.params, ehr_x=data.ehr[i], embeddings=data.emb_all[i]
-                )
-                cases.append(
-                    evaluation.PhysicianCase(
-                        reviews=stay.reviews,
-                        model_probs={d: float(probs[k]) for k, d in enumerate(labels.DIAGNOSES)},
-                    )
-                )
-            rng = np.random.default_rng(stage_seed(cfg.seed, f"physician/split{split_index}"))
-            if not cases:
-                continue
-            try:
-                comparison = evaluation.physician_comparison(cases, rng)
-            except evaluation.EvalError:
-                continue
-            for diag in labels.DIAGNOSES + ("macro",):
-                comparison_rows.append(
-                    [
-                        split_index,
-                        diag,
-                        comparison.physician_auroc[diag],
-                        comparison.model_auroc[diag],
-                        comparison.n_patients,
-                    ]
-                )
-    atomic_write_text(
-        cfg.path("physician_comparison", "physician_comparison.csv"),
-        csv_text(
-            cfg.provenance,
-            ("split", "diagnosis", "physician_auroc", "model_auroc", "n_patients"),
-            comparison_rows,
-        ),
+    cfg.write_csv("cross_split_summary", ("model", "diagnosis", "metric", "median", "min", "max"), summary_rows)
+    cfg.write_csv(
+        "physician_comparison", ("split", "diagnosis", "physician_auroc", "model_auroc", "n_patients"), comparison_rows
     )
     print(f"evaluate: wrote metrics for families {', '.join(families)}")
 
@@ -638,25 +568,21 @@ def run_explain(cfg: RunConfig) -> None:
             per_split_drops = []
             for assignment in splits:
                 split_index = assignment.split_index
-                ckpt_file = checkpoint_path(cfg, family, split_index)
-                if not ckpt_file.exists():
-                    raise ConfigError(f"missing checkpoint {ckpt_file}; run the train stage first")
-                checkpoint = models.load_checkpoint(ckpt_file)
+                checkpoint = load_trained_checkpoint(cfg, family, split_index)
                 test_idx = split_indices(data, assignment, evaluation.ROLE_TEST)
-                emb_test = data.emb_first[test_idx] if checkpoint.spec.needs_emb else None
-                y = data.label_matrix[test_idx, d_idx].astype(int)
+                emb, image_counts = data.images(test_idx)
 
                 def predict(bits: np.ndarray) -> np.ndarray:
-                    return models.forward(
-                        checkpoint.spec, checkpoint.params, ehr=bits.astype(float), emb=emb_test
-                    )[:, d_idx]
+                    probs = models.predict(checkpoint.spec, checkpoint.params, bits.astype(float), emb, image_counts)
+                    return probs[:, d_idx]
 
                 rng = np.random.default_rng(
                     stage_seed(cfg.seed, f"explain/{family}/split{split_index}/{diag}")
                 )
                 try:
                     drops = explain.permutation_importance(
-                        predict, feature_bits[test_idx], y, groups, fitted, rng, repeats=repeats
+                        predict, feature_bits[test_idx], data.label_matrix[test_idx, d_idx].astype(int),
+                        groups, fitted, rng, repeats=repeats,
                     )
                 except evaluation.SingleClass:
                     drops = None
@@ -676,13 +602,10 @@ def run_explain(cfg: RunConfig) -> None:
                         ";".join(repr(drops[gid]) for drops in report.per_split_drops),
                     ]
                 )
-        atomic_write_text(
-            cfg.path(f"importance_{family}", f"importance_{family}.csv"),
-            csv_text(
-                cfg.provenance,
-                ("diagnosis", "group_members", "mean_rank", "mean_drop", "per_split_drops"),
-                report_rows,
-            ),
+        cfg.write_csv(
+            f"importance_{family}",
+            ("diagnosis", "group_members", "mean_rank", "mean_drop", "per_split_drops"),
+            report_rows,
         )
     print("explain: wrote importance reports")
 

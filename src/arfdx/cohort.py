@@ -15,6 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
+from ._util import atomic_write_text
 from .labels import ChartReview, LabelError
 
 MINUTES_PER_HOUR = 60
@@ -256,12 +257,14 @@ def load_cohort(
 
     Lines starting with '#' are provenance headers and are skipped. The
     sidecar lists `line <n>: <reason>` for each rejected record and is
-    written (possibly empty) on every load.
+    written (possibly empty) on every load. Two valid stays sharing a
+    `patient_id` raise `CohortError` naming both lines.
     """
     path = Path(path)
     rejects_path = Path(rejects_path) if rejects_path is not None else path.with_name(path.name + ".rejects")
     stays = []
     rejects = []
+    line_of: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -273,10 +276,17 @@ def load_cohort(
                 rejects.append(f"line {lineno}: invalid JSON: {exc.msg}")
                 continue
             try:
-                stays.append(parse_stay(obj, aliases))
+                stay = parse_stay(obj, aliases)
             except CohortError as exc:
                 rejects.append(f"line {lineno}: {exc}")
-    rejects_path.write_text("".join(r + "\n" for r in rejects), encoding="utf-8")
+                continue
+            if stay.patient_id in line_of:
+                raise CohortError(
+                    f"{path}: duplicate patient_id {stay.patient_id!r} on lines {line_of[stay.patient_id]} and {lineno}"
+                )
+            line_of[stay.patient_id] = lineno
+            stays.append(stay)
+    atomic_write_text(rejects_path, "".join(r + "\n" for r in rejects))
     return stays
 
 
@@ -305,9 +315,8 @@ def stay_to_json(stay: PatientStay) -> str:
 
 
 def write_cohort(path, stays: Iterable[PatientStay], header: str | None = None) -> None:
-    path = Path(path)
     lines = []
     if header:
         lines.append("# " + header)
     lines.extend(stay_to_json(stay) for stay in stays)
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write_text(path, "".join(line + "\n" for line in lines))

@@ -107,27 +107,12 @@ def aupr(scores, labels) -> float:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise NoPositives("AUPR needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    total = 0.0
-    recall_prev = 0.0
-    tp = 0
-    fp = 0
-    i = 0
-    n = len(sorted_scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_labels[i : j + 1].sum())
-        fp += (j - i + 1) - int(sorted_labels[i : j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        total += (recall - recall_prev) * precision
-        recall_prev = recall
-        i = j + 1
-    return total
+    _, tp, fp = _counts_at_or_above(scores, labels)
+    tp, fp = tp[::-1], fp[::-1]  # tied blocks from the highest score down
+    recall = tp / n_pos
+    terms = np.diff(recall, prepend=0.0) * (tp / (tp + fp))
+    # a running sum adds the terms left to right, like a scalar loop; np.sum is pairwise
+    return float(np.cumsum(terms)[-1])
 
 
 @dataclass(frozen=True)

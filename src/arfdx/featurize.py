@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._util import atomic_write_text
 from .cohort import ObservationEvent
 
 
@@ -79,7 +80,7 @@ class FittedFeaturizer:
             offset += len(vocab)
         return slices
 
-    def to_json(self) -> str:
+    def to_json(self, provenance: Optional[str] = None) -> str:
         payload = {
             "bins_per_var": self.config.bins_per_var,
             "numeric": [
@@ -92,6 +93,8 @@ class FittedFeaturizer:
             "variable_map": dict(self.config.variable_map),
             "dim": self.dim,
         }
+        if provenance is not None:
+            payload["_provenance"] = provenance
         return json.dumps(payload, sort_keys=True, indent=2)
 
     @classmethod
@@ -320,13 +323,12 @@ def unpack_bits_hex(hex_text: str, dim: int) -> np.ndarray:
 
 def write_features(path, patient_ids: Sequence[str], feature_bits: np.ndarray,
                    header: str | None = None) -> None:
-    path = Path(path)
     lines = []
     if header:
         lines.append("# " + header)
     for pid, bits in zip(patient_ids, feature_bits):
         lines.append(json.dumps({"patient_id": pid, "bits": pack_bits_hex(bits)}, sort_keys=True))
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def read_features(path, dim: int) -> dict[str, np.ndarray]:

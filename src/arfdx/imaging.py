@@ -19,6 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
+from ._util import atomic_write_bytes
+
 
 class ImagingError(ValueError):
     pass
@@ -251,7 +253,7 @@ def embeddings_to_bytes(embeddings: Iterable[ImageEmbedding]) -> bytes:
 
 
 def write_embeddings(path, embeddings: Iterable[ImageEmbedding]) -> None:
-    Path(path).write_bytes(embeddings_to_bytes(embeddings))
+    atomic_write_bytes(path, embeddings_to_bytes(embeddings))
 
 
 def load_embeddings(path) -> dict[str, ImageEmbedding]:
@@ -323,4 +325,4 @@ def read_pgm(path) -> GrayImage:
 
 def write_pgm(path, img: GrayImage) -> None:
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels.tobytes())
+    atomic_write_bytes(path, header + img.pixels.tobytes())

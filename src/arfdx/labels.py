@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
+
+from ._util import atomic_write_text
 
 DIAGNOSES = ("pneumonia", "heart_failure", "copd")
 
@@ -132,15 +134,17 @@ def load_ruleset(path) -> PhenotypeRuleset:
     return PhenotypeRuleset(rules=rules)
 
 
-def save_ruleset(path, ruleset: PhenotypeRuleset) -> None:
-    payload = {
+def save_ruleset(path, ruleset: PhenotypeRuleset, provenance: Optional[str] = None) -> None:
+    payload: dict[str, object] = {
         diag: {
             "icd": sorted(rule.icd_codes),
             "medications": sorted(rule.medications),
         }
         for diag, rule in ((d, ruleset.rules[d]) for d in DIAGNOSES)
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    if provenance is not None:
+        payload["_provenance"] = provenance
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def aggregate_reviews(reviews: Sequence[ChartReview]) -> DiagnosisLabels:
@@ -170,7 +174,7 @@ def code_med_label(stay, ruleset: PhenotypeRuleset) -> DiagnosisLabels:
 
 @dataclass(frozen=True)
 class AgreementResult:
-    kappa: float
+    kappa: Optional[float]  # None when chance agreement is 1 (unanimous one-sided calls)
     raw_agreement: float
     table: tuple[float, float, float, float]  # (a, b, c, d): ++, +-, -+, --
     n_pairs: float
@@ -221,13 +225,17 @@ def pooled_table(patient_reviews: Sequence[Sequence[ChartReview]], diagnosis: st
 
 
 def rater_agreement(patient_reviews: Sequence[Sequence[ChartReview]]) -> dict[str, AgreementResult]:
-    """Pooled-pairs kappa and raw agreement per diagnosis."""
+    """Pooled-pairs kappa and raw agreement per diagnosis; kappa is None where
+    the marginals leave it undefined, and raw agreement is still reported."""
     if not any(len(reviews) >= 2 for reviews in patient_reviews):
         raise LabelError("agreement needs at least one patient with two or more reviews")
     results = {}
     for diag in DIAGNOSES:
         a, b, c, d = pooled_table(patient_reviews, diag)
-        kappa, raw = kappa_from_table(a, b, c, d)
+        try:
+            kappa, raw = kappa_from_table(a, b, c, d)
+        except DegenerateMarginals:
+            kappa, raw = None, (a + d) / (a + b + c + d)
         results[diag] = AgreementResult(
             kappa=kappa, raw_agreement=raw, table=(a, b, c, d), n_pairs=(a + b + c + d) / 2.0
         )

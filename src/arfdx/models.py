@@ -16,6 +16,9 @@ are stacked along a leading config axis, the forward and backward kernels
 broadcast the shared batch across it, and a config that stops early is
 dropped from the stack. Unstacked parameters are the single-config case of
 the same kernels.
+
+Training reads the first image of each patient's selected study; `predict`
+scores patients on every image of that study and averages per patient.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._util import atomic_write_text
 from .evaluation import macro_auroc
 
 
@@ -522,32 +526,23 @@ def sweep(
     return best
 
 
-def predict_patient(
-    spec: ModelSpec,
-    params: Params,
-    ehr_x=None,
-    embeddings: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Per-diagnosis probabilities for one patient.
+def predict(spec: ModelSpec, params: Params, ehr, emb, image_counts) -> np.ndarray:
+    """Per-patient probabilities, shape (n, 3).
 
-    Image and combined models run once per study image and average the
-    probabilities; EHR models ignore the image list entirely.
+    `emb` holds every image of each patient's selected study, patient by
+    patient, `image_counts[i]` rows for patient i. Image and combined models
+    run one forward over all (patient, image) rows and average each patient's
+    rows; EHR models ignore the images.
     """
     if not spec.needs_emb:
-        return forward(spec, params, ehr=np.atleast_2d(ehr_x))[0]
-    if not embeddings:
-        raise ModelError(f"{spec.kind.value} needs at least one image embedding")
-    per_image = []
-    for emb in embeddings:
-        per_image.append(
-            forward(
-                spec,
-                params,
-                ehr=None if not spec.needs_ehr else np.atleast_2d(ehr_x),
-                emb=np.atleast_2d(emb),
-            )[0]
-        )
-    return np.mean(np.stack(per_image), axis=0)
+        return forward(spec, params, ehr=ehr)
+    counts = np.asarray(image_counts, dtype=int)
+    if np.any(counts < 1):
+        raise ModelError(f"{spec.kind.value} needs at least one image embedding per patient")
+    if emb is None or len(emb) != counts.sum():
+        raise ModelError(f"{spec.kind.value} needs one embedding row per counted image ({counts.sum()})")
+    per_image = forward(spec, params, ehr=np.repeat(ehr, counts, axis=0) if spec.needs_ehr else None, emb=emb)
+    return np.add.reduceat(per_image, np.cumsum(counts) - counts, axis=0) / counts[:, None]
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -592,7 +587,7 @@ def save_checkpoint(path, spec: ModelSpec, params: Params, hp: HyperParams,
             for name, value in params.items()
         },
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -11,11 +11,7 @@ more signal available than either unimodal model.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -202,18 +198,3 @@ def generate(spec: SynthSpec) -> SynthCohort:
         truth[pid] = tuple(bool(b) for b in z)
 
     return SynthCohort(stays=stays, embeddings=embeddings, truth=truth, ruleset=ruleset)
-
-
-def truth_csv_text(truth: Mapping[str, Sequence[bool]], header: str | None = None) -> str:
-    buffer = io.StringIO()
-    if header:
-        buffer.write("# " + header + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["patient_id"] + list(DIAGNOSES))
-    for pid in sorted(truth):
-        writer.writerow([pid] + [int(b) for b in truth[pid]])
-    return buffer.getvalue()
-
-
-def write_truth(path, truth: Mapping[str, Sequence[bool]], header: str | None = None) -> None:
-    Path(path).write_text(truth_csv_text(truth, header), encoding="utf-8")

@@ -2,9 +2,10 @@
 
 These deliberately avoid the package's code paths: AUROC by brute-force pair
 counting, AUPR, ROC points and the PPV operating point by recounting the
-confusion at every distinct threshold, gradients by central finite
-differences through the loss itself, and training by the plain one-config,
-one-batch-at-a-time loop.
+confusion at every distinct threshold (AUPR also by walking tied blocks),
+gradients by central finite differences through the loss itself, training by
+the plain one-config, one-batch-at-a-time loop, and prediction by one forward
+per patient and image.
 """
 
 import numpy as np
@@ -42,6 +43,34 @@ def aupr_stepsum(scores, labels):
         area += (recall - recall_prev) * (tp / (tp + fp))
         recall_prev = recall
     return area
+
+
+def aupr_loop(scores, labels):
+    """Average precision walking the descending scores one tied block at a time."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    total = 0.0
+    recall_prev = 0.0
+    tp = 0
+    fp = 0
+    i = 0
+    n = len(sorted_scores)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_labels[i : j + 1].sum())
+        fp += (j - i + 1) - int(sorted_labels[i : j + 1].sum())
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        total += (recall - recall_prev) * precision
+        recall_prev = recall
+        i = j + 1
+    return total
 
 
 def roc_points_loop(scores, labels):
@@ -116,6 +145,18 @@ def train_reference(spec, hp, train_set, val_set, seed):
             if stale_epochs >= hp.patience:
                 break
     return best_params, val_aurocs, best_epoch
+
+
+def predict_patient(spec, params, ehr_x=None, embeddings=None):
+    """One patient's probabilities: one forward per study image, then the mean;
+    EHR models ignore the images."""
+    if not spec.needs_emb:
+        return models.forward(spec, params, ehr=np.atleast_2d(ehr_x))[0]
+    per_image = [
+        models.forward(spec, params, ehr=np.atleast_2d(ehr_x) if spec.needs_ehr else None, emb=np.atleast_2d(emb))[0]
+        for emb in embeddings
+    ]
+    return np.mean(np.stack(per_image), axis=0)
 
 
 def finite_diff_grads(spec, params, ehr, emb, y, h=1e-4):

@@ -222,3 +222,10 @@ class TestIngestion:
         assert rejects[0].startswith("line 3:")
         assert rejects[1].startswith("line 4:")
         assert "patient_id" in rejects[1]
+
+    def test_duplicate_patient_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "cohort.ndjson"
+        record = json.dumps(self.good_record())
+        path.write_text("".join(line + "\n" for line in ("# header", record, "{not json", record)))
+        with pytest.raises(CohortError, match=r"duplicate patient_id 'p1' on lines 2 and 4"):
+            load_cohort(path, rejects_path=tmp_path / "rejects.txt")

@@ -30,7 +30,7 @@ from arfdx.evaluation import (
     threshold_at_ppv,
 )
 from arfdx.labels import ChartReview
-from oracles import aupr_stepsum, auroc_bruteforce, roc_points_loop, threshold_at_ppv_loop
+from oracles import aupr_loop, aupr_stepsum, auroc_bruteforce, roc_points_loop, threshold_at_ppv_loop
 
 
 @st.composite
@@ -167,6 +167,12 @@ class TestAupr:
             return
         scores = [s / 3.0 for s in raw_scores]
         assert aupr(scores, labels) == pytest.approx(aupr_stepsum(scores, labels), abs=1e-12)
+
+    @given(tied_scores_and_labels())
+    @settings(max_examples=150)
+    def test_rounded_scores_match_the_block_loop_exactly(self, case):
+        scores, labels = case
+        assert aupr(scores, labels) == aupr_loop(scores, labels)
 
 
 class TestCalibration:

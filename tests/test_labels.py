@@ -138,9 +138,13 @@ class TestRaterAgreement:
             assert result.raw_agreement == pytest.approx(1.0), diag
 
     def test_degenerate_marginals(self):
+        # unanimous one-sided calls: chance agreement is 1, so kappa is undefined
         patients = [[review(1, 1, 1, reviewer="a"), review(1, 1, 1, reviewer="b")]]
-        with pytest.raises(DegenerateMarginals):
-            rater_agreement(patients)
+        for diag, result in rater_agreement(patients).items():
+            assert result.kappa is None, diag
+            assert result.raw_agreement == 1.0
+            assert result.table == (2, 0, 0, 0)
+            assert result.n_pairs == 1.0
 
     def test_needs_multiply_reviewed_patient(self):
         with pytest.raises(LabelError):

@@ -18,14 +18,14 @@ from arfdx.models import (
     init_params,
     load_checkpoint,
     loss,
-    predict_patient,
+    predict,
     save_checkpoint,
     sgd_step,
     sweep,
     train,
     train_stacked,
 )
-from oracles import finite_diff_grads, max_relative_error, random_gradcheck_instance, train_reference
+from oracles import finite_diff_grads, max_relative_error, predict_patient, random_gradcheck_instance, train_reference
 
 ALL_SPECS = [
     ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=7),
@@ -375,28 +375,52 @@ class TestPredictPatient:
         spec = ModelSpec(ModelKind.IMAGE_LINEAR, emb_dim=1)
         params = {"W": np.ones((3, 1)), "b": np.zeros(3)}
         logit = lambda p: math.log(p / (1 - p))
-        probs = predict_patient(spec, params, embeddings=[np.array([logit(0.6)]), np.array([logit(0.8)])])
-        assert probs == pytest.approx([0.7, 0.7, 0.7], abs=1e-12)
+        probs = predict(spec, params, None, np.array([[logit(0.6)], [logit(0.8)]]), [2])
+        assert probs.shape == (1, 3)
+        assert probs[0] == pytest.approx([0.7, 0.7, 0.7], abs=1e-12)
 
     def test_single_image_is_its_own_prediction(self):
         spec = ModelSpec(ModelKind.IMAGE_LINEAR, emb_dim=2)
         params = {"W": np.zeros((3, 2)), "b": np.array([1.0, 0.0, -1.0])}
-        probs = predict_patient(spec, params, embeddings=[np.array([5.0, -3.0])])
+        probs = predict(spec, params, None, np.array([[5.0, -3.0]]), [1])
         expected = 1.0 / (1.0 + np.exp(-np.array([1.0, 0.0, -1.0])))
-        assert probs == pytest.approx(expected)
+        assert probs[0] == pytest.approx(expected)
 
     def test_ehr_model_ignores_images(self):
         spec = ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=2)
         params = {"W": np.ones((3, 2)), "b": np.zeros(3)}
-        x = np.array([1.0, 0.0])
-        with_images = predict_patient(spec, params, ehr_x=x, embeddings=[np.array([99.0])])
-        without = predict_patient(spec, params, ehr_x=x)
+        x = np.array([[1.0, 0.0]])
+        with_images = predict(spec, params, x, np.array([[99.0], [98.0]]), [2])
+        without = predict(spec, params, x, None, None)
         assert np.array_equal(with_images, without)
 
     def test_image_model_requires_an_image(self):
         spec = ModelSpec(ModelKind.IMAGE_LINEAR, emb_dim=2)
+        params = {"W": np.zeros((3, 2)), "b": np.zeros(3)}
         with pytest.raises(ModelError):
-            predict_patient(spec, {"W": np.zeros((3, 2)), "b": np.zeros(3)}, embeddings=[])
+            predict(spec, params, None, np.ones((2, 2)), [2, 0])
+
+    def test_rows_must_match_counted_images(self):
+        spec = ModelSpec(ModelKind.COMBINED_DIRECT, ehr_dim=2, emb_dim=2)
+        with pytest.raises(ModelError):
+            predict(spec, zero_params(spec), np.ones((2, 2)), np.ones((4, 2)), [2, 1])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_matches_the_per_patient_loop(self, spec):
+        rng = np.random.default_rng(23)
+        params = init_params(spec, rng)
+        n = 40
+        counts = rng.integers(1, 4, size=n)
+        ehr = rng.integers(0, 2, size=(n, 7)).astype(float)
+        emb = rng.normal(size=(int(counts.sum()), 5))
+        got = predict(spec, params, ehr, emb, counts)
+        starts = np.cumsum(counts) - counts
+        expected = np.stack([
+            predict_patient(spec, params, ehr_x=ehr[i], embeddings=list(emb[starts[i] : starts[i] + counts[i]]))
+            for i in range(n)
+        ])
+        assert got.shape == (n, 3)
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 class TestCheckpoint:
