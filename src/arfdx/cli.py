@@ -9,6 +9,15 @@ defaults. Exit codes: 1 for pipeline-rule errors, 2 for config/IO problems.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":
+    # Set before anything loads numpy: OpenBLAS reads it once, at load. Every
+    # product in a stage is a few thousand rows by at most about 100 columns,
+    # too small for a second OpenBLAS thread to pay; it spins between products
+    # instead. A value the caller set is kept, and a plain import changes nothing.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import configparser
 import csv
@@ -150,10 +159,12 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
 # --- shared artifact loading ---------------------------------------------------
 
 
-def load_included_stays(cfg: RunConfig) -> tuple[list[cohort.PatientStay], cohort.CohortConfig]:
+def load_included_stays(
+    cfg: RunConfig, rejects_path: Optional[Path] = None
+) -> tuple[list[cohort.PatientStay], cohort.CohortConfig]:
     path = cfg.input_path("cohort", "cohort.ndjson")
     cohort_cfg = cfg.cohort_config()
-    stays = cohort.load_cohort(path)
+    stays = cohort.load_cohort(path, rejects_path=rejects_path)
     return [stay for stay in stays if cohort.include_stay(stay, cohort_cfg)], cohort_cfg
 
 
@@ -322,7 +333,7 @@ def run_synth(cfg: RunConfig) -> None:
 
 
 def run_label(cfg: RunConfig) -> None:
-    stays, _ = load_included_stays(cfg)
+    stays, _ = load_included_stays(cfg, rejects_path=cfg.out_dir / "cohort_rejects.txt")
     ruleset = labels.load_ruleset(cfg.input_path("ruleset", "ruleset.json"))
     rows = []
     for stay in stays:

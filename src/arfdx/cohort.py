@@ -8,15 +8,16 @@ integer minutes since a shared epoch.
 
 from __future__ import annotations
 
+import gc
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from ._util import atomic_write_text
-from .labels import ChartReview, LabelError
+from .labels import ChartReview
 
 MINUTES_PER_HOUR = 60
 MINUTES_PER_DAY = 24 * MINUTES_PER_HOUR
@@ -173,66 +174,153 @@ def _require(cond: bool, message: str) -> None:
         raise CohortError(message)
 
 
+# JSON decodes integers to exactly `int` and objects to exactly `dict`, so
+# `type(x) is int` rejects bools, which `isinstance(x, int)` would accept.
+_NUMBERS = (int, float)
+_SEQUENCES = (list, tuple)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _list_field(obj: Mapping, key: str):
+    raw = obj.get(key, [])
+    if type(raw) not in _SEQUENCES:
+        raise CohortError(f"{key} must be a list")
+    return raw
+
+
+# parse_stay checks each nested record with one combined condition and calls
+# the matching `_*_error` only on failure; each re-runs that condition's
+# checks in the same order and returns the reason for the first that fails.
+
+
+def _event_error(raw, admit_time: int) -> str:
+    if type(raw) is not dict:
+        return "event must be an object"
+    variable = raw.get("variable")
+    if type(variable) is not str or variable == "":
+        return "event variable missing or empty"
+    time = raw.get("time")
+    if type(time) is not int:
+        return f"event time for {variable!r} must be an integer"
+    if time < admit_time:
+        return f"event for {variable!r} precedes admission"
+    if type(raw.get("value")) in _NUMBERS:
+        return f"event value for {variable!r} is not finite"
+    return f"event value for {variable!r} must be numeric, token, or null"
+
+
+def _support_error(raw) -> str:
+    if type(raw) not in _SEQUENCES or len(raw) != 2:
+        return "support event must be [time, kind]"
+    if type(raw[0]) is not int:
+        return "support event time must be an integer"
+    return "support event precedes admission"
+
+
+def _study_error(raw, admit_time: int) -> str:
+    if type(raw) is not dict:
+        return "study must be an object"
+    study_id = raw.get("study_id")
+    if type(study_id) is not str or study_id == "":
+        return "study_id missing or empty"
+    time = raw.get("time")
+    if type(time) is not int:
+        return f"study {study_id!r} time must be an integer"
+    if time < admit_time:
+        return f"study {study_id!r} precedes admission"
+    if not raw.get("image_refs"):
+        return f"study {study_id!r} has no image_refs"
+    return f"study {study_id!r} image_refs must be a list"
+
+
+def _interval_error(raw) -> str:
+    if type(raw) not in _SEQUENCES or len(raw) != 3:
+        return "unit interval must be [unit, start, end]"
+    if type(raw[1]) is not int or type(raw[2]) is not int:
+        return "unit interval bounds must be integers"
+    return f"unit interval for {raw[0]!r} has start > end"
+
+
 def parse_stay(obj: Mapping, aliases: Mapping[str, SupportKind] = DEFAULT_SUPPORT_ALIASES) -> PatientStay:
-    """Build and validate a PatientStay from one decoded NDJSON object."""
+    """Build and validate a PatientStay from one decoded NDJSON object.
+
+    Times are integers (not bools), every list field is a JSON array, events
+    and studies are objects, and an event value is a finite number, a token
+    string or null.
+    """
     _require(isinstance(obj, Mapping), "record is not a JSON object")
     patient_id = obj.get("patient_id")
     _require(isinstance(patient_id, str) and patient_id != "", "patient_id missing or empty")
     admit_time = obj.get("admit_time")
-    _require(isinstance(admit_time, int), "admit_time must be an integer minute count")
+    _require(type(admit_time) is int, "admit_time must be an integer minute count")
 
     events = []
-    for raw in obj.get("events", []):
-        variable = raw.get("variable")
-        _require(isinstance(variable, str) and variable != "", "event variable missing or empty")
-        time = raw.get("time")
-        _require(isinstance(time, int), f"event time for {variable!r} must be an integer")
-        _require(time >= admit_time, f"event for {variable!r} precedes admission")
-        value = raw.get("value")
-        if isinstance(value, bool):
-            raise CohortError(f"event value for {variable!r} must be numeric, token, or null")
-        if isinstance(value, (int, float)) and not math.isfinite(value):
-            raise CohortError(f"event value for {variable!r} is not finite")
-        events.append(ObservationEvent(variable=variable, time=time, value=value))
+    for raw in _list_field(obj, "events"):
+        if (
+            type(raw) is dict
+            and type(variable := raw.get("variable")) is str
+            and variable != ""
+            and type(time := raw.get("time")) is int
+            and time >= admit_time
+            and (
+                (value := raw.get("value")) is None
+                or type(value) is str
+                or (type(value) in _NUMBERS and -_FLOAT_MAX <= value <= _FLOAT_MAX)
+            )
+        ):
+            events.append(ObservationEvent(variable, time, value))
+        else:
+            raise CohortError(_event_error(raw, admit_time))
 
     support_events = []
-    for raw in obj.get("support_events", []):
-        _require(isinstance(raw, (list, tuple)) and len(raw) == 2, "support event must be [time, kind]")
-        time, kind = raw
-        _require(isinstance(time, int), "support event time must be an integer")
-        _require(time >= admit_time, "support event precedes admission")
-        support_events.append((time, map_support_kind(str(kind), aliases)))
+    for raw in _list_field(obj, "support_events"):
+        if type(raw) in _SEQUENCES and len(raw) == 2 and type(raw[0]) is int and raw[0] >= admit_time:
+            support_events.append((raw[0], map_support_kind(str(raw[1]), aliases)))
+        else:
+            raise CohortError(_support_error(raw))
 
     studies = []
-    for raw in obj.get("studies", []):
-        study_id = raw.get("study_id")
-        _require(isinstance(study_id, str) and study_id != "", "study_id missing or empty")
-        time = raw.get("time")
-        _require(isinstance(time, int), f"study {study_id!r} time must be an integer")
-        _require(time >= admit_time, f"study {study_id!r} precedes admission")
-        refs = raw.get("image_refs", [])
-        _require(bool(refs), f"study {study_id!r} has no image_refs")
-        studies.append(ImagingStudy(study_id=study_id, time=time, image_refs=tuple(str(r) for r in refs)))
+    for raw in _list_field(obj, "studies"):
+        if (
+            type(raw) is dict
+            and type(study_id := raw.get("study_id")) is str
+            and study_id != ""
+            and type(time := raw.get("time")) is int
+            and time >= admit_time
+            and type(refs := raw.get("image_refs")) in _SEQUENCES
+            and refs
+        ):
+            studies.append(ImagingStudy(study_id, time, tuple(str(r) for r in refs)))
+        else:
+            raise CohortError(_study_error(raw, admit_time))
 
     intervals_by_unit: dict[str, list[tuple[int, int]]] = {}
     unit_intervals = []
-    for raw in obj.get("unit_intervals", []):
-        _require(isinstance(raw, (list, tuple)) and len(raw) == 3, "unit interval must be [unit, start, end]")
-        unit_code, start, end = raw
-        _require(isinstance(start, int) and isinstance(end, int), "unit interval bounds must be integers")
-        _require(start <= end, f"unit interval for {unit_code!r} has start > end")
-        unit_intervals.append((str(unit_code), start, end))
-        intervals_by_unit.setdefault(str(unit_code), []).append((start, end))
+    for raw in _list_field(obj, "unit_intervals"):
+        if (
+            type(raw) in _SEQUENCES
+            and len(raw) == 3
+            and type(raw[1]) is int
+            and type(raw[2]) is int
+            and raw[1] <= raw[2]
+        ):
+            unit_code, start, end = str(raw[0]), raw[1], raw[2]
+            unit_intervals.append((unit_code, start, end))
+            intervals_by_unit.setdefault(unit_code, []).append((start, end))
+        else:
+            raise CohortError(_interval_error(raw))
     for unit_code, spans in intervals_by_unit.items():
         spans.sort()
         for (s0, e0), (s1, _e1) in zip(spans, spans[1:]):
-            _require(s1 > e0, f"overlapping intervals for unit {unit_code!r}")
+            if s1 <= e0:
+                raise CohortError(f"overlapping intervals for unit {unit_code!r}")
 
     reviews = []
-    for raw in obj.get("reviews", []):
+    for raw in _list_field(obj, "reviews"):
+        _require(type(raw) is dict, "chart review must be an object")
         try:
             reviews.append(ChartReview(reviewer_id=str(raw.get("reviewer_id", "")), scores=dict(raw["scores"])))
-        except (LabelError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # LabelError is a ValueError
             raise CohortError(f"bad chart review: {exc}") from exc
 
     return PatientStay(
@@ -243,8 +331,8 @@ def parse_stay(obj: Mapping, aliases: Mapping[str, SupportKind] = DEFAULT_SUPPOR
         studies=studies,
         unit_intervals=unit_intervals,
         reviews=reviews,
-        icd_codes=set(str(c) for c in obj.get("icd_codes", [])),
-        medications=set(str(m) for m in obj.get("medications", [])),
+        icd_codes=set(str(c) for c in _list_field(obj, "icd_codes")),
+        medications=set(str(m) for m in _list_field(obj, "medications")),
     )
 
 
@@ -253,40 +341,50 @@ def load_cohort(
     aliases: Mapping[str, SupportKind] = DEFAULT_SUPPORT_ALIASES,
     rejects_path=None,
 ) -> list[PatientStay]:
-    """Read one stay per NDJSON line; rejected lines go to a `.rejects` sidecar.
+    """Read one stay per NDJSON line, skipping rejected lines.
 
-    Lines starting with '#' are provenance headers and are skipped. The
-    sidecar lists `line <n>: <reason>` for each rejected record and is
-    written (possibly empty) on every load. Two valid stays sharing a
-    `patient_id` raise `CohortError` naming both lines.
+    Lines starting with '#' are provenance headers and are skipped. When
+    `rejects_path` is given, a sidecar listing `line <n>: <reason>` for each
+    rejected record is written there (possibly empty). Two valid stays
+    sharing a `patient_id` raise `CohortError` naming both lines.
     """
     path = Path(path)
-    rejects_path = Path(rejects_path) if rejects_path is not None else path.with_name(path.name + ".rejects")
     stays = []
     rejects = []
     line_of: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                rejects.append(f"line {lineno}: invalid JSON: {exc.msg}")
-                continue
-            try:
-                stay = parse_stay(obj, aliases)
-            except CohortError as exc:
-                rejects.append(f"line {lineno}: {exc}")
-                continue
-            if stay.patient_id in line_of:
-                raise CohortError(
-                    f"{path}: duplicate patient_id {stay.patient_id!r} on lines {line_of[stay.patient_id]} and {lineno}"
-                )
-            line_of[stay.patient_id] = lineno
-            stays.append(stay)
-    atomic_write_text(rejects_path, "".join(r + "\n" for r in rejects))
+    # The parsed records hold no reference cycles, so reference counting frees
+    # them as before; pausing the cyclic collector only skips its repeated
+    # passes over the growing stay list.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                try:
+                    obj = json.loads(stripped)
+                except json.JSONDecodeError as exc:
+                    rejects.append(f"line {lineno}: invalid JSON: {exc.msg}")
+                    continue
+                try:
+                    stay = parse_stay(obj, aliases)
+                except CohortError as exc:
+                    rejects.append(f"line {lineno}: {exc}")
+                    continue
+                if stay.patient_id in line_of:
+                    raise CohortError(
+                        f"{path}: duplicate patient_id {stay.patient_id!r} "
+                        f"on lines {line_of[stay.patient_id]} and {lineno}"
+                    )
+                line_of[stay.patient_id] = lineno
+                stays.append(stay)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    if rejects_path is not None:
+        atomic_write_text(rejects_path, "".join(r + "\n" for r in rejects))
     return stays
 
 

@@ -4,14 +4,26 @@ These deliberately avoid the package's code paths: AUROC by brute-force pair
 counting, AUPR, ROC points and the PPV operating point by recounting the
 confusion at every distinct threshold (AUPR also by walking tied blocks),
 gradients by central finite differences through the loss itself, training by
-the plain one-config, one-batch-at-a-time loop, and prediction by one forward
-per patient and image.
+the plain one-config, one-batch-at-a-time loop, prediction by one forward
+per patient and image, and stay parsing by one `_require` call per field.
 """
+
+import math
+from collections.abc import Mapping
 
 import numpy as np
 
 from arfdx import models
+from arfdx.cohort import (
+    DEFAULT_SUPPORT_ALIASES,
+    CohortError,
+    ImagingStudy,
+    ObservationEvent,
+    PatientStay,
+    map_support_kind,
+)
 from arfdx.evaluation import dor_from_confusion, macro_auroc
+from arfdx.labels import ChartReview, LabelError
 
 
 def auroc_bruteforce(scores, labels):
@@ -210,3 +222,85 @@ def random_gradcheck_instance(spec, rng, batch_size=8, kink_margin=5e-4):
                 continue
         return params, ehr, emb, y
     raise RuntimeError("could not draw a kink-free gradcheck instance")
+
+
+def _require(cond, message):
+    if not cond:
+        raise CohortError(message)
+
+
+def parse_stay_reference(obj, aliases=DEFAULT_SUPPORT_ALIASES):
+    """Stay parsing one field check at a time, each with its message formatted
+    up front. It crashes on some malformed nested records and accepts bool
+    times and list or object event values, which `cohort.parse_stay` rejects."""
+    _require(isinstance(obj, Mapping), "record is not a JSON object")
+    patient_id = obj.get("patient_id")
+    _require(isinstance(patient_id, str) and patient_id != "", "patient_id missing or empty")
+    admit_time = obj.get("admit_time")
+    _require(isinstance(admit_time, int), "admit_time must be an integer minute count")
+
+    events = []
+    for raw in obj.get("events", []):
+        variable = raw.get("variable")
+        _require(isinstance(variable, str) and variable != "", "event variable missing or empty")
+        time = raw.get("time")
+        _require(isinstance(time, int), f"event time for {variable!r} must be an integer")
+        _require(time >= admit_time, f"event for {variable!r} precedes admission")
+        value = raw.get("value")
+        if isinstance(value, bool):
+            raise CohortError(f"event value for {variable!r} must be numeric, token, or null")
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise CohortError(f"event value for {variable!r} is not finite")
+        events.append(ObservationEvent(variable=variable, time=time, value=value))
+
+    support_events = []
+    for raw in obj.get("support_events", []):
+        _require(isinstance(raw, (list, tuple)) and len(raw) == 2, "support event must be [time, kind]")
+        time, kind = raw
+        _require(isinstance(time, int), "support event time must be an integer")
+        _require(time >= admit_time, "support event precedes admission")
+        support_events.append((time, map_support_kind(str(kind), aliases)))
+
+    studies = []
+    for raw in obj.get("studies", []):
+        study_id = raw.get("study_id")
+        _require(isinstance(study_id, str) and study_id != "", "study_id missing or empty")
+        time = raw.get("time")
+        _require(isinstance(time, int), f"study {study_id!r} time must be an integer")
+        _require(time >= admit_time, f"study {study_id!r} precedes admission")
+        refs = raw.get("image_refs", [])
+        _require(bool(refs), f"study {study_id!r} has no image_refs")
+        studies.append(ImagingStudy(study_id=study_id, time=time, image_refs=tuple(str(r) for r in refs)))
+
+    intervals_by_unit = {}
+    unit_intervals = []
+    for raw in obj.get("unit_intervals", []):
+        _require(isinstance(raw, (list, tuple)) and len(raw) == 3, "unit interval must be [unit, start, end]")
+        unit_code, start, end = raw
+        _require(isinstance(start, int) and isinstance(end, int), "unit interval bounds must be integers")
+        _require(start <= end, f"unit interval for {unit_code!r} has start > end")
+        unit_intervals.append((str(unit_code), start, end))
+        intervals_by_unit.setdefault(str(unit_code), []).append((start, end))
+    for unit_code, spans in intervals_by_unit.items():
+        spans.sort()
+        for (s0, e0), (s1, _e1) in zip(spans, spans[1:]):
+            _require(s1 > e0, f"overlapping intervals for unit {unit_code!r}")
+
+    reviews = []
+    for raw in obj.get("reviews", []):
+        try:
+            reviews.append(ChartReview(reviewer_id=str(raw.get("reviewer_id", "")), scores=dict(raw["scores"])))
+        except (LabelError, KeyError, TypeError) as exc:
+            raise CohortError(f"bad chart review: {exc}") from exc
+
+    return PatientStay(
+        patient_id=patient_id,
+        admit_time=admit_time,
+        events=events,
+        support_events=support_events,
+        studies=studies,
+        unit_intervals=unit_intervals,
+        reviews=reviews,
+        icd_codes=set(str(c) for c in obj.get("icd_codes", [])),
+        medications=set(str(m) for m in obj.get("medications", [])),
+    )

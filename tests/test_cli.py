@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import arfdx
 from arfdx import cli, cohort, evaluation, explain, imaging, labels, synth
 from arfdx._util import stage_seed
 
@@ -92,6 +97,25 @@ class TestPipelineStages:
         before = (out / "cohort.ndjson").read_bytes()
         assert cli.main(["featurize", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "cohort.ndjson").read_bytes() == before
+
+    def test_label_through_explain_leave_input_directory_untouched(self, tmp_path):
+        inputs = tmp_path / "inputs"
+        config = tmp_path / "run.ini"
+        config.write_text(MINI_CONFIG)
+        assert cli.main(["synth", "--config", str(config), "--out", str(inputs)]) == 0
+        config.write_text(
+            MINI_CONFIG
+            + "\n[paths]\n"
+            + "".join(f"{key} = {inputs / name}\n" for key, name in (
+                ("cohort", "cohort.ndjson"), ("embeddings", "embeddings.bin"), ("ruleset", "ruleset.json")
+            ))
+        )
+        before = {path.name: path.stat().st_mtime_ns for path in inputs.iterdir()}
+        out = tmp_path / "out"
+        for stage in ("label", "featurize", "split", "train", "evaluate", "explain"):
+            assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
+        assert {path.name: path.stat().st_mtime_ns for path in inputs.iterdir()} == before
+        assert (out / "cohort_rejects.txt").read_text() == ""
 
 
 class TestErrorHandling:
@@ -233,3 +257,41 @@ class TestOnePredictionPath:
         expected = [test_auroc[(diag, k)] for diag in labels.DIAGNOSES for k in range(cli.N_SPLITS)]
         assert sum(b is not None for b in baselines) >= 10
         assert baselines == expected
+
+
+def _run_python(code, openblas_threads=None):
+    """stdout of `code` in a fresh interpreter that imports this checkout's arfdx."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src = str(Path(arfdx.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+RUN_CLI_HELP = """\
+import os, runpy, sys
+sys.argv = ["arfdx", "--help"]
+try:
+    runpy.run_module("arfdx.cli", run_name="__main__")
+except SystemExit:
+    pass
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+class TestBlasThreads:
+    def test_stage_process_runs_one_blas_thread(self):
+        assert _run_python(RUN_CLI_HELP) == "1"
+
+    def test_caller_setting_is_kept(self):
+        assert _run_python(RUN_CLI_HELP, openblas_threads="2") == "2"
+
+    def test_plain_import_leaves_environment_alone(self):
+        assert _run_python("import os, arfdx.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))") == "None"
+
+    def test_package_import_loads_no_numpy(self):
+        # the pin in cli.py runs before numpy, and so OpenBLAS, is first loaded
+        assert _run_python("import sys, arfdx; print('numpy' in sys.modules)") == "False"

@@ -1,7 +1,9 @@
+import copy
+import gc
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arfdx.cohort import (
     MINUTES_PER_DAY,
@@ -22,6 +24,7 @@ from arfdx.cohort import (
     select_study,
     stay_to_json,
 )
+from oracles import parse_stay_reference
 
 H = MINUTES_PER_HOUR
 D = MINUTES_PER_DAY
@@ -215,13 +218,66 @@ class TestIngestion:
             json.dumps({"admit_time": 0}),  # missing patient_id
         ]
         path.write_text("".join(line + "\n" for line in lines))
-        stays = load_cohort(path)
+        assert [s.patient_id for s in load_cohort(path)] == ["p1"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cohort.ndjson"]  # no sidecar unless asked for
+        stays = load_cohort(path, rejects_path=tmp_path / "rejects.txt")
         assert [s.patient_id for s in stays] == ["p1"]
-        rejects = (tmp_path / "cohort.ndjson.rejects").read_text().splitlines()
+        rejects = (tmp_path / "rejects.txt").read_text().splitlines()
         assert len(rejects) == 2
         assert rejects[0].startswith("line 3:")
         assert rejects[1].startswith("line 4:")
         assert "patient_id" in rejects[1]
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (("events",), [1]),
+            (("events",), None),
+            (("events",), {"variable": "hr", "time": 30, "value": 88.0}),
+            (("studies",), ["x"]),
+            (("reviews",), [5]),
+            (("icd_codes",), 5),
+            (("support_events",), None),
+            (("studies", 0, "image_refs"), 5),
+            (("admit_time",), True),
+            (("events", 0, "time"), True),
+            (("support_events", 0, 0), True),
+            (("studies", 0, "time"), False),
+            (("unit_intervals", 0, 2), True),
+            (("events", 0, "value"), [88.0]),
+            (("events", 0, "value"), {"value": 88.0}),
+            (("events", 0, "value"), 10**400),
+            (("reviews", 0, "scores", "copd"), "high"),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else type(v).__name__,
+    )
+    def test_malformed_nested_record_rejected(self, tmp_path, path, bad):
+        record = self.good_record()
+        record["patient_id"] = "p2"
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+        cohort_path = tmp_path / "cohort.ndjson"
+        cohort_path.write_text(json.dumps(self.good_record()) + "\n" + json.dumps(record) + "\n")
+        stays = load_cohort(cohort_path, rejects_path=tmp_path / "rejects.txt")
+        assert [s.patient_id for s in stays] == ["p1"]
+        rejects = (tmp_path / "rejects.txt").read_text().splitlines()
+        assert len(rejects) == 1 and rejects[0].startswith("line 2: ")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_restores_collector_state(self, tmp_path, enabled):
+        path = tmp_path / "cohort.ndjson"
+        record = json.dumps(self.good_record())
+        path.write_text(record + "\n" + record + "\n")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(CohortError, match="duplicate"):
+                load_cohort(path)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_duplicate_patient_id_names_both_lines(self, tmp_path):
         path = tmp_path / "cohort.ndjson"
@@ -229,3 +285,114 @@ class TestIngestion:
         path.write_text("".join(line + "\n" for line in ("# header", record, "{not json", record)))
         with pytest.raises(CohortError, match=r"duplicate patient_id 'p1' on lines 2 and 4"):
             load_cohort(path, rejects_path=tmp_path / "rejects.txt")
+
+
+# --- parse_stay against the one-check-at-a-time reference ---------------------
+
+BASE_RECORD = {
+    "patient_id": "p1",
+    "admit_time": 100,
+    "events": [
+        {"variable": "hr", "time": 130, "value": 88.0},
+        {"variable": "gender", "time": 100, "value": "F"},
+        {"variable": "lactate", "time": 200, "value": None},
+        {"variable": "rr", "time": 250, "value": 22},
+    ],
+    "support_events": [[400, "bipap mask"], [900, "IMV"]],
+    "studies": [
+        {"study_id": "s1", "time": 300, "image_refs": ["s1-i0", "s1-i1"]},
+        {"study_id": "s2", "time": 1000, "image_refs": ["s2-i0"]},
+    ],
+    "unit_intervals": [["MICU", 100, 500], ["MICU", 600, 900], ["SURG", 500, 600]],
+    "reviews": [
+        {"reviewer_id": "r1", "scores": {"pneumonia": 1, "heart_failure": 4, "copd": 3.5}},
+        {"reviewer_id": "r2", "scores": {"pneumonia": 2, "heart_failure": 3, "copd": 1}},
+    ],
+    "icd_codes": ["J18.9", "I50.9"],
+    "medications": ["VANCOMYCIN 1 GM IVPB"],
+}
+# wrong types, bools, NaN/Infinity, empty strings, times before admission (100)
+BAD_VALUES = [
+    None, True, False, 0, 99, -1, 2**1100, 1.5, float("nan"), float("inf"), float("-inf"),
+    "", "x", "IMV", [], [1], ["a", 2], {}, {"a": 1},
+]
+LIST_FIELDS = ("events", "support_events", "studies", "unit_intervals", "reviews", "icd_codes", "medications")
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_records(draw):
+    """BASE_RECORD after 1-3 edits: a value replaced, a key or item deleted, or
+    an item duplicated (a duplicated unit interval overlaps itself)."""
+    record = copy.deepcopy(BASE_RECORD)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(record))))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        edit = draw(st.sampled_from(("set", "delete", "duplicate")))
+        if edit == "set":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+        elif edit == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return record
+
+
+def _rejected_only_now(record):
+    """Whether `record` holds a shape the reference accepts and parse_stay
+    rejects: a bool time, a list or object event value, or a list field that
+    is not a JSON array."""
+    if any(key in record and not isinstance(record[key], list) for key in LIST_FIELDS):
+        return True
+    times = [record.get("admit_time")]
+    for event in record.get("events", []):
+        if isinstance(event, dict):
+            times.append(event.get("time"))
+            if isinstance(event.get("value"), (list, dict)):
+                return True
+    for support in record.get("support_events", []):
+        if isinstance(support, list) and len(support) == 2:
+            times.append(support[0])
+    for study in record.get("studies", []):
+        if isinstance(study, dict):
+            times.append(study.get("time"))
+            if study.get("image_refs") and not isinstance(study["image_refs"], list):
+                return True
+    for interval in record.get("unit_intervals", []):
+        if isinstance(interval, list) and len(interval) == 3:
+            times.extend(interval[1:])
+    return any(isinstance(t, bool) for t in times)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_records())
+def test_parse_stay_matches_reference(record):
+    try:
+        expected = parse_stay_reference(copy.deepcopy(record))
+    except CohortError as exc:
+        expected = exc
+    except Exception:  # the reference crashes on some malformed nested records
+        expected = None
+    if expected is None or _rejected_only_now(record):
+        with pytest.raises(CohortError):
+            parse_stay(record)
+    elif isinstance(expected, CohortError):
+        with pytest.raises(CohortError) as info:
+            parse_stay(record)
+        assert str(info.value) == str(expected)
+    else:
+        assert stay_to_json(parse_stay(record)) == stay_to_json(expected)

@@ -47,9 +47,9 @@ class TestGenerate:
         generated = synth.generate(synth.SynthSpec(n_patients=50, seed=7))
         path = tmp_path / "cohort.ndjson"
         cohort_mod.write_cohort(path, generated.stays, header="determinism check")
-        stays = cohort_mod.load_cohort(path)
+        stays = cohort_mod.load_cohort(path, rejects_path=tmp_path / "rejects.txt")
         assert len(stays) == 50
-        assert (tmp_path / "cohort.ndjson.rejects").read_text() == ""
+        assert (tmp_path / "rejects.txt").read_text() == ""
         assert cohort_mod.stay_to_json(stays[0]) == cohort_mod.stay_to_json(generated.stays[0])
 
 
