@@ -21,6 +21,7 @@ if __name__ == "__main__":
 import argparse
 import configparser
 import csv
+import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,10 +103,12 @@ class RunConfig:
         """The CSV artifact `key` (default `<key>.csv`), under this run's provenance line."""
         atomic_write_text(self.path(key, f"{key}.csv"), csv_text(self.provenance, columns, rows))
 
-    def input_path(self, key: str, default_name: str) -> Path:
+    def input_path(self, key: str, default_name: str, written_by: Optional[str] = None) -> Path:
+        """An existing input; `written_by` names the stage that makes it, for the error."""
         path = self.path(key, default_name)
         if not path.exists():
-            raise ConfigError(f"required input {path} does not exist (set [paths] {key})")
+            hint = f"run the {written_by} stage first" if written_by else f"set [paths] {key}"
+            raise ConfigError(f"required input {path} does not exist ({hint})")
         return path
 
     def cohort_config(self) -> cohort.CohortConfig:
@@ -162,10 +165,71 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
 def load_included_stays(
     cfg: RunConfig, rejects_path: Optional[Path] = None
 ) -> tuple[list[cohort.PatientStay], cohort.CohortConfig]:
+    """Parse the cohort and keep the included stays: `label` and `featurize` only."""
     path = cfg.input_path("cohort", "cohort.ndjson")
     cohort_cfg = cfg.cohort_config()
     stays = cohort.load_cohort(path, rejects_path=rejects_path)
     return [stay for stay in stays if cohort.include_stay(stay, cohort_cfg)], cohort_cfg
+
+
+# `label` publishes the included set as `included_stays.ndjson`: after the
+# provenance line, one JSON object per included stay, in cohort order, holding
+# what the later stages use of it: `patient_id`, the `image_refs` of the study
+# nearest onset, and the chart `reviews` as parsed. `split`, `train`,
+# `evaluate` and `explain` read it instead of re-parsing the cohort.
+
+INCLUDED_STAYS = "included_stays.ndjson"
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+@dataclass(frozen=True)
+class IncludedStay:
+    patient_id: str
+    image_refs: tuple[str, ...]
+    reviews: tuple[labels.ChartReview, ...]
+
+
+def write_included(cfg: RunConfig, stays: Sequence[cohort.PatientStay]) -> None:
+    lines = [f"# {cfg.provenance}\n"]
+    for stay in stays:
+        reviews = [{"reviewer_id": r.reviewer_id, "scores": r.scores} for r in stay.reviews]
+        record = {"patient_id": stay.patient_id, "image_refs": cohort.select_study(stay).image_refs, "reviews": reviews}
+        lines.append(_compact_json(record) + "\n")
+    atomic_write_text(cfg.path("included_stays", INCLUDED_STAYS), "".join(lines))
+
+
+def _included_stay(record) -> IncludedStay:
+    if type(record) is not dict:
+        raise ValueError("record is not a JSON object")
+    patient_id, refs, reviews = record["patient_id"], record["image_refs"], record["reviews"]
+    if type(patient_id) is not str or not patient_id:
+        raise ValueError("patient_id missing or empty")
+    if type(refs) is not list or not refs or any(type(ref) is not str for ref in refs):
+        raise ValueError("image_refs must be a non-empty list of strings")
+    if type(reviews) is not list:
+        raise ValueError("reviews must be a list")
+    return IncludedStay(
+        patient_id, tuple(refs), tuple(labels.ChartReview(r["reviewer_id"], dict(r["scores"])) for r in reviews)
+    )
+
+
+def read_included(cfg: RunConfig) -> list[IncludedStay]:
+    """The included stays `label` wrote; `ConfigError` (exit 2) if the file is missing or malformed."""
+    path = cfg.input_path("included_stays", INCLUDED_STAYS, written_by="label")
+    included = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line or line.startswith("#"):
+            continue
+        try:
+            stay = _included_stay(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError and LabelError are ValueErrors
+            raise ConfigError(f"{path} line {lineno} is malformed ({exc}); rerun the label stage") from exc
+        if stay.patient_id in seen:
+            raise ConfigError(f"{path} line {lineno} repeats patient {stay.patient_id!r}; rerun the label stage")
+        seen.add(stay.patient_id)
+        included.append(stay)
+    return included
 
 
 def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -219,11 +283,15 @@ def window_rows(
     return rows
 
 
-def used_labels(stay: cohort.PatientStay, ruleset: labels.PhenotypeRuleset) -> labels.DiagnosisLabels:
-    """Chart-review labels when reviews exist, otherwise the code+med rule."""
-    if stay.reviews:
-        return labels.aggregate_reviews(stay.reviews)
-    return labels.code_med_label(stay, ruleset)
+def label_matrix(cfg: RunConfig, patient_ids: Sequence[str]) -> np.ndarray:
+    """(n, 3) `label` column of `labels.csv` for `patient_ids`, in that order."""
+    label_map = load_labels_csv(cfg.input_path("labels", "labels.csv", written_by="label"))
+    rows = []
+    for pid in patient_ids:
+        if pid not in label_map:
+            raise ConfigError(f"patient {pid} missing from the label file")
+        rows.append([label_map[pid][d] for d in labels.DIAGNOSES])
+    return np.asarray(rows, dtype=float)
 
 
 @dataclass
@@ -235,7 +303,7 @@ class PipelineData:
     emb: np.ndarray  # (m, e): every image of each patient's selected study, patient by patient
     image_counts: np.ndarray  # (n,): rows of `emb` per patient
     label_matrix: np.ndarray  # (n, 3)
-    stays_by_id: dict[str, cohort.PatientStay]
+    reviews: list[tuple[labels.ChartReview, ...]]  # (n,): each patient's chart reviews
 
     def _image_starts(self) -> np.ndarray:
         return np.cumsum(self.image_counts) - self.image_counts
@@ -256,37 +324,29 @@ class PipelineData:
 
 
 def assemble_data(cfg: RunConfig) -> PipelineData:
-    stays, cohort_cfg = load_included_stays(cfg)
+    included = read_included(cfg)
+    patient_ids = [stay.patient_id for stay in included]
     fitted = load_fitted_featurizer(cfg)
     features = featurize.read_features(cfg.input_path("features", "features.ndjson"), fitted.dim)
-    label_map = load_labels_csv(cfg.input_path("labels", "labels.csv"))
     embeddings = imaging.load_embeddings(cfg.input_path("embeddings", "embeddings.bin"))
 
     ehr_rows = []
     emb_rows = []
-    image_counts = []
-    label_rows = []
-    for stay in stays:
-        pid = stay.patient_id
-        if pid not in features:
-            raise ConfigError(f"patient {pid} missing from the feature file")
-        if pid not in label_map:
-            raise ConfigError(f"patient {pid} missing from the label file")
-        refs = cohort.select_study(stay).image_refs
-        for ref in refs:
+    for stay in included:
+        if stay.patient_id not in features:
+            raise ConfigError(f"patient {stay.patient_id} missing from the feature file")
+        for ref in stay.image_refs:
             if ref not in embeddings:
                 raise ConfigError(f"image {ref} missing from the embedding file")
             emb_rows.append(embeddings[ref].vector)
-        image_counts.append(len(refs))
-        ehr_rows.append(features[pid].astype(float))
-        label_rows.append([label_map[pid][d] for d in labels.DIAGNOSES])
+        ehr_rows.append(features[stay.patient_id].astype(float))
     return PipelineData(
-        patient_ids=[stay.patient_id for stay in stays],
+        patient_ids=patient_ids,
         ehr=np.stack(ehr_rows),
         emb=np.stack(emb_rows).astype(float),
-        image_counts=np.asarray(image_counts),
-        label_matrix=np.asarray(label_rows, dtype=float),
-        stays_by_id={stay.patient_id: stay for stay in stays},
+        image_counts=np.asarray([len(stay.image_refs) for stay in included]),
+        label_matrix=label_matrix(cfg, patient_ids),
+        reviews=[stay.reviews for stay in included],
     )
 
 
@@ -360,6 +420,7 @@ def run_label(cfg: RunConfig) -> None:
     else:
         agreement_rows = [[d, None, None, 0] for d in labels.DIAGNOSES]
     cfg.write_csv("agreement", ("diagnosis", "kappa", "raw_agreement", "n_pairs"), agreement_rows)
+    write_included(cfg, stays)
     print(f"label: wrote labels for {len(stays)} patients")
 
 
@@ -367,6 +428,8 @@ def run_featurize(cfg: RunConfig) -> None:
     stays, cohort_cfg = load_included_stays(cfg)
     if not stays:
         raise ConfigError("cohort file contains no includable stays")
+    ids = [stay.patient_id for stay in stays]
+    diagnosis_labels = label_matrix(cfg, ids)
     variables = sorted({event.variable for stay in stays for event in stay.events})
     rows = window_rows(stays, cohort_cfg, variables)
     config = featurize.infer_config(rows, bins_per_var=cfg.get_int("featurize", "bins_per_var", 5))
@@ -375,15 +438,9 @@ def run_featurize(cfg: RunConfig) -> None:
 
     atomic_write_text(cfg.path("featurizer", "featurizer.json"), fitted.to_json(provenance=cfg.provenance) + "\n")
     featurize.write_features(
-        cfg.path("features", "features.ndjson"), [stay.patient_id for stay in stays], feature_bits,
-        header=cfg.provenance,
+        cfg.path("features", "features.ndjson"), ids, feature_bits, header=cfg.provenance,
     )
-
-    ruleset = labels.load_ruleset(cfg.input_path("ruleset", "ruleset.json"))
-    label_matrix = np.asarray(
-        [[int(used_labels(stay, ruleset)[d]) for d in labels.DIAGNOSES] for stay in stays]
-    )
-    correlations = featurize.missingness_correlation(feature_bits, label_matrix, fitted, labels.DIAGNOSES)
+    correlations = featurize.missingness_correlation(feature_bits, diagnosis_labels, fitted, labels.DIAGNOSES)
     missing_rows = [
         [var, diag, correlations[(var, diag)]]
         for var in fitted.config.variables
@@ -394,8 +451,7 @@ def run_featurize(cfg: RunConfig) -> None:
 
 
 def run_split(cfg: RunConfig) -> None:
-    stays, _ = load_included_stays(cfg)
-    ids = [stay.patient_id for stay in stays]
+    ids = [stay.patient_id for stay in read_included(cfg)]
     splits = evaluation.make_splits(ids, stage_seed(cfg.seed, "split"), n_splits=N_SPLITS)
     rows = []
     for assignment in splits:
@@ -461,9 +517,8 @@ def physician_rows(cfg: RunConfig, data: PipelineData, split_index: int, test_id
     """Held-out physician vs model on one split's test patients with 3+ reviews."""
     cases = []
     for i, probs in zip(test_idx, test_probs):
-        stay = data.stays_by_id[data.patient_ids[i]]
-        if len(stay.reviews) >= 3:
-            cases.append(evaluation.PhysicianCase(stay.reviews, dict(zip(labels.DIAGNOSES, probs.tolist()))))
+        if len(data.reviews[i]) >= 3:
+            cases.append(evaluation.PhysicianCase(data.reviews[i], dict(zip(labels.DIAGNOSES, probs.tolist()))))
     if not cases:
         return []
     rng = np.random.default_rng(stage_seed(cfg.seed, f"physician/split{split_index}"))

@@ -26,6 +26,8 @@ RATING_MIN = 1.0
 RATING_MAX = 4.0
 ASSIGN_BELOW = 2.5
 
+_RATING_TYPES = (int, float, np.floating)
+
 SOURCE_CHART_REVIEW = "chart_review"
 SOURCE_CODE_MED = "code_med"
 
@@ -58,6 +60,9 @@ class ChartReview:
             if diag not in self.scores:
                 raise LabelError(f"review {self.reviewer_id!r} missing rating for {diag!r}")
             rating = self.scores[diag]
+            # a rating is a number: bool is an int subclass and must not read as 1
+            if type(rating) is bool or not isinstance(rating, _RATING_TYPES):
+                raise LabelError(f"review {self.reviewer_id!r} rating {rating!r} for {diag!r} is not a number")
             if not (RATING_MIN <= float(rating) <= RATING_MAX):
                 raise LabelError(
                     f"review {self.reviewer_id!r} rating {rating!r} for {diag!r} "

@@ -300,7 +300,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
     compared = []
     for name in (
         "metrics.csv", "cross_split_summary.csv", "importance_ehr.csv",
-        "importance_combined.csv", "missingness.csv", "sweep_log.csv",
+        "importance_combined.csv", "missingness.csv", "sweep_log.csv", "included_stays.ndjson",
     ):
         a = (outputs[0] / name).read_bytes()
         b = (outputs[1] / name).read_bytes()

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,21 @@ class TestErrorHandling:
         assert code == cli.EXIT_CONFIG_ERROR
 
 
+class TestFeaturizeLabels:
+    def test_stay_missing_from_labels_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(MINI_CONFIG)
+        out = tmp_path / "out"
+        for stage in ("synth", "label"):
+            assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "labels.csv").read_text().splitlines(keepends=True)
+        dropped = lines[2].split(",")[0]
+        (out / "labels.csv").write_text("".join(line for line in lines if not line.startswith(dropped + ",")))
+        assert cli.main(["featurize", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert f"patient {dropped} missing from the label file" in capsys.readouterr().err
+        assert not (out / "features.ndjson").exists()
+
+
 class TestAgreementDegradation:
     def test_unanimous_calls_leave_kappa_empty(self, tmp_path):
         # every reviewer rates every diagnosis "unlikely": raw agreement is 1
@@ -259,6 +275,114 @@ class TestOnePredictionPath:
         assert baselines == expected
 
 
+def run_stages(config, out, stages):
+    for stage in stages:
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+
+
+def included_cohort():
+    """Stays with 3-image studies, one with two studies, 0 to 4 reviews, and one surgical exclusion."""
+    generated = synth.generate(synth.SynthSpec(n_patients=40, n_numeric_vars=6, emb_dim=6, seed=8))
+    extra_review = labels.ChartReview("rev9", {"pneumonia": 1, "heart_failure": 2.5, "copd": 4})
+    stays = []
+    for i, stay in enumerate(generated.stays):
+        study = stay.studies[0]
+        studies = [dataclasses.replace(study, image_refs=tuple(f"{study.study_id}-i{k}" for k in range(3)))]
+        reviews = list(stay.reviews)
+        if i == 0:
+            reviews = []  # labelled by the code+med rule
+        elif i == 1:
+            reviews = (reviews + [extra_review] * 4)[:4]
+        elif i == 2:  # a later study, farther from onset, is not the one selected
+            studies.append(cohort.ImagingStudy(f"{stay.patient_id}-s1", study.time + 600, (f"{stay.patient_id}-s1-i0",)))
+        elif i == 3:  # onset in a surgical unit: excluded
+            onset = stay.support_events[0][0]
+            stay = dataclasses.replace(stay, unit_intervals=[("SURG", 0, onset + 60)])
+        stays.append(dataclasses.replace(stay, studies=studies, reviews=reviews))
+    return stays, generated.ruleset
+
+
+class TestIncludedStays:
+    def test_round_trip_matches_labels_order(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        stays, ruleset = included_cohort()
+        cohort.write_cohort(out / "cohort.ndjson", stays)
+        labels.save_ruleset(out / "ruleset.json", ruleset)
+        assert cli.main(["label", "--out", str(out)]) == 0
+
+        included = cli.read_included(cli.load_config(None, None, str(out)))
+        expected = [
+            cli.IncludedStay(stay.patient_id, cohort.select_study(stay).image_refs, tuple(stay.reviews))
+            for stay in stays
+            if cohort.include_stay(stay, cohort.CohortConfig())
+        ]
+        assert included == expected
+        assert len(included) == len(stays) - 1 and stays[3].patient_id not in [s.patient_id for s in included]
+        assert [len(s.reviews) for s in included[:2]] == [0, 4]
+        assert all(len(s.image_refs) == 3 for s in included)
+        assert included[2].image_refs == stays[2].studies[0].image_refs
+
+        _, rows = cli.read_csv_rows(out / "labels.csv")
+        label_ids = list(dict.fromkeys(row[0] for row in rows))
+        assert label_ids == [s.patient_id for s in included]
+        assert {row[5] for row in rows if row[0] == included[0].patient_id} == {labels.SOURCE_CODE_MED}
+
+    def test_split_through_explain_do_not_read_the_cohort(self, tmp_path):
+        config = tmp_path / "run.ini"
+        # enough patients that some test sets hold 3+-review stays for the physician comparison
+        config.write_text(
+            MINI_CONFIG.replace("families = ehr", "families = ehr, combined").replace("n_patients = 60", "n_patients = 200")
+        )
+        outputs = []
+        for name in ("in_place", "moved"):
+            out = tmp_path / name
+            run_stages(config, out, ("synth", "label", "featurize"))
+            if name == "moved":
+                (out / "cohort.ndjson").rename(tmp_path / "cohort_elsewhere.ndjson")
+            run_stages(config, out, ("split", "train", "evaluate", "explain"))
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir() if path.name != "cohort.ndjson"})
+        assert outputs[0]["physician_comparison.csv"].count(b"\n") > 2
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("stage", ["split", "train", "evaluate", "explain"])
+    def test_missing_artifact_exits_2_naming_it(self, mini_run, capsys, stage):
+        config, out = mini_run
+        (out / "included_stays.ndjson").unlink()
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert str(out / "included_stays.ndjson") in err and "run the label stage first" in err
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda line: line[: len(line) // 2],
+            lambda line: "[]",
+            lambda line: json.dumps({**json.loads(line), "image_refs": "p0-s0-i0"}),
+            lambda line: json.dumps({**json.loads(line), "image_refs": []}),
+            lambda line: json.dumps({key: value for key, value in json.loads(line).items() if key != "reviews"}),
+            lambda line: json.dumps({**json.loads(line), "reviews": [{"reviewer_id": "r", "scores": {"copd": 1}}]}),
+        ],
+        ids=["truncated", "not-an-object", "refs-string", "refs-empty", "no-reviews-field", "review-short"],
+    )
+    def test_corrupt_artifact_exits_2_naming_it(self, mini_run, capsys, corrupt):
+        config, out = mini_run
+        path = out / "included_stays.ndjson"
+        lines = path.read_text().splitlines()
+        lines[2] = corrupt(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["split", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert f"{path} line 3 is malformed" in capsys.readouterr().err
+
+    def test_repeated_patient_exits_2(self, mini_run, capsys):
+        config, out = mini_run
+        path = out / "included_stays.ndjson"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        assert cli.main(["split", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert f"{path} line {len(lines) + 1} repeats patient" in capsys.readouterr().err
+
+
 def _run_python(code, openblas_threads=None):
     """stdout of `code` in a fresh interpreter that imports this checkout's arfdx."""
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
@@ -275,19 +399,53 @@ RUN_CLI_HELP = """\
 import os, runpy, sys
 sys.argv = ["arfdx", "--help"]
 try:
-    runpy.run_module("arfdx.cli", run_name="__main__")
+    runpy.run_module("{module}", run_name="__main__")
 except SystemExit:
     pass
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 """
 
+# The `arfdx` console script imports its entry point; this records the
+# variable's value at the moment numpy is first imported.
+IMPORT_ENTRY_POINT = """\
+import os, sys
+seen = []
+class NumpyImportSpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+sys.meta_path.insert(0, NumpyImportSpy())
+from {module} import {attr}
+print(seen)
+"""
+
+
+def console_script_entry():
+    """(module, attribute) of the `arfdx` command in pyproject.toml."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, attr = re.search(r'^arfdx = "([\w.]+):(\w+)"$', text, re.MULTILINE).groups()
+    return module, attr
+
 
 class TestBlasThreads:
     def test_stage_process_runs_one_blas_thread(self):
-        assert _run_python(RUN_CLI_HELP) == "1"
+        assert _run_python(RUN_CLI_HELP.format(module="arfdx.cli")) == "1"
 
     def test_caller_setting_is_kept(self):
-        assert _run_python(RUN_CLI_HELP, openblas_threads="2") == "2"
+        assert _run_python(RUN_CLI_HELP.format(module="arfdx.cli"), openblas_threads="2") == "2"
+
+    def test_package_main_runs_one_blas_thread(self):
+        assert _run_python(RUN_CLI_HELP.format(module="arfdx")) == "1"
+
+    def test_console_script_pins_before_numpy_loads(self):
+        module, attr = console_script_entry()
+        assert module == "arfdx.__main__"
+        assert _run_python(IMPORT_ENTRY_POINT.format(module=module, attr=attr)) == "['1']"
+
+    def test_console_script_keeps_caller_setting(self):
+        module, attr = console_script_entry()
+        assert _run_python(IMPORT_ENTRY_POINT.format(module=module, attr=attr), openblas_threads="2") == "['2']"
 
     def test_plain_import_leaves_environment_alone(self):
         assert _run_python("import os, arfdx.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))") == "None"

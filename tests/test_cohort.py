@@ -265,6 +265,19 @@ class TestIngestion:
         rejects = (tmp_path / "rejects.txt").read_text().splitlines()
         assert len(rejects) == 1 and rejects[0].startswith("line 2: ")
 
+    @pytest.mark.parametrize("rating", [True, "3"], ids=["bool", "numeric-string"])
+    def test_non_number_rating_is_a_rejected_line(self, tmp_path, rating):
+        record = self.good_record()
+        record["patient_id"] = "p2"
+        record["reviews"][0]["scores"]["heart_failure"] = rating
+        cohort_path = tmp_path / "cohort.ndjson"
+        cohort_path.write_text(json.dumps(self.good_record()) + "\n" + json.dumps(record) + "\n")
+        stays = load_cohort(cohort_path, rejects_path=tmp_path / "rejects.txt")
+        assert [s.patient_id for s in stays] == ["p1"]
+        assert (tmp_path / "rejects.txt").read_text().splitlines() == [
+            f"line 2: bad chart review: review 'r1' rating {rating!r} for 'heart_failure' is not a number"
+        ]
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_load_restores_collector_state(self, tmp_path, enabled):
         path = tmp_path / "cohort.ndjson"

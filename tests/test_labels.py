@@ -66,6 +66,15 @@ class TestAggregateReviews:
         with pytest.raises(LabelError):
             review(pneumonia=4.5)
 
+    @pytest.mark.parametrize("rating", [True, False, "3", None, [2.0]], ids=repr)
+    def test_non_number_rating_rejected(self, rating):
+        with pytest.raises(LabelError, match="is not a number"):
+            review(heart_failure=rating)
+
+    @pytest.mark.parametrize("rating", [2, 1.5, np.float32(1.5), np.float64(1.5)], ids=repr)
+    def test_number_rating_accepted(self, rating):
+        assert review(pneumonia=rating).binary_call("pneumonia") is True
+
     @given(st.lists(st.sampled_from(RATING_GRID), min_size=1, max_size=6))
     def test_order_and_duplication_invariant(self, ratings):
         reviews = [review(pneumonia=r, reviewer=f"r{i}") for i, r in enumerate(ratings)]
