@@ -162,11 +162,11 @@ def select_study(stay: PatientStay) -> ImagingStudy:
 
 # --- NDJSON ingestion -------------------------------------------------------
 
-def map_support_kind(raw: str, aliases: Mapping[str, SupportKind]) -> SupportKind:
+def map_support_kind(raw: str) -> SupportKind:
     key = raw.strip().lower()
-    if key not in aliases:
+    if key not in DEFAULT_SUPPORT_ALIASES:
         raise CohortError(f"unknown respiratory-support kind {raw!r}")
-    return aliases[key]
+    return DEFAULT_SUPPORT_ALIASES[key]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -241,7 +241,7 @@ def _interval_error(raw) -> str:
     return f"unit interval for {raw[0]!r} has start > end"
 
 
-def parse_stay(obj: Mapping, aliases: Mapping[str, SupportKind] = DEFAULT_SUPPORT_ALIASES) -> PatientStay:
+def parse_stay(obj: Mapping) -> PatientStay:
     """Build and validate a PatientStay from one decoded NDJSON object.
 
     Times are integers (not bools), every list field is a JSON array, events
@@ -275,7 +275,7 @@ def parse_stay(obj: Mapping, aliases: Mapping[str, SupportKind] = DEFAULT_SUPPOR
     support_events = []
     for raw in _list_field(obj, "support_events"):
         if type(raw) in _SEQUENCES and len(raw) == 2 and type(raw[0]) is int and raw[0] >= admit_time:
-            support_events.append((raw[0], map_support_kind(str(raw[1]), aliases)))
+            support_events.append((raw[0], map_support_kind(str(raw[1]))))
         else:
             raise CohortError(_support_error(raw))
 
@@ -336,11 +336,7 @@ def parse_stay(obj: Mapping, aliases: Mapping[str, SupportKind] = DEFAULT_SUPPOR
     )
 
 
-def load_cohort(
-    path,
-    aliases: Mapping[str, SupportKind] = DEFAULT_SUPPORT_ALIASES,
-    rejects_path=None,
-) -> list[PatientStay]:
+def load_cohort(path, rejects_path=None) -> list[PatientStay]:
     """Read one stay per NDJSON line, skipping rejected lines.
 
     Lines starting with '#' are provenance headers and are skipped. When
@@ -369,7 +365,7 @@ def load_cohort(
                     rejects.append(f"line {lineno}: invalid JSON: {exc.msg}")
                     continue
                 try:
-                    stay = parse_stay(obj, aliases)
+                    stay = parse_stay(obj)
                 except CohortError as exc:
                     rejects.append(f"line {lineno}: {exc}")
                     continue

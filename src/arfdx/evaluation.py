@@ -38,6 +38,9 @@ ROLE_TRAIN = "train"
 ROLE_VAL = "val"
 ROLE_TEST = "test"
 
+CALIBRATION_BINS = 5  # prediction quintiles
+OPERATING_PPV = 0.5  # the paper's operating point fixes PPV at 50%
+
 
 @dataclass(frozen=True)
 class SplitAssignment:
@@ -123,24 +126,24 @@ class CalibrationResult:
     ece: float
 
 
-def calibration(preds, labels, n_bins: int = 5) -> CalibrationResult:
+def calibration(preds, labels) -> CalibrationResult:
     """Quintile calibration: per-bin mean prediction vs observed rate, a
     least-squares recalibration line through the bin points, and the
     unweighted mean absolute gap (ECE).
 
     Bins are equal-count after sorting by prediction; when n is not divisible
-    by `n_bins` the extra patients go to the lowest-prediction bins.
+    by the bin count the extra patients go to the lowest-prediction bins.
     """
     preds, labels = _validate_scores(preds, labels)
     n = preds.shape[0]
-    if n < n_bins:
-        raise EvalError(f"calibration needs at least {n_bins} samples")
+    if n < CALIBRATION_BINS:
+        raise EvalError(f"calibration needs at least {CALIBRATION_BINS} samples")
     order = np.argsort(preds, kind="stable")
-    base = n // n_bins
-    remainder = n % n_bins
+    base = n // CALIBRATION_BINS
+    remainder = n % CALIBRATION_BINS
     bins = []
     start = 0
-    for b in range(n_bins):
+    for b in range(CALIBRATION_BINS):
         size = base + (1 if b < remainder else 0)
         idx = order[start : start + size]
         start += size
@@ -156,11 +159,6 @@ def calibration(preds, labels, n_bins: int = 5) -> CalibrationResult:
         intercept = float(ys.mean())
     ece = float(np.mean(np.abs(xs - ys)))
     return CalibrationResult(bins=tuple(bins), slope=slope, intercept=intercept, ece=ece)
-
-
-def apply_recalibration(preds, slope: float, intercept: float) -> np.ndarray:
-    """Affine recalibration followed by clamping into [0, 1]."""
-    return np.clip(slope * np.asarray(preds, dtype=float) + intercept, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def _counts_at_or_above(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     return thresholds, tp, fp
 
 
-def threshold_at_ppv(preds, labels, target: float = 0.5) -> ThresholdResult:
+def threshold_at_ppv(preds, labels, target: float = OPERATING_PPV) -> ThresholdResult:
     """Operating point with PPV >= target: maximal sensitivity, ties to
     maximal specificity. Classification is positive when pred >= threshold,
     scanning the distinct prediction values."""
@@ -296,8 +294,6 @@ def metrics_report(
     test_labels: np.ndarray,
     val_probs: Optional[np.ndarray] = None,
     val_labels: Optional[np.ndarray] = None,
-    diagnoses: Sequence[str] = DIAGNOSES,
-    ppv_target: float = 0.5,
 ) -> MetricsReport:
     """Full discrimination/calibration/threshold report for one split.
 
@@ -309,7 +305,7 @@ def metrics_report(
     test_probs = np.atleast_2d(np.asarray(test_probs, dtype=float))
     test_labels = np.atleast_2d(np.asarray(test_labels, dtype=int))
     per_diagnosis = {}
-    for idx, diagnosis in enumerate(diagnoses):
+    for idx, diagnosis in enumerate(DIAGNOSES):
         scores = test_probs[:, idx]
         y = test_labels[:, idx]
         prevalence = float(y.mean()) if y.size else None
@@ -326,7 +322,7 @@ def metrics_report(
         except EvalError:
             cal = None
         try:
-            operating_point = threshold_at_ppv(scores, y, target=ppv_target)
+            operating_point = threshold_at_ppv(scores, y)
         except (PPVUnattainable, SingleClass):
             operating_point = None
         recal = None
@@ -354,9 +350,9 @@ def metrics_report(
 
     return MetricsReport(
         per_diagnosis=per_diagnosis,
-        macro_auroc=macro_or_none([per_diagnosis[d].auroc for d in diagnoses]),
-        macro_aupr=macro_or_none([per_diagnosis[d].aupr for d in diagnoses]),
-        macro_ece=macro_or_none([per_diagnosis[d].ece for d in diagnoses]),
+        macro_auroc=macro_or_none([per_diagnosis[d].auroc for d in DIAGNOSES]),
+        macro_aupr=macro_or_none([per_diagnosis[d].aupr for d in DIAGNOSES]),
+        macro_ece=macro_or_none([per_diagnosis[d].ece for d in DIAGNOSES]),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -34,7 +34,6 @@ class FeaturizerConfig:
     numeric_vars: tuple[str, ...]
     categorical_vars: tuple[tuple[str, tuple[str, ...]], ...]  # (name, vocabulary)
     bins_per_var: int = 5
-    variable_map: Mapping[str, str] = field(default_factory=dict)  # site name -> canonical
 
     def __post_init__(self):
         if self.bins_per_var < 2:
@@ -90,7 +89,6 @@ class FittedFeaturizer:
                 {"name": var, "vocabulary": list(vocab)}
                 for var, vocab in self.config.categorical_vars
             ],
-            "variable_map": dict(self.config.variable_map),
             "dim": self.dim,
         }
         if provenance is not None:
@@ -106,7 +104,6 @@ class FittedFeaturizer:
                 (entry["name"], tuple(entry["vocabulary"])) for entry in payload["categorical"]
             ),
             bins_per_var=payload["bins_per_var"],
-            variable_map=payload.get("variable_map", {}),
         )
         edges = {entry["name"]: tuple(entry["edges"]) for entry in payload["numeric"]}
         fitted = cls(config=config, edges=edges)
@@ -133,26 +130,6 @@ def latest_value(events: Iterable[ObservationEvent], var: str, window: tuple[int
             best_time = event.time
             best_value = event.value
     return best_value
-
-
-def extract_window_values(
-    events: Iterable[ObservationEvent],
-    window: tuple[int, int],
-    config: FeaturizerConfig,
-) -> dict[str, object]:
-    """Most-recent in-window value per configured variable, after name mapping."""
-    if config.variable_map:
-        events = [
-            ObservationEvent(
-                variable=config.variable_map.get(e.variable, e.variable),
-                time=e.time,
-                value=e.value,
-            )
-            for e in events
-        ]
-    else:
-        events = list(events)
-    return {var: latest_value(events, var, window) for var in config.variables}
 
 
 def _as_float(var: str, value) -> float:
@@ -225,8 +202,7 @@ def encode_rows(rows: Sequence[Mapping[str, object]], fitted: FittedFeaturizer) 
     return np.stack([encode(row, fitted) for row in rows]) if rows else np.zeros((0, fitted.dim), np.uint8)
 
 
-def infer_config(rows: Sequence[Mapping[str, object]], bins_per_var: int = 5,
-                 variable_map: Mapping[str, str] | None = None) -> FeaturizerConfig:
+def infer_config(rows: Sequence[Mapping[str, object]], bins_per_var: int = 5) -> FeaturizerConfig:
     """Derive a featurizer config from observed window values.
 
     A variable whose non-missing values are all numeric becomes a binned
@@ -253,7 +229,6 @@ def infer_config(rows: Sequence[Mapping[str, object]], bins_per_var: int = 5,
         numeric_vars=tuple(numeric),
         categorical_vars=tuple(categorical),
         bins_per_var=bins_per_var,
-        variable_map=dict(variable_map or {}),
     )
 
 

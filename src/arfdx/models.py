@@ -64,8 +64,6 @@ FAMILIES: dict[str, tuple[ModelKind, ...]] = {
 N_OUTPUTS = 3
 HIDDEN_UNITS = 100
 
-PROB_EPS = 1e-7  # loss clamp to keep log() finite
-
 LEARNING_RATE_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 3.0)
 MOMENTUM_GRID = (0.8, 0.9)
 WEIGHT_DECAY_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -253,18 +251,6 @@ def forward(spec: ModelSpec, params: Params, ehr=None, emb=None) -> np.ndarray:
     return _sigmoid(z)
 
 
-def loss(probs: np.ndarray, label_matrix: np.ndarray) -> float:
-    """Batch-mean cross-entropy summed over the three sigmoid outputs.
-
-    Probabilities are clamped to [eps, 1-eps] before the logs; the L2 penalty
-    is applied by the optimizer update, not included here.
-    """
-    probs = np.clip(np.atleast_2d(np.asarray(probs, dtype=float)), PROB_EPS, 1.0 - PROB_EPS)
-    y = np.atleast_2d(np.asarray(label_matrix, dtype=float))
-    per_sample = -(y * np.log(probs) + (1.0 - y) * np.log(1.0 - probs)).sum(axis=1)
-    return float(per_sample.mean())
-
-
 def backward(spec: ModelSpec, params: Params, ehr, emb, label_matrix) -> Params:
     """Analytic gradient of the batch-mean cross-entropy for every parameter,
     per config for stacked parameters."""
@@ -338,12 +324,18 @@ def train_stacked(
     val_set: ArrayDataset,
     seed: int,
 ) -> list[tuple[Params, TrainHistory]]:
-    """`train` for several configs of one architecture in one pass.
+    """Minibatch SGD with early stopping on validation macro AUROC, for
+    several configs of one architecture in one pass.
+
+    Batches reshuffle each epoch. Per config, the best-so-far parameters are
+    kept (strictly-greater improvements, so the first epoch wins ties) and
+    training stops after `patience` consecutive epochs without a new best,
+    or at `max_epochs`. Deterministic for a fixed seed.
 
     Every config gets the same initialization and batch order from `seed`,
-    so they must share `batch_size`; each result equals what `train` returns
-    for that config alone. Parameters are stacked along a leading config
-    axis, and a config leaves the stack when it stops.
+    so they must share `batch_size`; each result equals what a one-config
+    list returns for that config alone. Parameters are stacked along a
+    leading config axis, and a config leaves the stack when it stops.
     """
     if not hps:
         raise ModelError("no hyperparameter configs to train")
@@ -419,23 +411,6 @@ def train_stacked(
         ({name: value[g].reshape(shapes[name]).copy() for name, value in best.items()}, histories[g])
         for g in range(g_count)
     ]
-
-
-def train(
-    spec: ModelSpec,
-    hp: HyperParams,
-    train_set: ArrayDataset,
-    val_set: ArrayDataset,
-    seed: int,
-) -> tuple[Params, TrainHistory]:
-    """Minibatch SGD with early stopping on validation macro AUROC.
-
-    Batches reshuffle each epoch. The best-so-far parameters are kept
-    (strictly-greater improvements, so the first epoch wins ties) and
-    training stops after `patience` consecutive epochs without a new best,
-    or at `max_epochs`. Deterministic for a fixed seed.
-    """
-    return train_stacked(spec, [hp], train_set, val_set, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 These deliberately avoid the package's code paths: AUROC by brute-force pair
 counting, AUPR, ROC points and the PPV operating point by recounting the
 confusion at every distinct threshold (AUPR also by walking tied blocks),
-gradients by central finite differences through the loss itself, training by
-the plain one-config, one-batch-at-a-time loop, prediction by one forward
-per patient and image, and stay parsing by one `_require` call per field.
+gradients by central finite differences through the batch-mean
+cross-entropy `loss` (the package computes only its analytic gradient),
+training by the plain one-config, one-batch-at-a-time loop, prediction by
+one forward per patient and image, and stay parsing by one `_require` call
+per field.
 """
 
 import math
@@ -15,7 +17,6 @@ import numpy as np
 
 from arfdx import models
 from arfdx.cohort import (
-    DEFAULT_SUPPORT_ALIASES,
     CohortError,
     ImagingStudy,
     ObservationEvent,
@@ -171,6 +172,21 @@ def predict_patient(spec, params, ehr_x=None, embeddings=None):
     return np.mean(np.stack(per_image), axis=0)
 
 
+PROB_EPS = 1e-7  # loss clamp to keep log() finite
+
+
+def loss(probs, label_matrix):
+    """Batch-mean cross-entropy summed over the three sigmoid outputs.
+
+    Probabilities are clamped to [eps, 1-eps] before the logs; the L2 penalty
+    is applied by the optimizer update, not included here.
+    """
+    probs = np.clip(np.atleast_2d(np.asarray(probs, dtype=float)), PROB_EPS, 1.0 - PROB_EPS)
+    y = np.atleast_2d(np.asarray(label_matrix, dtype=float))
+    per_sample = -(y * np.log(probs) + (1.0 - y) * np.log(1.0 - probs)).sum(axis=1)
+    return float(per_sample.mean())
+
+
 def finite_diff_grads(spec, params, ehr, emb, y, h=1e-4):
     """Central finite differences of the batch-mean loss, per coordinate."""
     grads = {}
@@ -181,9 +197,9 @@ def finite_diff_grads(spec, params, ehr, emb, y, h=1e-4):
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + h
-            loss_plus = models.loss(models.forward(spec, params, ehr, emb), y)
+            loss_plus = loss(models.forward(spec, params, ehr, emb), y)
             flat[i] = original - h
-            loss_minus = models.loss(models.forward(spec, params, ehr, emb), y)
+            loss_minus = loss(models.forward(spec, params, ehr, emb), y)
             flat[i] = original
             grad_flat[i] = (loss_plus - loss_minus) / (2.0 * h)
         grads[name] = grad
@@ -229,7 +245,7 @@ def _require(cond, message):
         raise CohortError(message)
 
 
-def parse_stay_reference(obj, aliases=DEFAULT_SUPPORT_ALIASES):
+def parse_stay_reference(obj):
     """Stay parsing one field check at a time, each with its message formatted
     up front. It crashes on some malformed nested records and accepts bool
     times and list or object event values, which `cohort.parse_stay` rejects."""
@@ -259,7 +275,7 @@ def parse_stay_reference(obj, aliases=DEFAULT_SUPPORT_ALIASES):
         time, kind = raw
         _require(isinstance(time, int), "support event time must be an integer")
         _require(time >= admit_time, "support event precedes admission")
-        support_events.append((time, map_support_kind(str(kind), aliases)))
+        support_events.append((time, map_support_kind(str(kind))))
 
     studies = []
     for raw in obj.get("studies", []):

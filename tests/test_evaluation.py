@@ -15,7 +15,6 @@ from arfdx.evaluation import (
     PhysicianCase,
     PPVUnattainable,
     SingleClass,
-    apply_recalibration,
     aupr,
     auroc,
     calibration,
@@ -214,10 +213,6 @@ class TestCalibration:
         result = calibration(preds, labels)
         assert result.ece == pytest.approx(0.0, abs=1e-15)
 
-    def test_recalibration_clamps_to_unit_interval(self):
-        out = apply_recalibration([0.0, 0.5, 1.0], slope=2.0, intercept=-0.5)
-        assert out.tolist() == [0.0, 0.5, 1.0]
-
     def test_too_few_samples(self):
         with pytest.raises(EvalError):
             calibration([0.5, 0.5], [0, 1])
@@ -367,7 +362,7 @@ class TestMetricsReport:
         probs = np.full((10, 3), 0.5)
         labels = np.zeros((10, 3), dtype=int)
         labels[0, :] = 1  # prevalence 0.1 < target PPV at the only threshold
-        report = metrics_report(probs, labels, ppv_target=0.5)
+        report = metrics_report(probs, labels)
         assert report.per_diagnosis["pneumonia"].operating_point is None
 
     def test_no_validation_data_skips_recalibration(self):

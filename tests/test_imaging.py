@@ -1,154 +1,7 @@
 import numpy as np
 import pytest
 
-from arfdx.imaging import (
-    CropMode,
-    FormatError,
-    GrayImage,
-    ImageConfig,
-    ImageEmbedding,
-    TooSmall,
-    crop_and_rotate,
-    embeddings_to_bytes,
-    histogram_equalize,
-    load_embeddings,
-    read_pgm,
-    resize_short_side,
-    stub_extract,
-    write_embeddings,
-    write_pgm,
-)
-
-
-def image(array):
-    return GrayImage(np.asarray(array, dtype=np.uint8))
-
-
-class TestHistogramEqualize:
-    def test_constant_image_maps_to_zero(self):
-        out = histogram_equalize(image(np.full((4, 4), 123)))
-        assert (out.pixels == 0).all()
-
-    def test_two_level_image_unchanged(self):
-        pixels = np.zeros((2, 4), dtype=np.uint8)
-        pixels[:, 2:] = 255
-        out = histogram_equalize(image(pixels))
-        assert np.array_equal(out.pixels, pixels)
-
-    def test_uniform_histogram_is_fixed_point(self):
-        pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        out = histogram_equalize(image(pixels))
-        assert np.array_equal(out.pixels, pixels)
-
-    def test_monotone_in_input_intensity(self):
-        rng = np.random.default_rng(0)
-        pixels = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
-        out = histogram_equalize(image(pixels))
-        lut = {}
-        for before, after in zip(pixels.ravel(), out.pixels.ravel()):
-            lut.setdefault(int(before), int(after))
-        levels = sorted(lut)
-        mapped = [lut[v] for v in levels]
-        assert mapped == sorted(mapped)
-
-
-class TestResize:
-    def test_exact_halving(self):
-        out = resize_short_side(image(np.zeros((2048, 1024))), 512)
-        assert (out.height, out.width) == (1024, 512)
-
-    def test_noop_when_short_side_matches(self):
-        pixels = np.random.default_rng(1).integers(0, 256, size=(700, 512), dtype=np.uint8)
-        out = resize_short_side(image(pixels), 512)
-        assert np.array_equal(out.pixels, pixels)
-
-    def test_rounded_long_side(self):
-        out = resize_short_side(image(np.zeros((400, 300))), 512)
-        assert (out.height, out.width) == (683, 512)
-
-    def test_aspect_ratio_within_one_pixel(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            h = int(rng.integers(40, 400))
-            w = int(rng.integers(40, 400))
-            out = resize_short_side(image(np.zeros((h, w))), 64)
-            assert min(out.height, out.width) == 64
-            long_side = max(out.height, out.width)
-            assert abs(long_side - 64 * max(h, w) / min(h, w)) <= 0.5 + 1e-9
-
-
-class StubRng:
-    def __init__(self, ints=(0, 0), uniform=0.0):
-        self.ints = list(ints)
-        self.uniform_value = uniform
-
-    def integers(self, low, high=None):
-        return self.ints.pop(0)
-
-    def uniform(self, low, high=None):
-        return self.uniform_value
-
-
-class TestCropAndRotate:
-    def test_center_eval_takes_middle_window(self):
-        pixels = np.arange(4 * 8, dtype=np.uint8).reshape(4, 8)
-        cfg = ImageConfig(target_side=4, crop_mode=CropMode.CENTER_EVAL)
-        out = crop_and_rotate(image(pixels), cfg, np.random.default_rng(0))
-        assert np.array_equal(out.pixels, pixels[:, 2:6])
-
-    def test_random_zero_offset_zero_angle_is_plain_crop(self):
-        pixels = np.arange(6 * 6, dtype=np.uint8).reshape(6, 6)
-        cfg = ImageConfig(target_side=4, crop_mode=CropMode.RANDOM_TRAIN)
-        out = crop_and_rotate(image(pixels), cfg, StubRng(ints=[0, 0], uniform=0.0))
-        assert np.array_equal(out.pixels, pixels[:4, :4])
-
-    def test_random_on_exact_size_forces_zero_offset(self):
-        pixels = np.arange(4 * 4, dtype=np.uint8).reshape(4, 4)
-        cfg = ImageConfig(target_side=4, crop_mode=CropMode.RANDOM_TRAIN, max_rotation_deg=0.0)
-        out = crop_and_rotate(image(pixels), cfg, np.random.default_rng(0))
-        assert np.array_equal(out.pixels, pixels)
-
-    def test_too_small_raises(self):
-        cfg = ImageConfig(target_side=512)
-        with pytest.raises(TooSmall):
-            crop_and_rotate(image(np.zeros((100, 600))), cfg, np.random.default_rng(0))
-
-    def test_output_is_exactly_square_target(self):
-        rng = np.random.default_rng(3)
-        pixels = rng.integers(0, 256, size=(40, 64), dtype=np.uint8)
-        cfg = ImageConfig(target_side=32, crop_mode=CropMode.RANDOM_TRAIN)
-        out = crop_and_rotate(image(pixels), cfg, rng)
-        assert out.pixels.shape == (32, 32)
-
-    def test_quarter_turn_matches_rot90(self):
-        rng = np.random.default_rng(4)
-        pixels = rng.integers(0, 256, size=(9, 9), dtype=np.uint8)
-        cfg = ImageConfig(target_side=9, crop_mode=CropMode.RANDOM_TRAIN, max_rotation_deg=90.0)
-        out = crop_and_rotate(image(pixels), cfg, StubRng(ints=[0, 0], uniform=90.0))
-        assert np.array_equal(out.pixels, np.rot90(pixels, k=-1))
-
-
-class TestStubExtract:
-    def test_white_image_is_all_ones(self):
-        emb = stub_extract(image(np.full((8, 8), 255)), 4)
-        assert np.allclose(emb.vector, 1.0)
-
-    def test_black_image_is_zero(self):
-        emb = stub_extract(image(np.zeros((8, 8))), 4)
-        assert np.allclose(emb.vector, 0.0)
-
-    def test_half_white_half_black(self):
-        pixels = np.zeros((8, 8), dtype=np.uint8)
-        pixels[:, :4] = 255
-        emb = stub_extract(image(pixels), 4)
-        assert np.allclose(emb.vector, [1.0, 0.0, 1.0, 0.0])
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        pixels = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        first = stub_extract(image(pixels), 9)
-        second = stub_extract(image(pixels), 9)
-        assert np.array_equal(first.vector, second.vector)
+from arfdx.imaging import FormatError, ImageEmbedding, embeddings_to_bytes, load_embeddings, write_embeddings
 
 
 class TestEmbeddingFile:
@@ -205,25 +58,3 @@ class TestEmbeddingFile:
         path.write_bytes(b"ARFEMB1\x00" + struct.pack("<II", 2, 2) + record + record)
         with pytest.raises(FormatError, match="duplicate"):
             load_embeddings(path)
-
-
-class TestPgm:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        img = image(rng.integers(0, 256, size=(5, 7), dtype=np.uint8))
-        path = tmp_path / "img.pgm"
-        write_pgm(path, img)
-        loaded = read_pgm(path)
-        assert np.array_equal(loaded.pixels, img.pixels)
-
-    def test_comment_in_header(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        path.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\x01\x02\x03")
-        loaded = read_pgm(path)
-        assert np.array_equal(loaded.pixels, [[0, 1], [2, 3]])
-
-    def test_wrong_maxval_rejected(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
-        with pytest.raises(FormatError, match="maxval"):
-            read_pgm(path)

@@ -17,15 +17,15 @@ from arfdx.models import (
     forward,
     init_params,
     load_checkpoint,
-    loss,
     predict,
     save_checkpoint,
     sgd_step,
     sweep,
-    train,
     train_stacked,
 )
-from oracles import finite_diff_grads, max_relative_error, predict_patient, random_gradcheck_instance, train_reference
+from oracles import (
+    finite_diff_grads, loss, max_relative_error, predict_patient, random_gradcheck_instance, train_reference,
+)
 
 ALL_SPECS = [
     ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=7),
@@ -187,7 +187,7 @@ class TestTrain:
         val_set = separable_dataset(12, rng)
         spec = ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=4)
         hp = HyperParams(learning_rate=0.5, weight_decay=1e-4, max_epochs=60, patience=10)
-        _, history = train(spec, hp, train_set, val_set, seed=0)
+        _, history = train_stacked(spec, [hp], train_set, val_set, seed=0)[0]
         assert max(history.val_auroc) == pytest.approx(1.0)
 
     def test_patience_counts_five_stale_epochs(self):
@@ -199,7 +199,7 @@ class TestTrain:
         data = ArrayDataset(labels=y, ehr=x)
         spec = ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=1)
         hp = HyperParams(learning_rate=0.1, max_epochs=50, patience=5)
-        _, history = train(spec, hp, data, data, seed=1)
+        _, history = train_stacked(spec, [hp], data, data, seed=1)[0]
         assert history.best_epoch == 1
         assert len(history.val_auroc) == 6
 
@@ -209,8 +209,8 @@ class TestTrain:
         val_set = separable_dataset(10, rng)
         spec = ModelSpec(ModelKind.EHR_TWO_LAYER, ehr_dim=4)
         hp = HyperParams(learning_rate=0.1, max_epochs=5, patience=5)
-        params_a, _ = train(spec, hp, train_set, val_set, seed=42)
-        params_b, _ = train(spec, hp, train_set, val_set, seed=42)
+        params_a, _ = train_stacked(spec, [hp], train_set, val_set, seed=42)[0]
+        params_b, _ = train_stacked(spec, [hp], train_set, val_set, seed=42)[0]
         assert all(np.array_equal(params_a[k], params_b[k]) for k in params_a)
 
     def test_returns_best_checkpoint(self):
@@ -221,7 +221,7 @@ class TestTrain:
         val_set = separable_dataset(14, rng)
         spec = ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=4)
         hp = HyperParams(learning_rate=0.3, max_epochs=12, patience=12)
-        params, history = train(spec, hp, train_set, val_set, seed=3)
+        params, history = train_stacked(spec, [hp], train_set, val_set, seed=3)[0]
         returned = macro_auroc(forward(spec, params, ehr=val_set.ehr), val_set.labels)
         assert returned == pytest.approx(max(history.val_auroc), abs=1e-12)
         assert history.val_auroc[history.best_epoch - 1] == pytest.approx(max(history.val_auroc))

@@ -115,12 +115,12 @@ class TestNoSignalNull:
 
         model_spec = models.ModelSpec(models.ModelKind.EHR_LINEAR, ehr_dim=bits.shape[1])
         hp = models.HyperParams(learning_rate=0.1, weight_decay=1e-3, max_epochs=15)
-        params, _ = models.train(
-            model_spec, hp,
+        params, _ = models.train_stacked(
+            model_spec, [hp],
             models.ArrayDataset(labels=truth[train_i], ehr=bits[train_i]),
             models.ArrayDataset(labels=truth[val_i], ehr=bits[val_i]),
             seed=10,
-        )
+        )[0]
         probs = models.forward(model_spec, params, ehr=bits[test_i])
         for k in range(3):
             assert abs(auroc(probs[:, k], truth[test_i, k].astype(int)) - 0.5) < 0.07
