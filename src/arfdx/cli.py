@@ -25,7 +25,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -161,25 +161,19 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
 
 # --- shared artifact loading ---------------------------------------------------
 
-
-def load_included_stays(
-    cfg: RunConfig, rejects_path: Optional[Path] = None
-) -> tuple[list[cohort.PatientStay], cohort.CohortConfig]:
-    """Parse the cohort and keep the included stays: `label` and `featurize` only."""
-    path = cfg.input_path("cohort", "cohort.ndjson")
-    cohort_cfg = cfg.cohort_config()
-    stays = cohort.load_cohort(path, rejects_path=rejects_path)
-    return [stay for stay in stays if cohort.include_stay(stay, cohort_cfg)], cohort_cfg
-
-
-# `label` publishes the included set as `included_stays.ndjson`: after the
-# provenance line, one JSON object per included stay, in cohort order, holding
-# what the later stages use of it: `patient_id`, the `image_refs` of the study
-# nearest onset, and the chart `reviews` as parsed. `split`, `train`,
-# `evaluate` and `explain` read it instead of re-parsing the cohort.
+# `label` is the one stage that reads the cohort and `[cohort]`. Besides
+# `labels.csv` it writes two NDJSON files, each the provenance line and then
+# one compact JSON object per included stay, in cohort order:
+# - `included_stays.ndjson`: `patient_id`, the `image_refs` of the study
+#   nearest onset, and the chart `reviews` as parsed. `split`, `train`,
+#   `evaluate` and `explain` read it.
+# - `window_values.ndjson`: `patient_id` and `window`, each variable the stay
+#   records mapped to its latest in-window value or null. `featurize` reads it.
 
 INCLUDED_STAYS = "included_stays.ndjson"
+WINDOW_VALUES = "window_values.ndjson"
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_WINDOW_VALUE_TYPES = (str, int, float, type(None))
 
 
 @dataclass(frozen=True)
@@ -189,47 +183,66 @@ class IncludedStay:
     reviews: tuple[labels.ChartReview, ...]
 
 
-def write_included(cfg: RunConfig, stays: Sequence[cohort.PatientStay]) -> None:
-    lines = [f"# {cfg.provenance}\n"]
+def write_included(cfg: RunConfig, stays: Sequence[cohort.PatientStay], min_window: int) -> None:
+    header = f"# {cfg.provenance}\n"
+    included, windows = [header], [header]
     for stay in stays:
         reviews = [{"reviewer_id": r.reviewer_id, "scores": r.scores} for r in stay.reviews]
         record = {"patient_id": stay.patient_id, "image_refs": cohort.select_study(stay).image_refs, "reviews": reviews}
-        lines.append(_compact_json(record) + "\n")
-    atomic_write_text(cfg.path("included_stays", INCLUDED_STAYS), "".join(lines))
+        window = {"patient_id": stay.patient_id, "window": cohort.window_values(stay, min_window)}
+        included.append(_compact_json(record) + "\n")
+        windows.append(_compact_json(window) + "\n")
+    atomic_write_text(cfg.path("included_stays", INCLUDED_STAYS), "".join(included))
+    atomic_write_text(cfg.out_dir / WINDOW_VALUES, "".join(windows))
 
 
-def _included_stay(record) -> IncludedStay:
-    if type(record) is not dict:
-        raise ValueError("record is not a JSON object")
-    patient_id, refs, reviews = record["patient_id"], record["image_refs"], record["reviews"]
-    if type(patient_id) is not str or not patient_id:
-        raise ValueError("patient_id missing or empty")
+def _included_stay(record: dict) -> IncludedStay:
+    refs, reviews = record["image_refs"], record["reviews"]
     if type(refs) is not list or not refs or any(type(ref) is not str for ref in refs):
         raise ValueError("image_refs must be a non-empty list of strings")
     if type(reviews) is not list:
         raise ValueError("reviews must be a list")
     return IncludedStay(
-        patient_id, tuple(refs), tuple(labels.ChartReview(r["reviewer_id"], dict(r["scores"])) for r in reviews)
+        record["patient_id"], tuple(refs),
+        tuple(labels.ChartReview(r["reviewer_id"], dict(r["scores"])) for r in reviews),
     )
 
 
-def read_included(cfg: RunConfig) -> list[IncludedStay]:
-    """The included stays `label` wrote; `ConfigError` (exit 2) if the file is missing or malformed."""
-    path = cfg.input_path("included_stays", INCLUDED_STAYS, written_by="label")
-    included = []
-    seen: set[str] = set()
+def _window(record: dict) -> dict[str, object]:
+    window = record["window"]
+    if type(window) is not dict or any(type(value) not in _WINDOW_VALUE_TYPES for value in window.values()):
+        raise ValueError("window must map each variable to a string, a number or null")
+    return window
+
+
+def read_per_stay(path: Path, parse: Callable[[dict], object]) -> dict[str, object]:
+    """`parse` of each record of a per-stay file `label` wrote, by patient, in file
+    order; `ConfigError` (exit 2) if the file is missing or malformed."""
+    if not path.exists():
+        raise ConfigError(f"required input {path} does not exist (run the label stage first)")
+    out: dict[str, object] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
         try:
-            stay = _included_stay(json.loads(line))
+            record = json.loads(line)
+            if type(record) is not dict:
+                raise ValueError("record is not a JSON object")
+            patient_id = record["patient_id"]
+            if type(patient_id) is not str or not patient_id:
+                raise ValueError("patient_id missing or empty")
+            value = parse(record)
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError and LabelError are ValueErrors
             raise ConfigError(f"{path} line {lineno} is malformed ({exc}); rerun the label stage") from exc
-        if stay.patient_id in seen:
-            raise ConfigError(f"{path} line {lineno} repeats patient {stay.patient_id!r}; rerun the label stage")
-        seen.add(stay.patient_id)
-        included.append(stay)
-    return included
+        if patient_id in out:
+            raise ConfigError(f"{path} line {lineno} repeats patient {patient_id!r}; rerun the label stage")
+        out[patient_id] = value
+    return out
+
+
+def read_included(cfg: RunConfig) -> list[IncludedStay]:
+    """The included stays `label` wrote."""
+    return list(read_per_stay(cfg.path("included_stays", INCLUDED_STAYS), _included_stay).values())
 
 
 def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -269,18 +282,6 @@ def load_splits_csv(path: Path) -> list[evaluation.SplitAssignment]:
 def load_fitted_featurizer(cfg: RunConfig) -> featurize.FittedFeaturizer:
     path = cfg.input_path("featurizer", "featurizer.json")
     return featurize.FittedFeaturizer.from_json(path.read_text(encoding="utf-8"))
-
-
-def window_rows(
-    stays: Sequence[cohort.PatientStay],
-    cohort_cfg: cohort.CohortConfig,
-    variables: Sequence[str],
-) -> list[dict[str, object]]:
-    rows = []
-    for stay in stays:
-        window = cohort.observation_window(stay, cohort_cfg.min_window)
-        rows.append({var: featurize.latest_value(stay.events, var, window) for var in variables})
-    return rows
 
 
 def label_matrix(cfg: RunConfig, patient_ids: Sequence[str]) -> np.ndarray:
@@ -393,7 +394,9 @@ def run_synth(cfg: RunConfig) -> None:
 
 
 def run_label(cfg: RunConfig) -> None:
-    stays, _ = load_included_stays(cfg, rejects_path=cfg.out_dir / "cohort_rejects.txt")
+    cohort_cfg = cfg.cohort_config()
+    parsed = cohort.load_cohort(cfg.input_path("cohort", "cohort.ndjson"), cfg.out_dir / "cohort_rejects.txt")
+    stays = [stay for stay in parsed if cohort.include_stay(stay, cohort_cfg)]
     ruleset = labels.load_ruleset(cfg.input_path("ruleset", "ruleset.json"))
     rows = []
     for stay in stays:
@@ -420,18 +423,17 @@ def run_label(cfg: RunConfig) -> None:
     else:
         agreement_rows = [[d, None, None, 0] for d in labels.DIAGNOSES]
     cfg.write_csv("agreement", ("diagnosis", "kappa", "raw_agreement", "n_pairs"), agreement_rows)
-    write_included(cfg, stays)
+    write_included(cfg, stays, cohort_cfg.min_window)
     print(f"label: wrote labels for {len(stays)} patients")
 
 
 def run_featurize(cfg: RunConfig) -> None:
-    stays, cohort_cfg = load_included_stays(cfg)
-    if not stays:
+    windows = read_per_stay(cfg.out_dir / WINDOW_VALUES, _window)
+    if not windows:
         raise ConfigError("cohort file contains no includable stays")
-    ids = [stay.patient_id for stay in stays]
+    ids = list(windows)
     diagnosis_labels = label_matrix(cfg, ids)
-    variables = sorted({event.variable for stay in stays for event in stay.events})
-    rows = window_rows(stays, cohort_cfg, variables)
+    rows = list(windows.values())
     config = featurize.infer_config(rows, bins_per_var=cfg.get_int("featurize", "bins_per_var", 5))
     fitted = featurize.fit(rows, config)
     feature_bits = featurize.encode_rows(rows, fitted)
@@ -447,7 +449,7 @@ def run_featurize(cfg: RunConfig) -> None:
         for diag in labels.DIAGNOSES
     ]
     cfg.write_csv("missingness", ("variable", "diagnosis", "spearman"), missing_rows)
-    print(f"featurize: {len(stays)} patients encoded to {fitted.dim} bits")
+    print(f"featurize: {len(ids)} patients encoded to {fitted.dim} bits")
 
 
 def run_split(cfg: RunConfig) -> None:

@@ -150,6 +150,25 @@ def observation_window(stay: PatientStay, min_window: int = MINUTES_PER_DAY) -> 
     return (stay.admit_time, stay.admit_time + min_window)
 
 
+def window_values(stay: PatientStay, min_window: int = MINUTES_PER_DAY) -> dict[str, object]:
+    """Every variable the stay records, mapped to its most recent value inside
+    the observation window, or None when it has no observation there.
+
+    One pass over the events; equal-time observations resolve to the
+    later-listed one.
+    """
+    start, end = observation_window(stay, min_window)
+    values: dict[str, object] = {}
+    latest: dict[str, int] = {}
+    for event in stay.events:
+        if start <= event.time <= end and event.time >= latest.get(event.variable, start):
+            latest[event.variable] = event.time
+            values[event.variable] = event.value
+        else:
+            values.setdefault(event.variable, None)
+    return values
+
+
 def select_study(stay: PatientStay) -> ImagingStudy:
     """Imaging study nearest to onset; exact ties prefer the earlier study."""
     if not stay.studies:

@@ -89,6 +89,14 @@ def _validate_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks of `values`; tied values share the average of their positions."""
+    _, block, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    # average 1-based rank (i + j) / 2 + 1 of each tied block, i..j its 0-based sorted positions
+    return ((ends - counts + ends - 1) / 2.0 + 1.0)[block]
+
+
 def auroc(scores, labels) -> float:
     """Probability a random positive outranks a random negative; ties count half."""
     scores, labels = _validate_scores(scores, labels)
@@ -96,11 +104,7 @@ def auroc(scores, labels) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("AUROC needs both classes present")
-    _, block, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    # average 1-based rank (i + j) / 2 + 1 of each tied block, i..j its 0-based sorted positions
-    ranks = ((ends - counts + ends - 1) / 2.0 + 1.0)[block]
-    pos_rank_sum = float(ranks[labels == 1].sum())
+    pos_rank_sum = float(average_ranks(scores)[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

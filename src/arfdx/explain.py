@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import auroc
+from .evaluation import auroc, average_ranks
 from .featurize import FittedFeaturizer
 
 
@@ -127,18 +127,8 @@ def permutation_importance(
 
 def rank_descending(drops: Mapping[str, float]) -> dict[str, float]:
     """Rank 1 = largest drop; ties share the average of their positions."""
-    items = sorted(drops.items(), key=lambda kv: (-kv[1], kv[0]))
-    ranks: dict[str, float] = {}
-    i = 0
-    while i < len(items):
-        j = i
-        while j + 1 < len(items) and items[j + 1][1] == items[i][1]:
-            j += 1
-        avg_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[items[k][0]] = avg_rank
-        i = j + 1
-    return ranks
+    ranks = average_ranks(-np.asarray(list(drops.values()), dtype=float))
+    return dict(zip(drops, ranks.tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Binary EHR featurization: most-recent value per variable, five range bins.
+"""Binary EHR featurization of each stay's window values: five range bins.
 
 Each numeric variable becomes a fixed-width block of range-indicator bits cut
 at training-set quintiles; categorical variables become one-hot blocks over a
@@ -13,12 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ._util import atomic_write_text
-from .cohort import ObservationEvent
 
 
 class FeaturizeError(ValueError):
@@ -110,26 +109,6 @@ class FittedFeaturizer:
         if fitted.dim != payload["dim"]:
             raise FeaturizeError("featurizer dim does not match its layout")
         return fitted
-
-
-def latest_value(events: Iterable[ObservationEvent], var: str, window: tuple[int, int]):
-    """Value of the most recent observation of `var` inside the window.
-
-    Returns None when no in-window observation exists. Equal-time
-    observations resolve to the later-listed one.
-    """
-    start, end = window
-    best_time = None
-    best_value = None
-    for event in events:
-        if event.variable != var:
-            continue
-        if event.time < start or event.time > end:
-            continue
-        if best_time is None or event.time >= best_time:
-            best_time = event.time
-            best_value = event.value
-    return best_value
 
 
 def _as_float(var: str, value) -> float:

@@ -211,22 +211,15 @@ def pooled_table(patient_reviews: Sequence[Sequence[ChartReview]], diagnosis: st
     agreement. Each reviewer's binary call applies the same strictly-below-
     2.5 rule as the consensus, to their single rating.
     """
-    a = b = c = d = 0
+    a = mixed = d = 0
     for reviews in patient_reviews:
-        calls = [r.binary_call(diagnosis) for r in reviews]
-        for i in range(len(calls)):
-            for j in range(len(calls)):
-                if i == j:
-                    continue
-                if calls[i] and calls[j]:
-                    a += 1
-                elif calls[i] and not calls[j]:
-                    b += 1
-                elif not calls[i] and calls[j]:
-                    c += 1
-                else:
-                    d += 1
-    return a, b, c, d
+        # k reviews, p yes-calls: ordered pairs of distinct reviewers, counted by their calls
+        k = len(reviews)
+        p = sum(r.binary_call(diagnosis) for r in reviews)
+        a += p * (p - 1)
+        mixed += p * (k - p)
+        d += (k - p) * (k - p - 1)
+    return a, mixed, mixed, d
 
 
 def rater_agreement(patient_reviews: Sequence[Sequence[ChartReview]]) -> dict[str, AgreementResult]:

@@ -74,14 +74,8 @@ class ModelSpec:
     kind: ModelKind
     ehr_dim: int = 0
     emb_dim: int = 0
-    hidden: int = HIDDEN_UNITS
-    outputs: int = N_OUTPUTS
 
     def __post_init__(self):
-        if self.outputs != N_OUTPUTS:
-            raise ModelError(f"models emit {N_OUTPUTS} diagnosis outputs, got {self.outputs}")
-        if self.uses_hidden and self.hidden != HIDDEN_UNITS:
-            raise ModelError(f"hidden layer is fixed at {HIDDEN_UNITS} units")
         if self.needs_ehr and self.ehr_dim < 1:
             raise ModelError(f"{self.kind.value} needs a positive ehr_dim")
         if self.needs_emb and self.emb_dim < 1:
@@ -100,23 +94,17 @@ class ModelSpec:
         return self.kind in (ModelKind.EHR_TWO_LAYER, ModelKind.COMBINED_HIDDEN)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        k = self.kind
+        k, h, o = self.kind, HIDDEN_UNITS, N_OUTPUTS
         if k is ModelKind.EHR_LINEAR:
-            return {"W": (self.outputs, self.ehr_dim), "b": (self.outputs,)}
+            return {"W": (o, self.ehr_dim), "b": (o,)}
         if k is ModelKind.EHR_TWO_LAYER:
-            return {
-                "W1": (self.hidden, self.ehr_dim), "b1": (self.hidden,),
-                "W2": (self.outputs, self.hidden), "b2": (self.outputs,),
-            }
+            return {"W1": (h, self.ehr_dim), "b1": (h,), "W2": (o, h), "b2": (o,)}
         if k is ModelKind.IMAGE_LINEAR:
-            return {"W": (self.outputs, self.emb_dim), "b": (self.outputs,)}
+            return {"W": (o, self.emb_dim), "b": (o,)}
         if k is ModelKind.COMBINED_DIRECT:
-            return {"W": (self.outputs, self.emb_dim + self.ehr_dim), "b": (self.outputs,)}
+            return {"W": (o, self.emb_dim + self.ehr_dim), "b": (o,)}
         if k is ModelKind.COMBINED_HIDDEN:
-            return {
-                "W1": (self.hidden, self.ehr_dim), "b1": (self.hidden,),
-                "W2": (self.outputs, self.emb_dim + self.hidden), "b2": (self.outputs,),
-            }
+            return {"W1": (h, self.ehr_dim), "b1": (h,), "W2": (o, self.emb_dim + h), "b2": (o,)}
         raise ModelError(f"unknown model kind {k!r}")
 
 
@@ -544,8 +532,8 @@ def save_checkpoint(path, spec: ModelSpec, params: Params, hp: HyperParams,
             "kind": spec.kind.value,
             "ehr_dim": spec.ehr_dim,
             "emb_dim": spec.emb_dim,
-            "hidden": spec.hidden,
-            "outputs": spec.outputs,
+            "hidden": HIDDEN_UNITS,
+            "outputs": N_OUTPUTS,
         },
         "hyper": {
             "learning_rate": hp.learning_rate,
@@ -570,13 +558,10 @@ def load_checkpoint(path) -> Checkpoint:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ModelError(f"unrecognized checkpoint format in {path}")
     raw_spec = payload["spec"]
-    spec = ModelSpec(
-        kind=ModelKind(raw_spec["kind"]),
-        ehr_dim=raw_spec["ehr_dim"],
-        emb_dim=raw_spec["emb_dim"],
-        hidden=raw_spec["hidden"],
-        outputs=raw_spec["outputs"],
-    )
+    if raw_spec["hidden"] != HIDDEN_UNITS or raw_spec["outputs"] != N_OUTPUTS:
+        raise ModelError(f"models have {HIDDEN_UNITS} hidden units and {N_OUTPUTS} outputs, {path} stores "
+                         f"{raw_spec['hidden']} and {raw_spec['outputs']}")
+    spec = ModelSpec(kind=ModelKind(raw_spec["kind"]), ehr_dim=raw_spec["ehr_dim"], emb_dim=raw_spec["emb_dim"])
     expected = spec.param_shapes()
     params: Params = {}
     for name, shape in expected.items():

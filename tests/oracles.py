@@ -6,8 +6,9 @@ confusion at every distinct threshold (AUPR also by walking tied blocks),
 gradients by central finite differences through the batch-mean
 cross-entropy `loss` (the package computes only its analytic gradient),
 training by the plain one-config, one-batch-at-a-time loop, prediction by
-one forward per patient and image, and stay parsing by one `_require` call
-per field.
+one forward per patient and image, stay parsing by one `_require` call per
+field, window values by one scan of the events per variable, and the pooled
+agreement table by a loop over every reviewer pair.
 """
 
 import math
@@ -320,3 +321,34 @@ def parse_stay_reference(obj):
         icd_codes=set(str(c) for c in obj.get("icd_codes", [])),
         medications=set(str(m) for m in obj.get("medications", [])),
     )
+
+
+def latest_value_reference(events, var, window):
+    """Most recent value of `var` inside the inclusive window, scanning every
+    event once per variable; equal times resolve to the later-listed event."""
+    start, end = window
+    best_time = best_value = None
+    for event in events:
+        if event.variable == var and start <= event.time <= end and (best_time is None or event.time >= best_time):
+            best_time, best_value = event.time, event.value
+    return best_value
+
+
+def pooled_table_loop(patient_reviews, diagnosis):
+    """2x2 table over every ordered pair of distinct reviewers of each patient."""
+    a = b = c = d = 0
+    for reviews in patient_reviews:
+        calls = [r.binary_call(diagnosis) for r in reviews]
+        for i in range(len(calls)):
+            for j in range(len(calls)):
+                if i == j:
+                    continue
+                if calls[i] and calls[j]:
+                    a += 1
+                elif calls[i] and not calls[j]:
+                    b += 1
+                elif not calls[i] and calls[j]:
+                    c += 1
+                else:
+                    d += 1
+    return a, b, c, d

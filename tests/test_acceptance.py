@@ -162,12 +162,8 @@ def test_criterion_06_threshold_dor():
 
 def _pipeline_arrays(generated):
     """Featurize a synthetic cohort the way the pipeline does (one fit)."""
-    cfg = cohort.CohortConfig()
-    variables = sorted({e.variable for stay in generated.stays for e in stay.events})
-    rows = []
-    for stay in generated.stays:
-        window = cohort.observation_window(stay, cfg.min_window)
-        rows.append({v: featurize.latest_value(stay.events, v, window) for v in variables})
+    min_window = cohort.CohortConfig().min_window
+    rows = [cohort.window_values(stay, min_window) for stay in generated.stays]
     config = featurize.infer_config(rows)
     fitted = featurize.fit(rows, config)
     bits = featurize.encode_rows(rows, fitted).astype(float)
@@ -301,6 +297,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
     for name in (
         "metrics.csv", "cross_split_summary.csv", "importance_ehr.csv",
         "importance_combined.csv", "missingness.csv", "sweep_log.csv", "included_stays.ndjson",
+        "window_values.ndjson",
     ):
         a = (outputs[0] / name).read_bytes()
         b = (outputs[1] / name).read_bytes()

@@ -302,6 +302,11 @@ def included_cohort():
     return stays, generated.ruleset
 
 
+def label_artifact_read_by(stage):
+    """The per-stay file `label` writes that `stage` reads."""
+    return cli.WINDOW_VALUES if stage == "featurize" else cli.INCLUDED_STAYS
+
+
 class TestIncludedStays:
     def test_round_trip_matches_labels_order(self, tmp_path):
         out = tmp_path / "out"
@@ -337,41 +342,47 @@ class TestIncludedStays:
         outputs = []
         for name in ("in_place", "moved"):
             out = tmp_path / name
-            run_stages(config, out, ("synth", "label", "featurize"))
-            if name == "moved":
+            run_stages(config, out, ("synth", "label"))
+            if name == "moved":  # every stage after label runs without the cohort
                 (out / "cohort.ndjson").rename(tmp_path / "cohort_elsewhere.ndjson")
-            run_stages(config, out, ("split", "train", "evaluate", "explain"))
+            run_stages(config, out, ("featurize", "split", "train", "evaluate", "explain"))
             outputs.append({path.name: path.read_bytes() for path in out.iterdir() if path.name != "cohort.ndjson"})
         assert outputs[0]["physician_comparison.csv"].count(b"\n") > 2
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("stage", ["split", "train", "evaluate", "explain"])
+    @pytest.mark.parametrize("stage", ["featurize", "split", "train", "evaluate", "explain"])
     def test_missing_artifact_exits_2_naming_it(self, mini_run, capsys, stage):
         config, out = mini_run
-        (out / "included_stays.ndjson").unlink()
+        path = out / label_artifact_read_by(stage)
+        path.unlink()
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
-        assert str(out / "included_stays.ndjson") in err and "run the label stage first" in err
+        assert str(path) in err and "run the label stage first" in err
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "stage, corrupt",
         [
-            lambda line: line[: len(line) // 2],
-            lambda line: "[]",
-            lambda line: json.dumps({**json.loads(line), "image_refs": "p0-s0-i0"}),
-            lambda line: json.dumps({**json.loads(line), "image_refs": []}),
-            lambda line: json.dumps({key: value for key, value in json.loads(line).items() if key != "reviews"}),
-            lambda line: json.dumps({**json.loads(line), "reviews": [{"reviewer_id": "r", "scores": {"copd": 1}}]}),
+            ("split", lambda line: line[: len(line) // 2]),
+            ("split", lambda line: "[]"),
+            ("split", lambda line: json.dumps({**json.loads(line), "image_refs": "p0-s0-i0"})),
+            ("split", lambda line: json.dumps({**json.loads(line), "image_refs": []})),
+            ("split", lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "reviews"})),
+            ("split", lambda line: json.dumps({**json.loads(line), "reviews": [{"reviewer_id": "r", "scores": {"copd": 1}}]})),
+            ("featurize", lambda line: json.dumps({**json.loads(line), "window": [["var00", 1.0]]})),
+            ("featurize", lambda line: json.dumps({**json.loads(line), "window": {"var00": [1.0]}})),
         ],
-        ids=["truncated", "not-an-object", "refs-string", "refs-empty", "no-reviews-field", "review-short"],
+        ids=[
+            "truncated", "not-an-object", "refs-string", "refs-empty", "no-reviews-field", "review-short",
+            "window-not-an-object", "window-list-value",
+        ],
     )
-    def test_corrupt_artifact_exits_2_naming_it(self, mini_run, capsys, corrupt):
+    def test_corrupt_artifact_exits_2_naming_it(self, mini_run, capsys, stage, corrupt):
         config, out = mini_run
-        path = out / "included_stays.ndjson"
+        path = out / label_artifact_read_by(stage)
         lines = path.read_text().splitlines()
         lines[2] = corrupt(lines[2])
         path.write_text("\n".join(lines) + "\n")
-        assert cli.main(["split", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
         assert f"{path} line 3 is malformed" in capsys.readouterr().err
 
     def test_repeated_patient_exits_2(self, mini_run, capsys):

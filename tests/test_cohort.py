@@ -12,6 +12,7 @@ from arfdx.cohort import (
     CohortError,
     ImagingStudy,
     NoStudy,
+    ObservationEvent,
     OnsetRequired,
     PatientStay,
     SupportKind,
@@ -23,8 +24,9 @@ from arfdx.cohort import (
     parse_stay,
     select_study,
     stay_to_json,
+    window_values,
 )
-from oracles import parse_stay_reference
+from oracles import latest_value_reference, parse_stay_reference
 
 H = MINUTES_PER_HOUR
 D = MINUTES_PER_DAY
@@ -135,6 +137,52 @@ class TestObservationWindow:
         assert start == admit
         assert end - start >= MINUTES_PER_DAY
         assert end == admit + onset_offset or end == admit + MINUTES_PER_DAY
+
+
+def windowed(events):
+    """`window_values` of a stay whose observation window is minutes 0..180."""
+    stay = make_stay(support=[(180, SupportKind.IMV)])
+    stay.events = [ObservationEvent(variable, time, value) for variable, time, value in events]
+    return window_values(stay, min_window=60)
+
+
+class TestWindowValues:
+    def test_latest_in_window_wins(self):
+        assert windowed([("hr", 60, 80.0), ("hr", 120, 95.0)]) == {"hr": 95.0}
+
+    def test_no_events_for_variable(self):
+        assert "hr" not in windowed([("sbp", 10, 120.0)])
+
+    def test_event_outside_window_ignored(self):
+        assert windowed([("hr", 60, 80.0), ("hr", 200, 90.0)]) == {"hr": 80.0}
+
+    def test_variable_recorded_only_outside_window_maps_to_none(self):
+        assert windowed([("hr", 200, 90.0), ("sbp", 10, 120.0)]) == {"hr": None, "sbp": 120.0}
+
+    def test_equal_times_take_later_listed(self):
+        assert windowed([("hr", 60, 80.0), ("hr", 60, 85.0), ("hr", 30, 70.0)]) == {"hr": 85.0}
+
+    def test_window_bounds_inclusive(self):
+        assert windowed([("hr", 0, 70.0)]) == {"hr": 70.0}
+        assert windowed([("hr", 180, 71.0), ("sbp", 181, 1.0)]) == {"hr": 71.0, "sbp": None}
+
+    def test_int_float_and_token_values_keep_their_type(self):
+        window = windowed([("gcs", 10, 15), ("temp", 10, 37.5), ("rhythm", 10, "afib"), ("o2", 10, None)])
+        assert window == {"gcs": 15, "temp": 37.5, "rhythm": "afib", "o2": None}
+        assert [type(window[v]) for v in ("gcs", "temp")] == [int, float]
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 240), st.integers(-3, 3) | st.none()),
+            max_size=12,
+        )
+    )
+    def test_matches_per_variable_scan(self, events):
+        window = windowed(events)
+        stay_events = [ObservationEvent(*event) for event in events]
+        assert set(window) == {variable for variable, _, _ in events}
+        for variable, value in window.items():
+            assert value == latest_value_reference(stay_events, variable, (0, 180))
 
 
 class TestSelectStudy:

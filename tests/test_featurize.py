@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfdx.cohort import ObservationEvent
 from arfdx.featurize import (
     BadValue,
     FeaturizeError,
@@ -15,7 +14,6 @@ from arfdx.featurize import (
     encode_rows,
     fit,
     infer_config,
-    latest_value,
     missingness_correlation,
     pack_bits_hex,
     phi_coefficient,
@@ -35,30 +33,6 @@ def quantile_oracle(values, q):
 
 def numeric_config(names=("x",), bins=5):
     return FeaturizerConfig(numeric_vars=tuple(names), categorical_vars=(), bins_per_var=bins)
-
-
-def ev(var, time, value):
-    return ObservationEvent(variable=var, time=time, value=value)
-
-
-class TestLatestValue:
-    def test_latest_in_window_wins(self):
-        events = [ev("hr", 60, 80.0), ev("hr", 120, 95.0)]
-        assert latest_value(events, "hr", (0, 180)) == 95.0
-
-    def test_no_events_for_variable(self):
-        assert latest_value([ev("sbp", 10, 120.0)], "hr", (0, 180)) is None
-
-    def test_event_outside_window_ignored(self):
-        assert latest_value([ev("hr", 200, 90.0)], "hr", (0, 180)) is None
-
-    def test_equal_times_take_later_listed(self):
-        events = [ev("hr", 60, 80.0), ev("hr", 60, 85.0)]
-        assert latest_value(events, "hr", (0, 180)) == 85.0
-
-    def test_window_bounds_inclusive(self):
-        assert latest_value([ev("hr", 0, 70.0)], "hr", (0, 180)) == 70.0
-        assert latest_value([ev("hr", 180, 71.0)], "hr", (0, 180)) == 71.0
 
 
 class TestFit:

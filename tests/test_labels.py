@@ -16,9 +16,11 @@ from arfdx.labels import (
     kappa_from_table,
     load_ruleset,
     physician_benchmark,
+    pooled_table,
     rater_agreement,
     save_ruleset,
 )
+from oracles import pooled_table_loop
 
 RATING_GRID = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
@@ -179,6 +181,17 @@ class TestRaterAgreement:
         assert 0.0 <= raw <= 1.0
         if kappa == pytest.approx(1.0):
             assert b == 0 and c == 0
+
+    @given(
+        st.lists(
+            st.lists(st.tuples(*[st.sampled_from(RATING_GRID)] * 3), min_size=1, max_size=4),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_pooled_table_matches_pair_loop(self, patients):
+        patient_reviews = [[review(*ratings) for ratings in reviews] for reviews in patients]
+        for diag in DIAGNOSES:
+            assert pooled_table(patient_reviews, diag) == pooled_table_loop(patient_reviews, diag)
 
 
 class FixedIndexRng:

@@ -450,6 +450,14 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match="shape"):
             load_checkpoint(path)
 
-    def test_hidden_layer_size_is_pinned(self):
+    def test_hidden_layer_size_is_pinned(self, tmp_path):
+        import json
+
+        spec = ModelSpec(ModelKind.EHR_TWO_LAYER, ehr_dim=3)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, spec, zero_params(spec), HyperParams(), seed=0, val_metrics={})
+        payload = json.loads(path.read_text())
+        payload["spec"]["hidden"] = 50
+        path.write_text(json.dumps(payload))
         with pytest.raises(ModelError):
-            ModelSpec(ModelKind.EHR_TWO_LAYER, ehr_dim=3, hidden=50)
+            load_checkpoint(path)

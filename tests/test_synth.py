@@ -71,10 +71,7 @@ class TestStatisticalProperties:
         stays = big_cohort.stays
         cfg = cohort_mod.CohortConfig()
         variables = [f"var{i:02d}" for i in range(spec.n_numeric_vars)]
-        rows = []
-        for stay in stays:
-            window = cohort_mod.observation_window(stay, cfg.min_window)
-            rows.append({v: featurize.latest_value(stay.events, v, window) for v in variables})
+        rows = [cohort_mod.window_values(stay, cfg.min_window) for stay in stays]
         config = featurize.FeaturizerConfig(numeric_vars=tuple(variables), categorical_vars=())
         fitted = featurize.fit(rows, config)
         bits = featurize.encode_rows(rows, fitted)
@@ -99,10 +96,7 @@ class TestNoSignalNull:
         generated = synth.generate(spec)
         cfg = cohort_mod.CohortConfig()
         variables = [f"var{i:02d}" for i in range(8)]
-        rows = []
-        for stay in generated.stays:
-            window = cohort_mod.observation_window(stay, cfg.min_window)
-            rows.append({v: featurize.latest_value(stay.events, v, window) for v in variables})
+        rows = [cohort_mod.window_values(stay, cfg.min_window) for stay in generated.stays]
         config = featurize.FeaturizerConfig(numeric_vars=tuple(variables), categorical_vars=())
         fitted = featurize.fit(rows, config)
         bits = featurize.encode_rows(rows, fitted).astype(float)
