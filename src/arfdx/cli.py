@@ -3,8 +3,10 @@
 Every stage reads file artifacts and writes new ones; nothing mutates its
 inputs. Randomness derives from one top-level seed by hashing the stage name
 into it, so any stage reruns reproducibly on its own. Config is an INI-style
-key=value file; command-line flags override file values which override
-defaults. Exit codes: 1 for pipeline-rule errors, 2 for config/IO problems.
+key=value file of the keys in `CONFIG_KEYS`; command-line flags override file
+values which override defaults. Exit codes: 1 for pipeline-rule errors, 2 for
+config/IO problems, including an unknown config key or a value that does not
+parse.
 """
 
 from __future__ import annotations
@@ -55,91 +57,77 @@ class ConfigError(Exception):
     pass
 
 
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(raw.replace(",", " ").split())
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in _names(raw))
+
+
+# Every key a config may set, with the parser of its value. The paper fixes
+# the cohort rules, the five range bins and the 0.6 grouping threshold, so
+# none of them is a setting. `[synth]` and `[sweep]` keys are `SynthSpec` and
+# `SweepGrid` fields, which hold their defaults.
+CONFIG_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
+    "run": {"seed": int},
+    "paths": {"out_dir": Path, "cohort": Path, "embeddings": Path, "ruleset": Path},
+    "synth": {"n_patients": int, "n_numeric_vars": int, "emb_dim": int},
+    "train": {"families": _names},
+    "sweep": {"learning_rates": _floats, "momentums": _floats, "weight_decays": _floats, "max_epochs": int},
+    "explain": {"repeats": int},
+}
+
+# Every artifact has a fixed name in the output directory; `[paths]` may put
+# only these three inputs elsewhere.
+INPUT_FILES = {"cohort": "cohort.ndjson", "embeddings": "embeddings.bin", "ruleset": "ruleset.json"}
+
+
+def _existing(path: Path, hint: str) -> Path:
+    if not path.exists():
+        raise ConfigError(f"required input {path} does not exist ({hint})")
+    return path
+
+
 @dataclass
 class RunConfig:
-    parser: configparser.ConfigParser
     out_dir: Path
     seed: int
     provenance: str
+    settings: dict[str, dict[str, object]]  # section -> the parsed values the config sets
 
-    def get(self, section: str, key: str, default: str) -> str:
-        return self.parser.get(section, key, fallback=default)
+    def input_file(self, key: str) -> Path:
+        """The input `[paths] key` names, relative to the output directory, or its default name there."""
+        return self.out_dir / self.settings["paths"].get(key, INPUT_FILES[key])
 
-    def get_int(self, section: str, key: str, default: int) -> int:
-        try:
-            return self.parser.getint(section, key, fallback=default)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} must be an integer: {exc}") from exc
+    def existing_input(self, key: str) -> Path:
+        return _existing(self.input_file(key), f"set [paths] {key}")
 
-    def get_float(self, section: str, key: str, default: float) -> float:
-        try:
-            return self.parser.getfloat(section, key, fallback=default)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} must be a number: {exc}") from exc
+    def artifact(self, name: str, written_by: str) -> Path:
+        """The existing artifact `name` of the output directory, which `written_by` writes."""
+        return _existing(self.out_dir / name, f"run the {written_by} stage first")
 
-    def get_floats(self, section: str, key: str, default: Sequence[float]) -> tuple[float, ...]:
-        raw = self.parser.get(section, key, fallback=None)
-        if raw is None:
-            return tuple(default)
-        try:
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} must be a number list: {exc}") from exc
-
-    def get_names(self, section: str, key: str, default: Sequence[str]) -> tuple[str, ...]:
-        raw = self.parser.get(section, key, fallback=None)
-        if raw is None:
-            return tuple(default)
-        return tuple(tok for tok in raw.replace(",", " ").split() if tok)
-
-    def path(self, key: str, default_name: str) -> Path:
-        raw = self.parser.get("paths", key, fallback=None)
-        if raw is None:
-            return self.out_dir / default_name
-        path = Path(raw)
-        return path if path.is_absolute() else self.out_dir / path
-
-    def write_csv(self, key: str, columns: Sequence[str], rows) -> None:
-        """The CSV artifact `key` (default `<key>.csv`), under this run's provenance line."""
-        atomic_write_text(self.path(key, f"{key}.csv"), csv_text(self.provenance, columns, rows))
-
-    def input_path(self, key: str, default_name: str, written_by: Optional[str] = None) -> Path:
-        """An existing input; `written_by` names the stage that makes it, for the error."""
-        path = self.path(key, default_name)
-        if not path.exists():
-            hint = f"run the {written_by} stage first" if written_by else f"set [paths] {key}"
-            raise ConfigError(f"required input {path} does not exist ({hint})")
-        return path
-
-    def cohort_config(self) -> cohort.CohortConfig:
-        units = self.get_names("cohort", "surgical_units", sorted(cohort.DEFAULT_SURGICAL_UNITS))
-        return cohort.CohortConfig(
-            onset_horizon=self.get_int("cohort", "onset_horizon", 7 * cohort.MINUTES_PER_DAY),
-            min_window=self.get_int("cohort", "min_window", cohort.MINUTES_PER_DAY),
-            surgical_units=frozenset(units),
-            post_surgical_buffer=self.get_int("cohort", "post_surgical_buffer", cohort.MINUTES_PER_DAY),
-        )
+    def write_csv(self, name: str, columns: Sequence[str], rows) -> None:
+        """The artifact `<name>.csv`, under this run's provenance line."""
+        atomic_write_text(self.out_dir / f"{name}.csv", csv_text(self.provenance, columns, rows))
 
     def families(self) -> tuple[str, ...]:
-        fams = self.get_names("train", "families", ("ehr", "image", "combined"))
+        fams = self.settings["train"].get("families", ("ehr", "image", "combined"))
         for fam in fams:
             if fam not in models.FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r} in [train] families")
         return fams
 
-    def sweep_grid(self) -> models.SweepGrid:
-        return models.SweepGrid(
-            learning_rates=self.get_floats("sweep", "learning_rates", models.LEARNING_RATE_GRID),
-            momentums=self.get_floats("sweep", "momentums", models.MOMENTUM_GRID),
-            weight_decays=self.get_floats("sweep", "weight_decays", models.WEIGHT_DECAY_GRID),
-            batch_size=self.get_int("sweep", "batch_size", 32),
-            patience=self.get_int("sweep", "patience", 5),
-            max_epochs=self.get_int("sweep", "max_epochs", 100),
-        )
+
+def _unknown(what: str, section: str) -> ConfigError:
+    known = CONFIG_KEYS.get(section)
+    hint = f"[{section}] accepts {', '.join(known)}" if known else f"the sections are {', '.join(CONFIG_KEYS)}"
+    return ConfigError(f"unknown {what}; {hint}")
 
 
 def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: Optional[str]) -> RunConfig:
-    parser = configparser.ConfigParser()
+    # No section holds defaults, so `[DEFAULT]` is an unknown section like any other.
+    parser = configparser.ConfigParser(default_section="")
     raw_text = ""
     if config_path is not None:
         path = Path(config_path)
@@ -150,18 +138,30 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
             parser.read_string(raw_text)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    settings: dict[str, dict[str, object]] = {section: {} for section in CONFIG_KEYS}
+    for section in parser.sections():
+        for key in parser[section]:
+            parse = CONFIG_KEYS.get(section, {}).get(key)
+            if parse is None:
+                raise _unknown(f"key [{section}] {key}", section)
+            try:
+                settings[section][key] = parse(parser.get(section, key))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"[{section}] {key} does not parse: {exc}") from exc
+        if section not in CONFIG_KEYS:
+            raise _unknown(f"section [{section}]", section)
     # precedence: flags > config file > defaults
-    seed = seed_flag if seed_flag is not None else int(parser.get("run", "seed", fallback="0"))
-    out_dir = Path(out_flag) if out_flag is not None else Path(parser.get("paths", "out_dir", fallback="out"))
+    seed = seed_flag if seed_flag is not None else settings["run"].get("seed", 0)
+    out_dir = Path(out_flag) if out_flag is not None else settings["paths"].get("out_dir", Path("out"))
     # the output location does not affect results, so it stays out of the hash
     digest = config_hash(raw_text + f"|seed={seed}")
     provenance = f"arfdx {__version__} seed={seed} config={digest}"
-    return RunConfig(parser=parser, out_dir=out_dir, seed=seed, provenance=provenance)
+    return RunConfig(out_dir=out_dir, seed=seed, provenance=provenance, settings=settings)
 
 
 # --- shared artifact loading ---------------------------------------------------
 
-# `label` is the one stage that reads the cohort and `[cohort]`. Besides
+# `label` is the one stage that reads the cohort and applies its rules. Besides
 # `labels.csv` it writes two NDJSON files, each the provenance line and then
 # one compact JSON object per included stay, in cohort order:
 # - `included_stays.ndjson`: `patient_id`, the `image_refs` of the study
@@ -183,16 +183,16 @@ class IncludedStay:
     reviews: tuple[labels.ChartReview, ...]
 
 
-def write_included(cfg: RunConfig, stays: Sequence[cohort.PatientStay], min_window: int) -> None:
+def write_included(cfg: RunConfig, stays: Sequence[cohort.PatientStay]) -> None:
     header = f"# {cfg.provenance}\n"
     included, windows = [header], [header]
     for stay in stays:
         reviews = [{"reviewer_id": r.reviewer_id, "scores": r.scores} for r in stay.reviews]
         record = {"patient_id": stay.patient_id, "image_refs": cohort.select_study(stay).image_refs, "reviews": reviews}
-        window = {"patient_id": stay.patient_id, "window": cohort.window_values(stay, min_window)}
+        window = {"patient_id": stay.patient_id, "window": cohort.window_values(stay)}
         included.append(_compact_json(record) + "\n")
         windows.append(_compact_json(window) + "\n")
-    atomic_write_text(cfg.path("included_stays", INCLUDED_STAYS), "".join(included))
+    atomic_write_text(cfg.out_dir / INCLUDED_STAYS, "".join(included))
     atomic_write_text(cfg.out_dir / WINDOW_VALUES, "".join(windows))
 
 
@@ -215,11 +215,10 @@ def _window(record: dict) -> dict[str, object]:
     return window
 
 
-def read_per_stay(path: Path, parse: Callable[[dict], object]) -> dict[str, object]:
-    """`parse` of each record of a per-stay file `label` wrote, by patient, in file
+def read_per_stay(cfg: RunConfig, name: str, written_by: str, parse: Callable[[dict], object]) -> dict[str, object]:
+    """`parse` of each record of the per-stay file `name`, by patient, in file
     order; `ConfigError` (exit 2) if the file is missing or malformed."""
-    if not path.exists():
-        raise ConfigError(f"required input {path} does not exist (run the label stage first)")
+    path = cfg.artifact(name, written_by)
     out: dict[str, object] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line or line.startswith("#"):
@@ -232,17 +231,17 @@ def read_per_stay(path: Path, parse: Callable[[dict], object]) -> dict[str, obje
             if type(patient_id) is not str or not patient_id:
                 raise ValueError("patient_id missing or empty")
             value = parse(record)
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError and LabelError are ValueErrors
-            raise ConfigError(f"{path} line {lineno} is malformed ({exc}); rerun the label stage") from exc
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError, LabelError, FeaturizeError too
+            raise ConfigError(f"{path} line {lineno} is malformed ({exc}); rerun the {written_by} stage") from exc
         if patient_id in out:
-            raise ConfigError(f"{path} line {lineno} repeats patient {patient_id!r}; rerun the label stage")
+            raise ConfigError(f"{path} line {lineno} repeats patient {patient_id!r}; rerun the {written_by} stage")
         out[patient_id] = value
     return out
 
 
 def read_included(cfg: RunConfig) -> list[IncludedStay]:
     """The included stays `label` wrote."""
-    return list(read_per_stay(cfg.path("included_stays", INCLUDED_STAYS), _included_stay).values())
+    return list(read_per_stay(cfg, INCLUDED_STAYS, "label", _included_stay).values())
 
 
 def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -280,13 +279,13 @@ def load_splits_csv(path: Path) -> list[evaluation.SplitAssignment]:
 
 
 def load_fitted_featurizer(cfg: RunConfig) -> featurize.FittedFeaturizer:
-    path = cfg.input_path("featurizer", "featurizer.json")
+    path = cfg.artifact("featurizer.json", "featurize")
     return featurize.FittedFeaturizer.from_json(path.read_text(encoding="utf-8"))
 
 
 def label_matrix(cfg: RunConfig, patient_ids: Sequence[str]) -> np.ndarray:
     """(n, 3) `label` column of `labels.csv` for `patient_ids`, in that order."""
-    label_map = load_labels_csv(cfg.input_path("labels", "labels.csv", written_by="label"))
+    label_map = load_labels_csv(cfg.artifact("labels.csv", "label"))
     rows = []
     for pid in patient_ids:
         if pid not in label_map:
@@ -328,8 +327,10 @@ def assemble_data(cfg: RunConfig) -> PipelineData:
     included = read_included(cfg)
     patient_ids = [stay.patient_id for stay in included]
     fitted = load_fitted_featurizer(cfg)
-    features = featurize.read_features(cfg.input_path("features", "features.ndjson"), fitted.dim)
-    embeddings = imaging.load_embeddings(cfg.input_path("embeddings", "embeddings.bin"))
+    features = read_per_stay(
+        cfg, "features.ndjson", "featurize", lambda record: featurize.unpack_bits_hex(record["bits"], fitted.dim)
+    )
+    embeddings = imaging.load_embeddings(cfg.existing_input("embeddings"))
 
     ehr_rows = []
     emb_rows = []
@@ -371,33 +372,22 @@ def load_trained_checkpoint(cfg: RunConfig, family: str, split_index: int) -> mo
 
 
 def run_synth(cfg: RunConfig) -> None:
-    spec = synth.SynthSpec(
-        n_patients=cfg.get_int("synth", "n_patients", 200),
-        prevalences=tuple(cfg.get_floats("synth", "prevalences", synth.DEFAULT_PREVALENCES)),
-        n_numeric_vars=cfg.get_int("synth", "n_numeric_vars", 12),
-        emb_dim=cfg.get_int("synth", "emb_dim", 16),
-        missing_base=cfg.get_float("synth", "missing_base", 0.15),
-        reviewer_noise=cfg.get_float("synth", "reviewer_noise", 0.25),
-        seed=stage_seed(cfg.seed, "synth"),
-    )
-    generated = synth.generate(spec)
-    cohort.write_cohort(cfg.path("cohort", "cohort.ndjson"), generated.stays, header=cfg.provenance)
+    generated = synth.generate(synth.SynthSpec(**cfg.settings["synth"], seed=stage_seed(cfg.seed, "synth")))
+    cohort.write_cohort(cfg.input_file("cohort"), generated.stays, header=cfg.provenance)
     imaging.write_embeddings(
-        cfg.path("embeddings", "embeddings.bin"), [generated.embeddings[key] for key in sorted(generated.embeddings)]
+        cfg.input_file("embeddings"), [generated.embeddings[key] for key in sorted(generated.embeddings)]
     )
     truth_rows = ([pid] + [int(b) for b in generated.truth[pid]] for pid in sorted(generated.truth))
-    atomic_write_text(
-        cfg.path("truth", "truth_labels.csv"), csv_text(cfg.provenance, ("patient_id",) + labels.DIAGNOSES, truth_rows)
-    )
-    labels.save_ruleset(cfg.path("ruleset", "ruleset.json"), generated.ruleset, provenance=cfg.provenance)
-    print(f"synth: wrote {len(generated.stays)} stays to {cfg.path('cohort', 'cohort.ndjson')}")
+    cfg.write_csv("truth_labels", ("patient_id",) + labels.DIAGNOSES, truth_rows)
+    labels.save_ruleset(cfg.input_file("ruleset"), generated.ruleset, provenance=cfg.provenance)
+    print(f"synth: wrote {len(generated.stays)} stays to {cfg.input_file('cohort')}")
 
 
 def run_label(cfg: RunConfig) -> None:
-    cohort_cfg = cfg.cohort_config()
-    parsed = cohort.load_cohort(cfg.input_path("cohort", "cohort.ndjson"), cfg.out_dir / "cohort_rejects.txt")
-    stays = [stay for stay in parsed if cohort.include_stay(stay, cohort_cfg)]
-    ruleset = labels.load_ruleset(cfg.input_path("ruleset", "ruleset.json"))
+    rules = cohort.CohortConfig()
+    parsed = cohort.load_cohort(cfg.existing_input("cohort"), cfg.out_dir / "cohort_rejects.txt")
+    stays = [stay for stay in parsed if cohort.include_stay(stay, rules)]
+    ruleset = labels.load_ruleset(cfg.existing_input("ruleset"))
     rows = []
     for stay in stays:
         chart = labels.aggregate_reviews(stay.reviews) if stay.reviews else None
@@ -423,25 +413,22 @@ def run_label(cfg: RunConfig) -> None:
     else:
         agreement_rows = [[d, None, None, 0] for d in labels.DIAGNOSES]
     cfg.write_csv("agreement", ("diagnosis", "kappa", "raw_agreement", "n_pairs"), agreement_rows)
-    write_included(cfg, stays, cohort_cfg.min_window)
+    write_included(cfg, stays)
     print(f"label: wrote labels for {len(stays)} patients")
 
 
 def run_featurize(cfg: RunConfig) -> None:
-    windows = read_per_stay(cfg.out_dir / WINDOW_VALUES, _window)
+    windows = read_per_stay(cfg, WINDOW_VALUES, "label", _window)
     if not windows:
         raise ConfigError("cohort file contains no includable stays")
     ids = list(windows)
     diagnosis_labels = label_matrix(cfg, ids)
     rows = list(windows.values())
-    config = featurize.infer_config(rows, bins_per_var=cfg.get_int("featurize", "bins_per_var", 5))
-    fitted = featurize.fit(rows, config)
+    fitted = featurize.fit(rows, featurize.infer_config(rows))
     feature_bits = featurize.encode_rows(rows, fitted)
 
-    atomic_write_text(cfg.path("featurizer", "featurizer.json"), fitted.to_json(provenance=cfg.provenance) + "\n")
-    featurize.write_features(
-        cfg.path("features", "features.ndjson"), ids, feature_bits, header=cfg.provenance,
-    )
+    atomic_write_text(cfg.out_dir / "featurizer.json", fitted.to_json(provenance=cfg.provenance) + "\n")
+    featurize.write_features(cfg.out_dir / "features.ndjson", ids, feature_bits, header=cfg.provenance)
     correlations = featurize.missingness_correlation(feature_bits, diagnosis_labels, fitted, labels.DIAGNOSES)
     missing_rows = [
         [var, diag, correlations[(var, diag)]]
@@ -465,8 +452,8 @@ def run_split(cfg: RunConfig) -> None:
 
 def run_train(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
-    splits = load_splits_csv(cfg.input_path("splits", "splits.csv"))
-    grid = cfg.sweep_grid()
+    splits = load_splits_csv(cfg.artifact("splits.csv", "split"))
+    grid = models.SweepGrid(**cfg.settings["sweep"])
 
     def dataset(idx: np.ndarray) -> models.ArrayDataset:
         return models.ArrayDataset(labels=data.label_matrix[idx], ehr=data.ehr[idx], emb=data.first_images(idx))
@@ -536,7 +523,7 @@ def physician_rows(cfg: RunConfig, data: PipelineData, split_index: int, test_id
 
 def run_evaluate(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
-    splits = load_splits_csv(cfg.input_path("splits", "splits.csv"))
+    splits = load_splits_csv(cfg.artifact("splits.csv", "split"))
     families = cfg.families()
     metric_rows = []
     bin_rows = []
@@ -620,15 +607,14 @@ def run_evaluate(cfg: RunConfig) -> None:
 
 def run_explain(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
-    splits = load_splits_csv(cfg.input_path("splits", "splits.csv"))
+    splits = load_splits_csv(cfg.artifact("splits.csv", "split"))
     fitted = load_fitted_featurizer(cfg)
-    threshold = cfg.get_float("explain", "correlation_threshold", 0.6)
-    repeats = cfg.get_int("explain", "repeats", 10)
+    repeats = cfg.settings["explain"].get("repeats", 10)
     feature_bits = data.ehr.astype(np.uint8)
 
     # groups come from the full cohort so every split ranks the same partition
     signals = explain.variable_signal(feature_bits, fitted)
-    groups = explain.correlation_groups(signals, fitted.config.variables, threshold=threshold)
+    groups = explain.correlation_groups(signals, fitted.config.variables)
 
     for family in [f for f in ("ehr", "combined") if f in cfg.families()]:
         report_rows = []

@@ -188,11 +188,6 @@ def map_support_kind(raw: str) -> SupportKind:
     return DEFAULT_SUPPORT_ALIASES[key]
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise CohortError(message)
-
-
 # JSON decodes integers to exactly `int` and objects to exactly `dict`, so
 # `type(x) is int` rejects bools, which `isinstance(x, int)` would accept.
 _NUMBERS = (int, float)
@@ -207,127 +202,84 @@ def _list_field(obj: Mapping, key: str):
     return raw
 
 
-# parse_stay checks each nested record with one combined condition and calls
-# the matching `_*_error` only on failure; each re-runs that condition's
-# checks in the same order and returns the reason for the first that fails.
-
-
-def _event_error(raw, admit_time: int) -> str:
-    if type(raw) is not dict:
-        return "event must be an object"
-    variable = raw.get("variable")
-    if type(variable) is not str or variable == "":
-        return "event variable missing or empty"
-    time = raw.get("time")
-    if type(time) is not int:
-        return f"event time for {variable!r} must be an integer"
-    if time < admit_time:
-        return f"event for {variable!r} precedes admission"
-    if type(raw.get("value")) in _NUMBERS:
-        return f"event value for {variable!r} is not finite"
-    return f"event value for {variable!r} must be numeric, token, or null"
-
-
-def _support_error(raw) -> str:
-    if type(raw) not in _SEQUENCES or len(raw) != 2:
-        return "support event must be [time, kind]"
-    if type(raw[0]) is not int:
-        return "support event time must be an integer"
-    return "support event precedes admission"
-
-
-def _study_error(raw, admit_time: int) -> str:
-    if type(raw) is not dict:
-        return "study must be an object"
-    study_id = raw.get("study_id")
-    if type(study_id) is not str or study_id == "":
-        return "study_id missing or empty"
-    time = raw.get("time")
-    if type(time) is not int:
-        return f"study {study_id!r} time must be an integer"
-    if time < admit_time:
-        return f"study {study_id!r} precedes admission"
-    if not raw.get("image_refs"):
-        return f"study {study_id!r} has no image_refs"
-    return f"study {study_id!r} image_refs must be a list"
-
-
-def _interval_error(raw) -> str:
-    if type(raw) not in _SEQUENCES or len(raw) != 3:
-        return "unit interval must be [unit, start, end]"
-    if type(raw[1]) is not int or type(raw[2]) is not int:
-        return "unit interval bounds must be integers"
-    return f"unit interval for {raw[0]!r} has start > end"
-
-
 def parse_stay(obj: Mapping) -> PatientStay:
     """Build and validate a PatientStay from one decoded NDJSON object.
 
     Times are integers (not bools), every list field is a JSON array, events
     and studies are objects, and an event value is a finite number, a token
-    string or null.
+    string or null. A bad record raises `CohortError` naming its first failed
+    check.
     """
-    _require(isinstance(obj, Mapping), "record is not a JSON object")
+    if not isinstance(obj, Mapping):
+        raise CohortError("record is not a JSON object")
     patient_id = obj.get("patient_id")
-    _require(isinstance(patient_id, str) and patient_id != "", "patient_id missing or empty")
+    if not isinstance(patient_id, str) or patient_id == "":
+        raise CohortError("patient_id missing or empty")
     admit_time = obj.get("admit_time")
-    _require(type(admit_time) is int, "admit_time must be an integer minute count")
+    if type(admit_time) is not int:
+        raise CohortError("admit_time must be an integer minute count")
 
     events = []
     for raw in _list_field(obj, "events"):
-        if (
-            type(raw) is dict
-            and type(variable := raw.get("variable")) is str
-            and variable != ""
-            and type(time := raw.get("time")) is int
-            and time >= admit_time
-            and (
-                (value := raw.get("value")) is None
-                or type(value) is str
-                or (type(value) in _NUMBERS and -_FLOAT_MAX <= value <= _FLOAT_MAX)
-            )
-        ):
-            events.append(ObservationEvent(variable, time, value))
-        else:
-            raise CohortError(_event_error(raw, admit_time))
+        if type(raw) is not dict:
+            raise CohortError("event must be an object")
+        variable = raw.get("variable")
+        if type(variable) is not str or variable == "":
+            raise CohortError("event variable missing or empty")
+        time = raw.get("time")
+        if type(time) is not int:
+            raise CohortError(f"event time for {variable!r} must be an integer")
+        if time < admit_time:
+            raise CohortError(f"event for {variable!r} precedes admission")
+        value = raw.get("value")
+        if value is not None and type(value) is not str:
+            if type(value) not in _NUMBERS:
+                raise CohortError(f"event value for {variable!r} must be numeric, token, or null")
+            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                raise CohortError(f"event value for {variable!r} is not finite")
+        events.append(ObservationEvent(variable, time, value))
 
     support_events = []
     for raw in _list_field(obj, "support_events"):
-        if type(raw) in _SEQUENCES and len(raw) == 2 and type(raw[0]) is int and raw[0] >= admit_time:
-            support_events.append((raw[0], map_support_kind(str(raw[1]))))
-        else:
-            raise CohortError(_support_error(raw))
+        if type(raw) not in _SEQUENCES or len(raw) != 2:
+            raise CohortError("support event must be [time, kind]")
+        if type(raw[0]) is not int:
+            raise CohortError("support event time must be an integer")
+        if raw[0] < admit_time:
+            raise CohortError("support event precedes admission")
+        support_events.append((raw[0], map_support_kind(str(raw[1]))))
 
     studies = []
     for raw in _list_field(obj, "studies"):
-        if (
-            type(raw) is dict
-            and type(study_id := raw.get("study_id")) is str
-            and study_id != ""
-            and type(time := raw.get("time")) is int
-            and time >= admit_time
-            and type(refs := raw.get("image_refs")) in _SEQUENCES
-            and refs
-        ):
-            studies.append(ImagingStudy(study_id, time, tuple(str(r) for r in refs)))
-        else:
-            raise CohortError(_study_error(raw, admit_time))
+        if type(raw) is not dict:
+            raise CohortError("study must be an object")
+        study_id = raw.get("study_id")
+        if type(study_id) is not str or study_id == "":
+            raise CohortError("study_id missing or empty")
+        time = raw.get("time")
+        if type(time) is not int:
+            raise CohortError(f"study {study_id!r} time must be an integer")
+        if time < admit_time:
+            raise CohortError(f"study {study_id!r} precedes admission")
+        refs = raw.get("image_refs")
+        if not refs:
+            raise CohortError(f"study {study_id!r} has no image_refs")
+        if type(refs) not in _SEQUENCES:
+            raise CohortError(f"study {study_id!r} image_refs must be a list")
+        studies.append(ImagingStudy(study_id, time, tuple(str(r) for r in refs)))
 
     intervals_by_unit: dict[str, list[tuple[int, int]]] = {}
     unit_intervals = []
     for raw in _list_field(obj, "unit_intervals"):
-        if (
-            type(raw) in _SEQUENCES
-            and len(raw) == 3
-            and type(raw[1]) is int
-            and type(raw[2]) is int
-            and raw[1] <= raw[2]
-        ):
-            unit_code, start, end = str(raw[0]), raw[1], raw[2]
-            unit_intervals.append((unit_code, start, end))
-            intervals_by_unit.setdefault(unit_code, []).append((start, end))
-        else:
-            raise CohortError(_interval_error(raw))
+        if type(raw) not in _SEQUENCES or len(raw) != 3:
+            raise CohortError("unit interval must be [unit, start, end]")
+        if type(raw[1]) is not int or type(raw[2]) is not int:
+            raise CohortError("unit interval bounds must be integers")
+        if raw[1] > raw[2]:
+            raise CohortError(f"unit interval for {raw[0]!r} has start > end")
+        unit_code, start, end = str(raw[0]), raw[1], raw[2]
+        unit_intervals.append((unit_code, start, end))
+        intervals_by_unit.setdefault(unit_code, []).append((start, end))
     for unit_code, spans in intervals_by_unit.items():
         spans.sort()
         for (s0, e0), (s1, _e1) in zip(spans, spans[1:]):
@@ -336,7 +288,8 @@ def parse_stay(obj: Mapping) -> PatientStay:
 
     reviews = []
     for raw in _list_field(obj, "reviews"):
-        _require(type(raw) is dict, "chart review must be an object")
+        if type(raw) is not dict:
+            raise CohortError("chart review must be an object")
         try:
             reviews.append(ChartReview(reviewer_id=str(raw.get("reviewer_id", "")), scores=dict(raw["scores"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # LabelError is a ValueError
@@ -403,14 +356,25 @@ def load_cohort(path, rejects_path=None) -> list[PatientStay]:
     return stays
 
 
+# One encoder for every line (json.dumps with options builds a new one per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_EVENTS_PER_ENCODE = 64
+
+
 def stay_to_json(stay: PatientStay) -> str:
-    """Serialize one stay to its NDJSON line (inverse of parse_stay)."""
-    obj = {
+    """Serialize one stay to its NDJSON line (inverse of parse_stay).
+
+    The line is `json.dumps(record, sort_keys=True, separators=(",", ":"))`
+    of the whole record, but the events are encoded 64 at a time and the
+    pieces joined once. Encoding a deep stay in one call grows the encoder's
+    scratch list to tens of kilobytes, and the blocks its growth leaves freed
+    split the heap, so a caller that then joins many lines and encodes the
+    text, as `write_cohort` does, can need fresh memory for it. A scratch
+    list of 64 events stays under a few kilobytes.
+    """
+    record = {
         "patient_id": stay.patient_id,
         "admit_time": stay.admit_time,
-        "events": [
-            {"variable": e.variable, "time": e.time, "value": e.value} for e in stay.events
-        ],
         "support_events": [[t, kind.value] for t, kind in stay.support_events],
         "studies": [
             {"study_id": s.study_id, "time": s.time, "image_refs": list(s.image_refs)}
@@ -424,7 +388,18 @@ def stay_to_json(stay: PatientStay) -> str:
         "icd_codes": sorted(stay.icd_codes),
         "medications": sorted(stay.medications),
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    text = _ENCODER.encode(record)
+    # sorted keys: "events" goes between "admit_time" (an integer) and "icd_codes"
+    cut = text.index(',"icd_codes":')
+    events = [{"variable": e.variable, "time": e.time, "value": e.value} for e in stay.events]
+    pieces = [text[:cut], ',"events":[']
+    for start in range(0, len(events), _EVENTS_PER_ENCODE):
+        if start:
+            pieces.append(",")
+        pieces.append(_ENCODER.encode(events[start : start + _EVENTS_PER_ENCODE])[1:-1])
+    pieces.append("]")
+    pieces.append(text[cut:])
+    return "".join(pieces)
 
 
 def write_cohort(path, stays: Iterable[PatientStay], header: str | None = None) -> None:

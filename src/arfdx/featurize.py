@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -283,17 +282,3 @@ def write_features(path, patient_ids: Sequence[str], feature_bits: np.ndarray,
     for pid, bits in zip(patient_ids, feature_bits):
         lines.append(json.dumps({"patient_id": pid, "bits": pack_bits_hex(bits)}, sort_keys=True))
     atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-
-def read_features(path, dim: int) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        record = json.loads(stripped)
-        pid = record["patient_id"]
-        if pid in out:
-            raise FeaturizeError(f"duplicate patient_id {pid!r} in feature file")
-        out[pid] = unpack_bits_hex(record["bits"], dim)
-    return out

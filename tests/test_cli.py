@@ -162,6 +162,45 @@ class TestErrorHandling:
         assert code == cli.EXIT_CONFIG_ERROR
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda text: text.replace("learning_rates = 0.3", "learning_rate = 0.3"), "[sweep] learning_rate"),
+            (lambda text: text + "\n[tuning]\n", "[tuning]"),
+            (lambda text: text + "\n[cohort]\nmin_window = 60\n", "[cohort] min_window"),
+            (lambda text: text + "\n[paths]\nmetrics = elsewhere.csv\n", "[paths] metrics"),
+            (lambda text: text + "\n[DEFAULT]\nseed = 3\n", "[DEFAULT] seed"),
+            (lambda text: text.replace("seed = 11", "seed = abc"), "[run] seed"),
+            (lambda text: text.replace("learning_rates = 0.3", "learning_rates = 0.3, fast"), "[sweep] learning_rates"),
+        ],
+        ids=["unknown-key", "unknown-section", "deleted-cohort-key", "deleted-path-key", "defaults-section",
+             "seed-not-an-integer", "rate-not-a-number"],
+    )
+    def test_rejected_before_any_stage_runs(self, tmp_path, capsys, edit, named):
+        config = tmp_path / "run.ini"
+        config.write_text(edit(MINI_CONFIG))
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", str(config), "--seed", "1", "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_example_runs(self, tmp_path):
+        example = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+        config = tmp_path / "run.ini"
+        config.write_text(example)
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        assert sum(not line.startswith("#") for line in (out / "cohort.ndjson").read_text().splitlines()) == 500
+
+    def test_readme_lists_every_accepted_key(self):
+        listed = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", README.read_text(), re.MULTILINE)
+        assert sorted(listed) == sorted((section, key) for section, keys in cli.CONFIG_KEYS.items() for key in keys)
+
+
 class TestFeaturizeLabels:
     def test_stay_missing_from_labels_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
@@ -360,25 +399,31 @@ class TestIncludedStays:
         assert str(path) in err and "run the label stage first" in err
 
     @pytest.mark.parametrize(
-        "stage, corrupt",
+        "stage, name, corrupt",
         [
-            ("split", lambda line: line[: len(line) // 2]),
-            ("split", lambda line: "[]"),
-            ("split", lambda line: json.dumps({**json.loads(line), "image_refs": "p0-s0-i0"})),
-            ("split", lambda line: json.dumps({**json.loads(line), "image_refs": []})),
-            ("split", lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "reviews"})),
-            ("split", lambda line: json.dumps({**json.loads(line), "reviews": [{"reviewer_id": "r", "scores": {"copd": 1}}]})),
-            ("featurize", lambda line: json.dumps({**json.loads(line), "window": [["var00", 1.0]]})),
-            ("featurize", lambda line: json.dumps({**json.loads(line), "window": {"var00": [1.0]}})),
+            ("split", cli.INCLUDED_STAYS, lambda line: line[: len(line) // 2]),
+            ("split", cli.INCLUDED_STAYS, lambda line: "[]"),
+            ("split", cli.INCLUDED_STAYS, lambda line: json.dumps({**json.loads(line), "image_refs": "p0-s0-i0"})),
+            ("split", cli.INCLUDED_STAYS, lambda line: json.dumps({**json.loads(line), "image_refs": []})),
+            ("split", cli.INCLUDED_STAYS,
+             lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "reviews"})),
+            ("split", cli.INCLUDED_STAYS,
+             lambda line: json.dumps({**json.loads(line), "reviews": [{"reviewer_id": "r", "scores": {"copd": 1}}]})),
+            ("featurize", cli.WINDOW_VALUES, lambda line: json.dumps({**json.loads(line), "window": [["var00", 1.0]]})),
+            ("featurize", cli.WINDOW_VALUES, lambda line: json.dumps({**json.loads(line), "window": {"var00": [1.0]}})),
+            ("train", "features.ndjson", lambda line: line[: len(line) // 2]),
+            ("evaluate", "features.ndjson", lambda line: json.dumps({"patient_id": json.loads(line)["patient_id"]})),
+            ("train", "features.ndjson", lambda line: line.replace('", "patient_id"', 'ff", "patient_id"')),
         ],
         ids=[
             "truncated", "not-an-object", "refs-string", "refs-empty", "no-reviews-field", "review-short",
-            "window-not-an-object", "window-list-value",
+            "window-not-an-object", "window-list-value", "features-truncated", "features-no-bits",
+            "features-too-wide",
         ],
     )
-    def test_corrupt_artifact_exits_2_naming_it(self, mini_run, capsys, stage, corrupt):
+    def test_corrupt_artifact_exits_2_naming_it(self, mini_run, capsys, stage, name, corrupt):
         config, out = mini_run
-        path = out / label_artifact_read_by(stage)
+        path = out / name
         lines = path.read_text().splitlines()
         lines[2] = corrupt(lines[2])
         path.write_text("\n".join(lines) + "\n")

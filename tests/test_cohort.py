@@ -257,6 +257,19 @@ class TestIngestion:
         again = parse_stay(json.loads(stay_to_json(stay)))
         assert stay_to_json(again) == stay_to_json(stay)
 
+    @pytest.mark.parametrize("n_events", [0, 1, 63, 64, 65, 128, 200])
+    def test_line_is_one_dumps_of_the_record(self, n_events):
+        # stay_to_json encodes events in blocks of 64; the line must not show it
+        record = self.good_record()
+        values = [None, "clear", 3, -0.5, 1e300]
+        record["events"] = [
+            {"variable": f"v{i % 7}", "time": 10 + i, "value": values[i % len(values)]}
+            for i in range(n_events)
+        ]
+        stay = parse_stay(record)
+        record["support_events"] = [[300, "NIV"]]
+        assert stay_to_json(stay) == json.dumps(record, sort_keys=True, separators=(",", ":"))
+
     def test_load_writes_rejects_sidecar(self, tmp_path):
         path = tmp_path / "cohort.ndjson"
         lines = [
