@@ -6,7 +6,7 @@ into it, so any stage reruns reproducibly on its own. Config is an INI-style
 key=value file of the keys in `CONFIG_KEYS`; command-line flags override file
 values which override defaults. Exit codes: 1 for pipeline-rule errors, 2 for
 config/IO problems, including an unknown config key or a value that does not
-parse.
+parse or is out of range; a config is checked whole before any stage runs.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ MODULE_ERRORS = (
 
 STAGES = ("synth", "label", "featurize", "split", "train", "evaluate", "explain")
 
-N_SPLITS = 5
-
 
 class ConfigError(Exception):
     pass
@@ -65,17 +63,35 @@ def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in _names(raw))
 
 
+def _families(raw: str) -> tuple[str, ...]:
+    families = _names(raw)
+    if not families:
+        raise ValueError("names no model family")
+    for family in families:
+        if family not in models.FAMILIES:
+            raise ValueError(f"unknown model family {family!r}; the families are {', '.join(models.FAMILIES)}")
+    return families
+
+
+def _positive(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
 # Every key a config may set, with the parser of its value. The paper fixes
-# the cohort rules, the five range bins and the 0.6 grouping threshold, so
-# none of them is a setting. `[synth]` and `[sweep]` keys are `SynthSpec` and
-# `SweepGrid` fields, which hold their defaults.
+# the cohort rules, `featurize.RANGE_BINS`, `explain.GROUPING_THRESHOLD` and
+# `evaluation.N_SPLITS`, so none of them is a setting. `[synth]` and `[sweep]`
+# keys are `SynthSpec` and `SweepGrid` fields, which hold their defaults and
+# range rules.
 CONFIG_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "run": {"seed": int},
     "paths": {"out_dir": Path, "cohort": Path, "embeddings": Path, "ruleset": Path},
     "synth": {"n_patients": int, "n_numeric_vars": int, "emb_dim": int},
-    "train": {"families": _names},
+    "train": {"families": _families},
     "sweep": {"learning_rates": _floats, "momentums": _floats, "weight_decays": _floats, "max_epochs": int},
-    "explain": {"repeats": int},
+    "explain": {"repeats": _positive},
 }
 
 # Every artifact has a fixed name in the output directory; `[paths]` may put
@@ -95,6 +111,8 @@ class RunConfig:
     seed: int
     provenance: str
     settings: dict[str, dict[str, object]]  # section -> the parsed values the config sets
+    synth: synth.SynthSpec
+    grid: models.SweepGrid
 
     def input_file(self, key: str) -> Path:
         """The input `[paths] key` names, relative to the output directory, or its default name there."""
@@ -112,11 +130,7 @@ class RunConfig:
         atomic_write_text(self.out_dir / f"{name}.csv", csv_text(self.provenance, columns, rows))
 
     def families(self) -> tuple[str, ...]:
-        fams = self.settings["train"].get("families", ("ehr", "image", "combined"))
-        for fam in fams:
-            if fam not in models.FAMILIES:
-                raise ConfigError(f"unknown model family {fam!r} in [train] families")
-        return fams
+        return self.settings["train"].get("families", tuple(models.FAMILIES))
 
 
 def _unknown(what: str, section: str) -> ConfigError:
@@ -147,16 +161,26 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
             try:
                 settings[section][key] = parse(parser.get(section, key))
             except (ValueError, configparser.Error) as exc:
-                raise ConfigError(f"[{section}] {key} does not parse: {exc}") from exc
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
         if section not in CONFIG_KEYS:
             raise _unknown(f"section [{section}]", section)
     # precedence: flags > config file > defaults
     seed = seed_flag if seed_flag is not None else settings["run"].get("seed", 0)
     out_dir = Path(out_flag) if out_flag is not None else settings["paths"].get("out_dir", Path("out"))
+
+    def build(section: str, make: Callable[..., object]):
+        # `SynthSpec` and `SweepGrid` errors begin with the field at fault, which is the key
+        try:
+            return make(**settings[section])
+        except ValueError as exc:  # ModelError too
+            raise ConfigError(f"[{section}] {exc}") from exc
+
+    synth_spec = build("synth", lambda **fields: synth.SynthSpec(**fields, seed=stage_seed(seed, "synth")))
+    grid = build("sweep", models.SweepGrid)
     # the output location does not affect results, so it stays out of the hash
     digest = config_hash(raw_text + f"|seed={seed}")
     provenance = f"arfdx {__version__} seed={seed} config={digest}"
-    return RunConfig(out_dir=out_dir, seed=seed, provenance=provenance, settings=settings)
+    return RunConfig(out_dir=out_dir, seed=seed, provenance=provenance, settings=settings, synth=synth_spec, grid=grid)
 
 
 # --- shared artifact loading ---------------------------------------------------
@@ -372,7 +396,7 @@ def load_trained_checkpoint(cfg: RunConfig, family: str, split_index: int) -> mo
 
 
 def run_synth(cfg: RunConfig) -> None:
-    generated = synth.generate(synth.SynthSpec(**cfg.settings["synth"], seed=stage_seed(cfg.seed, "synth")))
+    generated = synth.generate(cfg.synth)
     cohort.write_cohort(cfg.input_file("cohort"), generated.stays, header=cfg.provenance)
     imaging.write_embeddings(
         cfg.input_file("embeddings"), [generated.embeddings[key] for key in sorted(generated.embeddings)]
@@ -441,19 +465,18 @@ def run_featurize(cfg: RunConfig) -> None:
 
 def run_split(cfg: RunConfig) -> None:
     ids = [stay.patient_id for stay in read_included(cfg)]
-    splits = evaluation.make_splits(ids, stage_seed(cfg.seed, "split"), n_splits=N_SPLITS)
+    splits = evaluation.make_splits(ids, stage_seed(cfg.seed, "split"))
     rows = []
     for assignment in splits:
         for pid in ids:
             rows.append([assignment.split_index, pid, assignment.roles[pid]])
     cfg.write_csv("splits", ("split_index", "patient_id", "role"), rows)
-    print(f"split: wrote {N_SPLITS} splits over {len(ids)} patients")
+    print(f"split: wrote {len(splits)} splits over {len(ids)} patients")
 
 
 def run_train(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
     splits = load_splits_csv(cfg.artifact("splits.csv", "split"))
-    grid = models.SweepGrid(**cfg.settings["sweep"])
 
     def dataset(idx: np.ndarray) -> models.ArrayDataset:
         return models.ArrayDataset(labels=data.label_matrix[idx], ehr=data.ehr[idx], emb=data.first_images(idx))
@@ -463,7 +486,7 @@ def run_train(cfg: RunConfig) -> None:
         for assignment in splits:
             seed = stage_seed(cfg.seed, f"train/{family}/split{assignment.split_index}")
             result = models.sweep(
-                family, grid,
+                family, cfg.grid,
                 dataset(split_indices(data, assignment, evaluation.ROLE_TRAIN)),
                 dataset(split_indices(data, assignment, evaluation.ROLE_VAL)),
                 seed=seed, ehr_dim=data.ehr.shape[1], emb_dim=data.emb.shape[1],
@@ -477,6 +500,7 @@ def run_train(cfg: RunConfig) -> None:
             result.spec,
             result.params,
             result.hp,
+            cfg.grid.max_epochs,
             seed=seed,
             val_metrics={"macro_auroc": result.val_auroc, "best_epoch": result.history.best_epoch},
             provenance=cfg.provenance,
@@ -593,7 +617,7 @@ def run_evaluate(cfg: RunConfig) -> None:
 
     summary_rows = []
     for (family, diag, metric), values in sorted(summary_values.items()):
-        if len(values) == N_SPLITS and None not in values:
+        if len(values) == evaluation.N_SPLITS and None not in values:
             median, low, high = evaluation.summarize_splits([float(v) for v in values])
             summary_rows.append([family, diag, metric, median, low, high])
         else:

@@ -38,6 +38,7 @@ ROLE_TRAIN = "train"
 ROLE_VAL = "val"
 ROLE_TEST = "test"
 
+N_SPLITS = 5  # independent patient-level shuffles
 CALIBRATION_BINS = 5  # prediction quintiles
 OPERATING_PPV = 0.5  # the paper's operating point fixes PPV at 50%
 
@@ -51,7 +52,7 @@ class SplitAssignment:
         return [pid for pid, r in self.roles.items() if r == role]
 
 
-def make_splits(patient_ids: Sequence[str], seed: int, n_splits: int = 5) -> list[SplitAssignment]:
+def make_splits(patient_ids: Sequence[str], seed: int) -> list[SplitAssignment]:
     """Five independent seeded shuffles into 60/20/20 train/val/test.
 
     Validation and test each take floor(0.2 n) patients; the remainder goes
@@ -59,15 +60,15 @@ def make_splits(patient_ids: Sequence[str], seed: int, n_splits: int = 5) -> lis
     """
     ids = list(patient_ids)
     n = len(ids)
-    if n < n_splits:
-        raise EvalError(f"need at least {n_splits} patients, got {n}")
+    if n < N_SPLITS:
+        raise EvalError(f"need at least {N_SPLITS} patients, got {n}")
     if len(set(ids)) != n:
         raise EvalError("patient ids must be unique")
     n_val = n // 5
     n_test = n // 5
     n_train = n - n_val - n_test
     splits = []
-    for split_index in range(n_splits):
+    for split_index in range(N_SPLITS):
         rng = np.random.default_rng([seed, split_index])
         order = [ids[i] for i in rng.permutation(n)]
         roles = {}

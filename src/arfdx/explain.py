@@ -1,9 +1,10 @@
 """Grouped permutation importance over EHR variables.
 
-Highly correlated variables (|Pearson r| above a threshold on a per-variable
-scalar signal) are grouped by connected components and shuffled jointly, so
-the importance of redundant measurements is not split between them. Drops in
-AUROC rank the groups within each split; ranks average across splits.
+Highly correlated variables (|Pearson r| above `GROUPING_THRESHOLD` on a
+per-variable scalar signal) are grouped by connected components and shuffled
+jointly, so the importance of redundant measurements is not split between
+them. Drops in AUROC rank the groups within each split; ranks average across
+splits.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .featurize import FittedFeaturizer
 
 class ExplainError(ValueError):
     pass
+
+
+GROUPING_THRESHOLD = 0.6  # |Pearson r| above which two variables share a group
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,8 @@ def variable_signal(feature_bits: np.ndarray, fitted: FittedFeaturizer) -> np.nd
     return out
 
 
-def correlation_groups(
-    signals: np.ndarray,
-    variable_names: Sequence[str],
-    threshold: float = 0.6,
-) -> list[FeatureGroup]:
-    """Connected components of the |Pearson r| > threshold graph.
+def correlation_groups(signals: np.ndarray, variable_names: Sequence[str]) -> list[FeatureGroup]:
+    """Connected components of the |Pearson r| > `GROUPING_THRESHOLD` graph.
 
     Constant variables correlate with nothing and come out as singletons.
     Group ids join the sorted member names with '|'.
@@ -74,7 +74,7 @@ def correlation_groups(
             if norms[j] == 0.0:
                 continue
             r = float(centered[:, i] @ centered[:, j]) / (norms[i] * norms[j])
-            if abs(r) > threshold:
+            if abs(r) > GROUPING_THRESHOLD:
                 parent[find(i)] = find(j)
 
     components: dict[int, list[str]] = {}

@@ -27,15 +27,15 @@ class BadValue(FeaturizeError):
     pass
 
 
+RANGE_BINS = 5  # bits per numeric variable, cut at training-set quintiles
+
+
 @dataclass(frozen=True)
 class FeaturizerConfig:
     numeric_vars: tuple[str, ...]
     categorical_vars: tuple[tuple[str, tuple[str, ...]], ...]  # (name, vocabulary)
-    bins_per_var: int = 5
 
     def __post_init__(self):
-        if self.bins_per_var < 2:
-            raise FeaturizeError("bins_per_var must be >= 2")
         names = list(self.numeric_vars) + [name for name, _ in self.categorical_vars]
         if len(set(names)) != len(names):
             raise FeaturizeError("numeric and categorical variable lists must be disjoint")
@@ -52,7 +52,7 @@ class FeaturizerConfig:
 class FittedFeaturizer:
     """Quantile cut points per numeric variable plus the block layout.
 
-    Blocks are laid out numeric variables first (each `bins_per_var` wide,
+    Blocks are laid out numeric variables first (each `RANGE_BINS` wide,
     unused trailing bits stay zero when edges collapse), then categorical
     one-hot blocks, so the total width is stable across refits.
     """
@@ -62,7 +62,7 @@ class FittedFeaturizer:
 
     @property
     def dim(self) -> int:
-        return self.config.bins_per_var * len(self.config.numeric_vars) + sum(
+        return RANGE_BINS * len(self.config.numeric_vars) + sum(
             len(vocab) for _, vocab in self.config.categorical_vars
         )
 
@@ -70,8 +70,8 @@ class FittedFeaturizer:
         slices = {}
         offset = 0
         for var in self.config.numeric_vars:
-            slices[var] = slice(offset, offset + self.config.bins_per_var)
-            offset += self.config.bins_per_var
+            slices[var] = slice(offset, offset + RANGE_BINS)
+            offset += RANGE_BINS
         for var, vocab in self.config.categorical_vars:
             slices[var] = slice(offset, offset + len(vocab))
             offset += len(vocab)
@@ -79,7 +79,7 @@ class FittedFeaturizer:
 
     def to_json(self, provenance: Optional[str] = None) -> str:
         payload = {
-            "bins_per_var": self.config.bins_per_var,
+            "bins_per_var": RANGE_BINS,
             "numeric": [
                 {"name": var, "edges": list(self.edges[var])} for var in self.config.numeric_vars
             ],
@@ -96,12 +96,13 @@ class FittedFeaturizer:
     @classmethod
     def from_json(cls, text: str) -> "FittedFeaturizer":
         payload = json.loads(text)
+        if payload["bins_per_var"] != RANGE_BINS:
+            raise FeaturizeError(f"{payload['bins_per_var']} range bins per variable; featurizers use {RANGE_BINS}")
         config = FeaturizerConfig(
             numeric_vars=tuple(entry["name"] for entry in payload["numeric"]),
             categorical_vars=tuple(
                 (entry["name"], tuple(entry["vocabulary"])) for entry in payload["categorical"]
             ),
-            bins_per_var=payload["bins_per_var"],
         )
         edges = {entry["name"]: tuple(entry["edges"]) for entry in payload["numeric"]}
         fitted = cls(config=config, edges=edges)
@@ -130,8 +131,7 @@ def fit(rows: Sequence[Mapping[str, object]], config: FeaturizerConfig) -> Fitte
     """
     if not rows:
         raise FeaturizeError("cannot fit a featurizer on an empty training set")
-    n_bins = config.bins_per_var
-    quantiles = [k / n_bins for k in range(1, n_bins)]
+    quantiles = [k / RANGE_BINS for k in range(1, RANGE_BINS)]
     edges = {}
     for var in config.numeric_vars:
         values = [
@@ -164,7 +164,7 @@ def encode(row: Mapping[str, object], fitted: FittedFeaturizer) -> np.ndarray:
             # bin index = number of edges strictly below the value
             bin_idx = int(np.searchsorted(var_edges, v, side="left"))
             bits[offset + bin_idx] = 1
-        offset += config.bins_per_var
+        offset += RANGE_BINS
     for var, vocab in config.categorical_vars:
         value = row.get(var)
         if value is not None:
@@ -180,7 +180,7 @@ def encode_rows(rows: Sequence[Mapping[str, object]], fitted: FittedFeaturizer) 
     return np.stack([encode(row, fitted) for row in rows]) if rows else np.zeros((0, fitted.dim), np.uint8)
 
 
-def infer_config(rows: Sequence[Mapping[str, object]], bins_per_var: int = 5) -> FeaturizerConfig:
+def infer_config(rows: Sequence[Mapping[str, object]]) -> FeaturizerConfig:
     """Derive a featurizer config from observed window values.
 
     A variable whose non-missing values are all numeric becomes a binned
@@ -203,11 +203,7 @@ def infer_config(rows: Sequence[Mapping[str, object]], bins_per_var: int = 5) ->
         else:
             vocab = tuple(sorted({str(v) for v in values})) or ("<none>",)
             categorical.append((var, vocab))
-    return FeaturizerConfig(
-        numeric_vars=tuple(numeric),
-        categorical_vars=tuple(categorical),
-        bins_per_var=bins_per_var,
-    )
+    return FeaturizerConfig(numeric_vars=tuple(numeric), categorical_vars=tuple(categorical))
 
 
 # --- missingness analysis ---------------------------------------------------

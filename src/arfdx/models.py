@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -63,6 +64,8 @@ FAMILIES: dict[str, tuple[ModelKind, ...]] = {
 
 N_OUTPUTS = 3
 HIDDEN_UNITS = 100
+BATCH_SIZE = 32
+PATIENCE = 5  # epochs without a new best validation macro AUROC before a config stops
 
 LEARNING_RATE_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 3.0)
 MOMENTUM_GRID = (0.8, 0.9)
@@ -94,35 +97,25 @@ class ModelSpec:
         return self.kind in (ModelKind.EHR_TWO_LAYER, ModelKind.COMBINED_HIDDEN)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        k, h, o = self.kind, HIDDEN_UNITS, N_OUTPUTS
-        if k is ModelKind.EHR_LINEAR:
-            return {"W": (o, self.ehr_dim), "b": (o,)}
-        if k is ModelKind.EHR_TWO_LAYER:
-            return {"W1": (h, self.ehr_dim), "b1": (h,), "W2": (o, h), "b2": (o,)}
-        if k is ModelKind.IMAGE_LINEAR:
-            return {"W": (o, self.emb_dim), "b": (o,)}
-        if k is ModelKind.COMBINED_DIRECT:
-            return {"W": (o, self.emb_dim + self.ehr_dim), "b": (o,)}
-        if k is ModelKind.COMBINED_HIDDEN:
-            return {"W1": (h, self.ehr_dim), "b1": (h,), "W2": (o, self.emb_dim + h), "b2": (o,)}
-        raise ModelError(f"unknown model kind {k!r}")
+        """The output layer reads [embedding ; EHR features or hidden units],
+        each part present when the architecture has it (see `_top_input`)."""
+        h, o = HIDDEN_UNITS, N_OUTPUTS
+        ehr_width = h if self.uses_hidden else self.ehr_dim if self.needs_ehr else 0
+        top_width = (self.emb_dim if self.needs_emb else 0) + ehr_width
+        if self.uses_hidden:
+            return {"W1": (h, self.ehr_dim), "b1": (h,), "W2": (o, top_width), "b2": (o,)}
+        return {"W": (o, top_width), "b": (o,)}
 
 
 Params = dict[str, np.ndarray]
 
 
-@dataclass(frozen=True)
-class HyperParams:
+class HyperParams(NamedTuple):
+    """One config's SGD rates; for stacked parameters, per-config (G, 1, 1) columns."""
+
     learning_rate: float = 1e-1
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    batch_size: int = 32
-    patience: int = 5
-    max_epochs: int = 100
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
-            raise ModelError("bad hyperparameter values")
 
 
 @dataclass
@@ -211,6 +204,22 @@ def _concat(emb: np.ndarray, x: np.ndarray) -> np.ndarray:
 # gain the same leading axis as the parameters.
 
 
+def _top_input(spec: ModelSpec, params: Params, ehr, emb) -> tuple[np.ndarray, str, str]:
+    """The output layer's input and the names of its weight and bias.
+
+    The input is [m ; x], [m ; relu(W1 x + b1)] or either part alone, as the
+    architecture has an embedding m, EHR features x and a hidden layer; the
+    hidden units, when present, are its last `HIDDEN_UNITS` columns.
+    """
+    if spec.uses_hidden:
+        x, weight, bias = np.maximum(ehr @ _t(params["W1"]) + params["b1"], 0.0), "W2", "b2"
+    else:
+        x, weight, bias = ehr, "W", "b"
+    if spec.needs_emb:
+        x = emb if x is None else _concat(emb, x)
+    return x, weight, bias
+
+
 def forward(spec: ModelSpec, params: Params, ehr=None, emb=None) -> np.ndarray:
     """Per-diagnosis probabilities, shape (n, 3), or (G, n, 3) for stacked parameters.
 
@@ -220,23 +229,8 @@ def forward(spec: ModelSpec, params: Params, ehr=None, emb=None) -> np.ndarray:
     combined_direct: sigmoid(W [m ; x] + b)
     combined_hidden: sigmoid(W2 [m ; relu(W1 x + b1)] + b2)
     """
-    ehr, emb = _check_inputs(spec, ehr, emb)
-    k = spec.kind
-    if k is ModelKind.EHR_LINEAR:
-        z = ehr @ _t(params["W"]) + params["b"]
-    elif k is ModelKind.EHR_TWO_LAYER:
-        hidden = np.maximum(ehr @ _t(params["W1"]) + params["b1"], 0.0)
-        z = hidden @ _t(params["W2"]) + params["b2"]
-    elif k is ModelKind.IMAGE_LINEAR:
-        z = emb @ _t(params["W"]) + params["b"]
-    elif k is ModelKind.COMBINED_DIRECT:
-        z = _concat(emb, ehr) @ _t(params["W"]) + params["b"]
-    elif k is ModelKind.COMBINED_HIDDEN:
-        hidden = np.maximum(ehr @ _t(params["W1"]) + params["b1"], 0.0)
-        z = _concat(emb, hidden) @ _t(params["W2"]) + params["b2"]
-    else:
-        raise ModelError(f"unknown model kind {k!r}")
-    return _sigmoid(z)
+    top_in, weight, bias = _top_input(spec, params, *_check_inputs(spec, ehr, emb))
+    return _sigmoid(top_in @ _t(params[weight]) + params[bias])
 
 
 def backward(spec: ModelSpec, params: Params, ehr, emb, label_matrix) -> Params:
@@ -247,52 +241,22 @@ def backward(spec: ModelSpec, params: Params, ehr, emb, label_matrix) -> Params:
     n = y.shape[0]
     if n == 0:
         raise ModelError("cannot compute gradients on an empty batch")
-    k = spec.kind
-
-    if k in (ModelKind.EHR_LINEAR, ModelKind.IMAGE_LINEAR, ModelKind.COMBINED_DIRECT):
-        if k is ModelKind.EHR_LINEAR:
-            x = ehr
-        elif k is ModelKind.IMAGE_LINEAR:
-            x = emb
-        else:
-            x = _concat(emb, ehr)
-        probs = _sigmoid(x @ _t(params["W"]) + params["b"])
-        dz = (probs - y) / n  # (..., n, 3)
-        return {"W": _t(dz) @ x, "b": dz.sum(axis=-2).reshape(params["b"].shape)}
-
-    pre1 = ehr @ _t(params["W1"]) + params["b1"]
-    hidden = np.maximum(pre1, 0.0)
-    if k is ModelKind.EHR_TWO_LAYER:
-        top_in = hidden
-        w2_hidden = params["W2"]
-    elif k is ModelKind.COMBINED_HIDDEN:
-        top_in = _concat(emb, hidden)
-        w2_hidden = params["W2"][..., spec.emb_dim :]
-    else:
-        raise ModelError(f"unknown model kind {k!r}")
-    probs = _sigmoid(top_in @ _t(params["W2"]) + params["b2"])
-    dz = (probs - y) / n
-    dhidden = (dz @ w2_hidden) * (pre1 > 0)
-    return {
-        "W1": _t(dhidden) @ ehr,
-        "b1": dhidden.sum(axis=-2).reshape(params["b1"].shape),
-        "W2": _t(dz) @ top_in,
-        "b2": dz.sum(axis=-2).reshape(params["b2"].shape),
-    }
+    top_in, weight, bias = _top_input(spec, params, ehr, emb)
+    dz = (_sigmoid(top_in @ _t(params[weight]) + params[bias]) - y) / n  # (..., n, 3)
+    grads = {weight: _t(dz) @ top_in, bias: dz.sum(axis=-2).reshape(params[bias].shape)}
+    if spec.uses_hidden:
+        # relu(p) > 0 exactly where p > 0, so the hidden units give the ReLU mask
+        hidden = top_in[..., -HIDDEN_UNITS:]
+        dhidden = (dz @ params[weight][..., -HIDDEN_UNITS:]) * (hidden > 0)
+        grads["W1"] = _t(dhidden) @ ehr
+        grads["b1"] = dhidden.sum(axis=-2).reshape(params["b1"].shape)
+    return grads
 
 
-class _Rates(NamedTuple):
-    """Per-config SGD rates as (G, 1, 1) columns, for stacked parameters."""
-
-    learning_rate: np.ndarray
-    momentum: np.ndarray
-    weight_decay: np.ndarray
-
-
-def sgd_step(params: Params, velocity: Params, grads: Params, hp: HyperParams | _Rates) -> tuple[Params, Params]:
+def sgd_step(params: Params, velocity: Params, grads: Params, hp: HyperParams) -> tuple[Params, Params]:
     """v' = momentum v + (g + weight_decay theta); theta' = theta - lr v'.
 
-    For stacked parameters the rates are per-config columns (`_Rates`)."""
+    For stacked parameters the rates are per-config columns."""
     new_params: Params = {}
     new_velocity: Params = {}
     for name, theta in params.items():
@@ -311,25 +275,23 @@ def train_stacked(
     train_set: ArrayDataset,
     val_set: ArrayDataset,
     seed: int,
+    max_epochs: int,
 ) -> list[tuple[Params, TrainHistory]]:
     """Minibatch SGD with early stopping on validation macro AUROC, for
     several configs of one architecture in one pass.
 
-    Batches reshuffle each epoch. Per config, the best-so-far parameters are
-    kept (strictly-greater improvements, so the first epoch wins ties) and
-    training stops after `patience` consecutive epochs without a new best,
-    or at `max_epochs`. Deterministic for a fixed seed.
+    Batches of `BATCH_SIZE` reshuffle each epoch. Per config, the best-so-far
+    parameters are kept (strictly-greater improvements, so the first epoch
+    wins ties) and training stops after `PATIENCE` consecutive epochs without
+    a new best, or at `max_epochs`. Deterministic for a fixed seed.
 
     Every config gets the same initialization and batch order from `seed`,
-    so they must share `batch_size`; each result equals what a one-config
-    list returns for that config alone. Parameters are stacked along a
-    leading config axis, and a config leaves the stack when it stops.
+    so each result equals what a one-config list returns for that config
+    alone. Parameters are stacked along a leading config axis, and a config
+    leaves the stack when it stops.
     """
     if not hps:
         raise ModelError("no hyperparameter configs to train")
-    batch_size = hps[0].batch_size
-    if any(hp.batch_size != batch_size for hp in hps):
-        raise ModelError("configs trained together share their batch order, so they need one batch_size")
     if len(train_set) == 0 or len(val_set) == 0:
         raise ModelError("train and validation sets must be non-empty")
     train_ehr, train_emb = _check_inputs(spec, train_set.ehr, train_set.emb)
@@ -346,20 +308,17 @@ def train_stacked(
     velocity = {name: np.zeros_like(value) for name, value in theta.items()}
     best = {name: value.copy() for name, value in theta.items()}
 
-    def column(attr: str) -> np.ndarray:
-        return np.array([getattr(hp, attr) for hp in hps], dtype=float).reshape(g_count, 1, 1)
-
-    rates = _Rates(column("learning_rate"), column("momentum"), column("weight_decay"))
+    rates = HyperParams(*(np.array(column, dtype=float).reshape(g_count, 1, 1) for column in zip(*hps)))
     histories = [TrainHistory() for _ in hps]
     best_metric = [-np.inf] * g_count
     stale_epochs = [0] * g_count
     active = np.arange(g_count)  # stack row -> config index
     n = len(train_set)
 
-    for epoch in range(1, max(hp.max_epochs for hp in hps) + 1):
+    for epoch in range(1, max_epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             grads = backward(
                 spec, theta,
                 None if train_ehr is None else train_ehr[idx],
@@ -385,15 +344,14 @@ def train_stacked(
                 stale_epochs[g] = 0
             else:
                 stale_epochs[g] += 1
-                keep[row] = stale_epochs[g] < hps[g].patience
-            keep[row] &= epoch < hps[g].max_epochs
+                keep[row] = stale_epochs[g] < PATIENCE
         if not keep.all():
             active = active[keep]
             if active.size == 0:
                 break
             theta = {name: value[keep] for name, value in theta.items()}
             velocity = {name: value[keep] for name, value in velocity.items()}
-            rates = _Rates(*(rate[keep] for rate in rates))
+            rates = HyperParams(*(rate[keep] for rate in rates))
 
     return [
         ({name: value[g].reshape(shapes[name]).copy() for name, value in best.items()}, histories[g])
@@ -406,32 +364,16 @@ class SweepGrid:
     learning_rates: tuple[float, ...] = LEARNING_RATE_GRID
     momentums: tuple[float, ...] = MOMENTUM_GRID
     weight_decays: tuple[float, ...] = WEIGHT_DECAY_GRID
-    batch_size: int = 32
-    patience: int = 5
-    max_epochs: int = 100
+    max_epochs: int = 100  # one cap for every config
 
-
-def enumerate_configs(kinds: Sequence[ModelKind], grid: SweepGrid) -> list[tuple[ModelKind, HyperParams]]:
-    """Learning-rate-major enumeration, then momentum, weight decay, architecture."""
-    configs = []
-    for lr in grid.learning_rates:
-        for momentum in grid.momentums:
-            for weight_decay in grid.weight_decays:
-                for kind in kinds:
-                    configs.append(
-                        (
-                            kind,
-                            HyperParams(
-                                learning_rate=lr,
-                                momentum=momentum,
-                                weight_decay=weight_decay,
-                                batch_size=grid.batch_size,
-                                patience=grid.patience,
-                                max_epochs=grid.max_epochs,
-                            ),
-                        )
-                    )
-    return configs
+    def __post_init__(self):
+        for name in ("learning_rates", "momentums", "weight_decays"):
+            if not getattr(self, name):
+                raise ModelError(f"{name} lists no value")
+        if not all(lr > 0 for lr in self.learning_rates):
+            raise ModelError("learning_rates must all be positive")
+        if self.max_epochs < 1:
+            raise ModelError("max_epochs must be at least 1")
 
 
 @dataclass
@@ -463,29 +405,26 @@ def sweep(
     """Train every (architecture, hyperparameter) combination in a family and
     keep the best validation macro AUROC; ties go to the earlier grid entry.
 
-    Each architecture's configs train together in one `train_stacked` call."""
+    The grid is learning-rate-major, then momentum, weight decay and, innermost,
+    architecture. Each architecture's configs train together in one
+    `train_stacked` call."""
     if family not in FAMILIES:
         raise ModelError(f"unknown model family {family!r}; expected one of {sorted(FAMILIES)}")
-    configs = enumerate_configs(FAMILIES[family], grid)
-    if not configs:
-        raise ModelError("empty sweep grid")
-    trained = {}
-    for kind in FAMILIES[family]:
-        spec = ModelSpec(kind=kind, ehr_dim=ehr_dim, emb_dim=emb_dim)
-        hps = [hp for config_kind, hp in configs if config_kind is kind]
-        trained[kind] = (spec, iter(train_stacked(spec, hps, train_set, val_set, seed)))
+    hps = [HyperParams(*rates) for rates in product(grid.learning_rates, grid.momentums, grid.weight_decays)]
+    specs = [ModelSpec(kind=kind, ehr_dim=ehr_dim, emb_dim=emb_dim) for kind in FAMILIES[family]]
+    trained = [train_stacked(spec, hps, train_set, val_set, seed, grid.max_epochs) for spec in specs]
     best: Optional[SweepResult] = None
     runs: list[SweepRun] = []
-    for kind, hp in configs:
-        spec, results = trained[kind]
-        params, history = next(results)
-        val_metric = history.val_auroc[history.best_epoch - 1]
-        runs.append(SweepRun(spec=spec, hp=hp, val_auroc=val_metric))
-        if best is None or val_metric > best.val_auroc:
-            best = SweepResult(
-                spec=spec, hp=hp, params=params, history=history,
-                val_auroc=val_metric, runs=runs,
-            )
+    for config, hp in enumerate(hps):
+        for spec, results in zip(specs, trained):
+            params, history = results[config]
+            val_metric = history.val_auroc[history.best_epoch - 1]
+            runs.append(SweepRun(spec=spec, hp=hp, val_auroc=val_metric))
+            if best is None or val_metric > best.val_auroc:
+                best = SweepResult(
+                    spec=spec, hp=hp, params=params, history=history,
+                    val_auroc=val_metric, runs=runs,
+                )
     return best
 
 
@@ -522,7 +461,7 @@ class Checkpoint:
     val_metrics: Mapping[str, float]
 
 
-def save_checkpoint(path, spec: ModelSpec, params: Params, hp: HyperParams,
+def save_checkpoint(path, spec: ModelSpec, params: Params, hp: HyperParams, max_epochs: int,
                     seed: int, val_metrics: Mapping[str, float],
                     provenance: str | None = None) -> None:
     payload = {
@@ -539,9 +478,9 @@ def save_checkpoint(path, spec: ModelSpec, params: Params, hp: HyperParams,
             "learning_rate": hp.learning_rate,
             "momentum": hp.momentum,
             "weight_decay": hp.weight_decay,
-            "batch_size": hp.batch_size,
-            "patience": hp.patience,
-            "max_epochs": hp.max_epochs,
+            "batch_size": BATCH_SIZE,
+            "patience": PATIENCE,
+            "max_epochs": max_epochs,
         },
         "seed": seed,
         "val_metrics": dict(val_metrics),
@@ -573,6 +512,6 @@ def load_checkpoint(path) -> Checkpoint:
                 f"checkpoint parameter {name!r} has shape {tuple(entry['shape'])}, expected {shape}"
             )
         params[name] = np.asarray(entry["data"], dtype=float).reshape(shape)
-    hp = HyperParams(**payload["hyper"])
+    hp = HyperParams(*(payload["hyper"][name] for name in HyperParams._fields))
     return Checkpoint(spec=spec, params=params, hp=hp,
                       seed=payload["seed"], val_metrics=payload["val_metrics"])

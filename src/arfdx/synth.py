@@ -72,8 +72,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_patients < 1 or self.n_numeric_vars < 1 or self.emb_dim < 1:
-            raise ValueError("n_patients, n_numeric_vars, and emb_dim must be positive")
+        for name in ("n_patients", "n_numeric_vars", "emb_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if not all(0.0 < p < 1.0 for p in self.prevalences):
             raise ValueError("prevalences must lie in (0, 1)")
         if abs(sum(self.review_count_probs) - 1.0) > 1e-9:

@@ -124,7 +124,7 @@ def threshold_at_ppv_loop(preds, labels, target):
     return best[:3] + dor_from_confusion(*best[3]) + (best[3],)
 
 
-def train_reference(spec, hp, train_set, val_set, seed):
+def train_reference(spec, hp, train_set, val_set, seed, max_epochs):
     """One config trained alone, one batch at a time, through the public
     single-config kernels: (best params, per-epoch val macro AUROC, best epoch)."""
     rng = np.random.default_rng(seed)
@@ -138,10 +138,10 @@ def train_reference(spec, hp, train_set, val_set, seed):
     best_metric, best_epoch, stale_epochs = -np.inf, 0, 0
     val_aurocs = []
     n = len(train_set)
-    for epoch in range(1, hp.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = order[start : start + hp.batch_size]
+        for start in range(0, n, models.BATCH_SIZE):
+            idx = order[start : start + models.BATCH_SIZE]
             grads = models.backward(
                 spec, params,
                 None if ehr is None else ehr[idx],
@@ -156,7 +156,7 @@ def train_reference(spec, hp, train_set, val_set, seed):
             best_params = {name: value.copy() for name, value in params.items()}
         else:
             stale_epochs += 1
-            if stale_epochs >= hp.patience:
+            if stale_epochs >= models.PATIENCE:
                 break
     return best_params, val_aurocs, best_epoch
 

@@ -135,14 +135,14 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "checkpoint_ehr_split0.json" in err
 
-    def test_unknown_family_exits_2(self, tmp_path):
+    def test_unknown_family_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text(MINI_CONFIG.replace("families = ehr", "families = tabular"))
         out = tmp_path / "out"
-        code = cli.main(["synth", "--config", str(config), "--out", str(out)])
-        assert code == 0  # synth does not read families
-        code = cli.main(["train", "--config", str(config), "--out", str(out)])
-        assert code == cli.EXIT_CONFIG_ERROR
+        for stage in ("synth", "train"):  # the whole config is checked before any stage runs
+            code = cli.main([stage, "--config", str(config), "--out", str(out)])
+            assert code == cli.EXIT_CONFIG_ERROR
+            assert "[train] families" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_exits_1(self, mini_run, capsys):
         config, out = mini_run
@@ -176,9 +176,17 @@ class TestStrictConfig:
             (lambda text: text + "\n[DEFAULT]\nseed = 3\n", "[DEFAULT] seed"),
             (lambda text: text.replace("seed = 11", "seed = abc"), "[run] seed"),
             (lambda text: text.replace("learning_rates = 0.3", "learning_rates = 0.3, fast"), "[sweep] learning_rates"),
+            (lambda text: text.replace("families = ehr", "families = tabular"), "[train] families"),
+            (lambda text: text.replace("families = ehr", "families ="), "[train] families"),
+            (lambda text: text.replace("n_patients = 60", "n_patients = 0"), "[synth] n_patients"),
+            (lambda text: text.replace("learning_rates = 0.3", "learning_rates = -0.1"), "[sweep] learning_rates"),
+            (lambda text: text.replace("learning_rates = 0.3", "learning_rates ="), "[sweep] learning_rates"),
+            (lambda text: text.replace("max_epochs = 3", "max_epochs = 0"), "[sweep] max_epochs"),
+            (lambda text: text + "\n[explain]\nrepeats = 0\n", "[explain] repeats"),
         ],
         ids=["unknown-key", "unknown-section", "deleted-cohort-key", "deleted-path-key", "defaults-section",
-             "seed-not-an-integer", "rate-not-a-number"],
+             "seed-not-an-integer", "rate-not-a-number", "unknown-family", "no-family", "no-patients",
+             "negative-rate", "no-rate", "no-epochs", "no-repeats"],
     )
     def test_rejected_before_any_stage_runs(self, tmp_path, capsys, edit, named):
         config = tmp_path / "run.ini"
@@ -309,7 +317,7 @@ class TestOnePredictionPath:
             if model == "combined" and metric == "auroc" and diag != "macro"
         }
         # explain walks diagnoses, then splits
-        expected = [test_auroc[(diag, k)] for diag in labels.DIAGNOSES for k in range(cli.N_SPLITS)]
+        expected = [test_auroc[(diag, k)] for diag in labels.DIAGNOSES for k in range(evaluation.N_SPLITS)]
         assert sum(b is not None for b in baselines) >= 10
         assert baselines == expected
 

@@ -67,7 +67,7 @@ class TestCorrelationGroups:
         names = ["a", "b", "c", "d"]
         corr = np.corrcoef(signals, rowvar=False)
         expected = components_oracle(corr, names, threshold=0.6)
-        groups = correlation_groups(signals, names, threshold=0.6)
+        groups = correlation_groups(signals, names)
         assert sorted(g.members for g in groups) == expected
 
     def test_duplicated_variable_grouped(self):

@@ -31,8 +31,8 @@ def quantile_oracle(values, q):
     return v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 
 
-def numeric_config(names=("x",), bins=5):
-    return FeaturizerConfig(numeric_vars=tuple(names), categorical_vars=(), bins_per_var=bins)
+def numeric_config(names=("x",)):
+    return FeaturizerConfig(numeric_vars=tuple(names), categorical_vars=())
 
 
 class TestFit:
@@ -94,9 +94,7 @@ class TestEncode:
             encode({"x": float("inf")}, self.fitted())
 
     def test_categorical_one_hot_and_unknown(self):
-        config = FeaturizerConfig(
-            numeric_vars=(), categorical_vars=(("gender", ("F", "M")),), bins_per_var=5
-        )
+        config = FeaturizerConfig(numeric_vars=(), categorical_vars=(("gender", ("F", "M")),))
         fitted = FittedFeaturizer(config=config, edges={})
         assert tuple(encode({"gender": "M"}, fitted)) == (0, 1)
         assert tuple(encode({"gender": "X"}, fitted)) == (0, 0)
@@ -106,7 +104,6 @@ class TestEncode:
         config = FeaturizerConfig(
             numeric_vars=("a", "b"),
             categorical_vars=(("g", ("F", "M")), ("r", ("w", "b", "o"))),
-            bins_per_var=5,
         )
         fitted = fit([{"a": 1.0, "b": 2.0, "g": "F", "r": "w"}], config)
         assert fitted.dim == 2 * 5 + 2 + 3
@@ -181,11 +178,12 @@ class TestMissingness:
 
 
 class TestSerialization:
+    def fitted(self):
+        config = FeaturizerConfig(numeric_vars=("a",), categorical_vars=(("g", ("F", "M")),))
+        return fit([{"a": v, "g": "F"} for v in (1.0, 2.0, 3.0, 9.0)], config)
+
     def test_json_round_trip_preserves_encoding(self):
-        config = FeaturizerConfig(
-            numeric_vars=("a",), categorical_vars=(("g", ("F", "M")),), bins_per_var=5
-        )
-        fitted = fit([{"a": v, "g": "F"} for v in (1.0, 2.0, 3.0, 9.0)], config)
+        fitted = self.fitted()
         written = fitted.to_json()
         # files written before the key was dropped carry an always-empty "variable_map"
         legacy = json.dumps({**json.loads(written), "variable_map": {}}, sort_keys=True, indent=2)
@@ -193,6 +191,13 @@ class TestSerialization:
         for text in (written, legacy):
             again = FittedFeaturizer.from_json(text)
             assert np.array_equal(encode(row, fitted), encode(row, again))
+
+    def test_other_bin_count_is_rejected(self):
+        payload = json.loads(self.fitted().to_json())
+        assert (payload["bins_per_var"], payload["dim"]) == (5, 7)
+        payload["bins_per_var"], payload["dim"] = 4, 6  # a consistent layout of four bins
+        with pytest.raises(FeaturizeError, match="4 range bins per variable; featurizers use 5"):
+            FittedFeaturizer.from_json(json.dumps(payload))
 
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=64))
     def test_pack_unpack_round_trip(self, bits):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from arfdx.models import (
     ModelSpec,
     SweepGrid,
     backward,
-    enumerate_configs,
     forward,
     init_params,
     load_checkpoint,
@@ -186,8 +186,8 @@ class TestTrain:
         train_set = separable_dataset(20, rng)
         val_set = separable_dataset(12, rng)
         spec = ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=4)
-        hp = HyperParams(learning_rate=0.5, weight_decay=1e-4, max_epochs=60, patience=10)
-        _, history = train_stacked(spec, [hp], train_set, val_set, seed=0)[0]
+        hp = HyperParams(learning_rate=0.5, weight_decay=1e-4)
+        _, history = train_stacked(spec, [hp], train_set, val_set, seed=0, max_epochs=60)[0]
         assert max(history.val_auroc) == pytest.approx(1.0)
 
     def test_patience_counts_five_stale_epochs(self):
@@ -198,8 +198,7 @@ class TestTrain:
         y[:4, :] = 1.0
         data = ArrayDataset(labels=y, ehr=x)
         spec = ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=1)
-        hp = HyperParams(learning_rate=0.1, max_epochs=50, patience=5)
-        _, history = train_stacked(spec, [hp], data, data, seed=1)[0]
+        _, history = train_stacked(spec, [HyperParams(learning_rate=0.1)], data, data, seed=1, max_epochs=50)[0]
         assert history.best_epoch == 1
         assert len(history.val_auroc) == 6
 
@@ -208,9 +207,9 @@ class TestTrain:
         train_set = separable_dataset(24, rng)
         val_set = separable_dataset(10, rng)
         spec = ModelSpec(ModelKind.EHR_TWO_LAYER, ehr_dim=4)
-        hp = HyperParams(learning_rate=0.1, max_epochs=5, patience=5)
-        params_a, _ = train_stacked(spec, [hp], train_set, val_set, seed=42)[0]
-        params_b, _ = train_stacked(spec, [hp], train_set, val_set, seed=42)[0]
+        hp = HyperParams(learning_rate=0.1)
+        params_a, _ = train_stacked(spec, [hp], train_set, val_set, seed=42, max_epochs=5)[0]
+        params_b, _ = train_stacked(spec, [hp], train_set, val_set, seed=42, max_epochs=5)[0]
         assert all(np.array_equal(params_a[k], params_b[k]) for k in params_a)
 
     def test_returns_best_checkpoint(self):
@@ -220,8 +219,8 @@ class TestTrain:
         train_set = separable_dataset(30, rng)
         val_set = separable_dataset(14, rng)
         spec = ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=4)
-        hp = HyperParams(learning_rate=0.3, max_epochs=12, patience=12)
-        params, history = train_stacked(spec, [hp], train_set, val_set, seed=3)[0]
+        params, history = train_stacked(spec, [HyperParams(learning_rate=0.3)], train_set, val_set, seed=3,
+                                        max_epochs=12)[0]
         returned = macro_auroc(forward(spec, params, ehr=val_set.ehr), val_set.labels)
         assert returned == pytest.approx(max(history.val_auroc), abs=1e-12)
         assert history.val_auroc[history.best_epoch - 1] == pytest.approx(max(history.val_auroc))
@@ -238,14 +237,15 @@ def noisy_dataset(n, rng):
 STACK_SPECS = [ModelSpec(kind, ehr_dim=4, emb_dim=3) for kind in ModelKind]
 
 # configs that stop at different epochs: lr 1e-12 barely moves the
-# validation ranking and runs out of patience, and one config has its own
-# max_epochs and patience
+# validation ranking and runs out of patience, and others still improve at
+# the shared cap
 STACK_HPS = [
-    HyperParams(learning_rate=1e-12, momentum=0.9, weight_decay=1e-4, max_epochs=12, patience=3),
-    HyperParams(learning_rate=0.5, momentum=0.9, weight_decay=1e-4, max_epochs=12, patience=3),
-    HyperParams(learning_rate=0.05, momentum=0.8, weight_decay=1e-2, max_epochs=12, patience=3),
-    HyperParams(learning_rate=0.5, momentum=0.8, weight_decay=1e-3, max_epochs=7, patience=12),
+    HyperParams(learning_rate=1e-12, momentum=0.9, weight_decay=1e-4),
+    HyperParams(learning_rate=0.5, momentum=0.9, weight_decay=1e-4),
+    HyperParams(learning_rate=0.05, momentum=0.8, weight_decay=1e-2),
+    HyperParams(learning_rate=0.5, momentum=0.8, weight_decay=1e-3),
 ]
+STACK_MAX_EPOCHS = 7
 
 
 class TestTrainStacked:
@@ -254,10 +254,12 @@ class TestTrainStacked:
     def test_each_config_equals_the_reference_loop(self, spec, hps):
         rng = np.random.default_rng(18)
         train_set, val_set = noisy_dataset(70, rng), noisy_dataset(30, rng)
-        stacked = train_stacked(spec, hps, train_set, val_set, seed=5)
+        stacked = train_stacked(spec, hps, train_set, val_set, seed=5, max_epochs=STACK_MAX_EPOCHS)
         epochs_run = []
         for hp, (params, history) in zip(hps, stacked):
-            ref_params, ref_aurocs, ref_best_epoch = train_reference(spec, hp, train_set, val_set, seed=5)
+            ref_params, ref_aurocs, ref_best_epoch = train_reference(
+                spec, hp, train_set, val_set, seed=5, max_epochs=STACK_MAX_EPOCHS
+            )
             assert history.val_auroc == ref_aurocs
             assert history.best_epoch == ref_best_epoch
             assert params.keys() == ref_params.keys()
@@ -268,20 +270,13 @@ class TestTrainStacked:
         if len(hps) > 1:
             # configs left the stack at different epochs, by patience and by max_epochs
             assert len(set(epochs_run)) >= 2
-            assert any(run < hp.max_epochs for run, hp in zip(epochs_run, hps))
-            assert any(run == hp.max_epochs for run, hp in zip(epochs_run, hps))
-
-    def test_mixed_batch_size_raises(self):
-        rng = np.random.default_rng(20)
-        data = noisy_dataset(20, rng)
-        hps = [HyperParams(batch_size=32), HyperParams(batch_size=16)]
-        with pytest.raises(ModelError, match="batch_size"):
-            train_stacked(STACK_SPECS[0], hps, data, data, seed=0)
+            assert any(run < STACK_MAX_EPOCHS for run in epochs_run)
+            assert any(run == STACK_MAX_EPOCHS for run in epochs_run)
 
     def test_empty_config_list_raises(self):
         data = noisy_dataset(10, np.random.default_rng(21))
         with pytest.raises(ModelError):
-            train_stacked(STACK_SPECS[0], [], data, data, seed=0)
+            train_stacked(STACK_SPECS[0], [], data, data, seed=0, max_epochs=5)
 
     def test_huge_learning_rate_diverges_naming_the_epoch(self):
         rng = np.random.default_rng(22)
@@ -289,18 +284,22 @@ class TestTrainStacked:
         hps = [HyperParams(learning_rate=0.1), HyperParams(learning_rate=1e308)]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(Diverged, match=r"^epoch 1: non-finite update"):
-                train_stacked(STACK_SPECS[1], hps, data, data, seed=0)
+                train_stacked(STACK_SPECS[1], hps, data, data, seed=0, max_epochs=5)
 
 
 class TestSweep:
     def test_full_grid_size_per_architecture(self):
-        configs = enumerate_configs([ModelKind.EHR_LINEAR], SweepGrid())
-        assert len(configs) == 6 * 2 * 4
+        rng = np.random.default_rng(25)
+        data = _with_emb(separable_dataset(12, rng), rng)
+        result = sweep("image", SweepGrid(max_epochs=1), data, data, seed=0, emb_dim=3)
+        assert len(result.runs) == 6 * 2 * 4
 
     def test_enumeration_is_learning_rate_major(self):
-        grid = SweepGrid(learning_rates=(1.0, 2.0), momentums=(0.8,), weight_decays=(0.1, 0.2))
-        configs = enumerate_configs([ModelKind.EHR_LINEAR, ModelKind.EHR_TWO_LAYER], grid)
-        flattened = [(hp.learning_rate, hp.weight_decay, kind) for kind, hp in configs]
+        rng = np.random.default_rng(26)
+        data = separable_dataset(12, rng)
+        grid = SweepGrid(learning_rates=(1.0, 2.0), momentums=(0.8,), weight_decays=(0.1, 0.2), max_epochs=1)
+        runs = sweep("ehr", grid, data, data, seed=0, ehr_dim=4).runs
+        flattened = [(run.hp.learning_rate, run.hp.weight_decay, run.spec.kind) for run in runs]
         assert flattened == [
             (1.0, 0.1, ModelKind.EHR_LINEAR),
             (1.0, 0.1, ModelKind.EHR_TWO_LAYER),
@@ -327,8 +326,7 @@ class TestSweep:
         rng = np.random.default_rng(16)
         train_set = separable_dataset(30, rng)
         val_set = separable_dataset(14, rng)
-        grid = SweepGrid(learning_rates=(1e-12, 0.5), momentums=(0.9,), weight_decays=(1e-4,),
-                         max_epochs=8, patience=8)
+        grid = SweepGrid(learning_rates=(1e-12, 0.5), momentums=(0.9,), weight_decays=(1e-4,), max_epochs=8)
         result = sweep("ehr", grid, train_set, val_set, seed=4, ehr_dim=4)
         assert result.hp.learning_rate == 0.5
         assert len(result.runs) == 4  # 2 learning rates x 2 architectures
@@ -338,14 +336,19 @@ class TestSweep:
         rng = np.random.default_rng(23)
         train_set, val_set = noisy_dataset(60, rng), noisy_dataset(30, rng)
         grid = SweepGrid(learning_rates=(1e-12, 0.5, 0.05), momentums=(0.9,), weight_decays=(1e-4, 1e-2),
-                         max_epochs=10, patience=3)
+                         max_epochs=10)
         result = sweep("combined", grid, train_set, val_set, seed=6, ehr_dim=4, emb_dim=3)
-        configs = enumerate_configs(models.FAMILIES["combined"], grid)
+        configs = [
+            (kind, HyperParams(lr, momentum, wd))
+            for lr in grid.learning_rates for momentum in grid.momentums for wd in grid.weight_decays
+            for kind in models.FAMILIES["combined"]
+        ]
         assert len(result.runs) == len(configs)
         best = None
         for (kind, hp), run in zip(configs, result.runs):
             spec = ModelSpec(kind, ehr_dim=4, emb_dim=3)
-            params, aurocs, best_epoch = train_reference(spec, hp, train_set, val_set, seed=6)
+            params, aurocs, best_epoch = train_reference(spec, hp, train_set, val_set, seed=6,
+                                                         max_epochs=grid.max_epochs)
             assert (run.spec, run.hp) == (spec, hp)
             assert run.val_auroc == aurocs[best_epoch - 1]
             if best is None or run.val_auroc > best[2]:
@@ -358,8 +361,7 @@ class TestSweep:
         rng = np.random.default_rng(24)
         train_set, val_set = noisy_dataset(40, rng), noisy_dataset(20, rng)
         # both learning rates leave the initial ranking in place: equal AUROC
-        grid = SweepGrid(learning_rates=(1e-13, 1e-12), momentums=(0.9,), weight_decays=(1e-4,),
-                         max_epochs=4, patience=2)
+        grid = SweepGrid(learning_rates=(1e-13, 1e-12), momentums=(0.9,), weight_decays=(1e-4,), max_epochs=4)
         result = sweep("image", grid, train_set, val_set, seed=7, emb_dim=3)
         assert result.runs[0].val_auroc == result.runs[1].val_auroc
         assert result.hp.learning_rate == 1e-13
@@ -430,7 +432,11 @@ class TestCheckpoint:
         params = init_params(spec, rng)
         hp = HyperParams()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, spec, params, hp, seed=9, val_metrics={"macro_auroc": 0.8})
+        save_checkpoint(path, spec, params, hp, 40, seed=9, val_metrics={"macro_auroc": 0.8})
+        assert json.loads(path.read_text())["hyper"] == {
+            "learning_rate": 0.1, "momentum": 0.9, "weight_decay": 1e-4,
+            "batch_size": 32, "patience": 5, "max_epochs": 40,
+        }
         loaded = load_checkpoint(path)
         assert loaded.spec == spec
         assert loaded.hp == hp
@@ -438,12 +444,10 @@ class TestCheckpoint:
         assert all(np.allclose(loaded.params[k], params[k]) for k in params)
 
     def test_shape_validation(self, tmp_path):
-        import json
-
         spec = ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=3)
         params = zero_params(spec)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, spec, params, HyperParams(), seed=0, val_metrics={})
+        save_checkpoint(path, spec, params, HyperParams(), 100, seed=0, val_metrics={})
         payload = json.loads(path.read_text())
         payload["params"]["W"]["shape"] = [3, 99]
         path.write_text(json.dumps(payload))
@@ -451,11 +455,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_hidden_layer_size_is_pinned(self, tmp_path):
-        import json
-
         spec = ModelSpec(ModelKind.EHR_TWO_LAYER, ehr_dim=3)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, spec, zero_params(spec), HyperParams(), seed=0, val_metrics={})
+        save_checkpoint(path, spec, zero_params(spec), HyperParams(), 100, seed=0, val_metrics={})
         payload = json.loads(path.read_text())
         payload["spec"]["hidden"] = 50
         path.write_text(json.dumps(payload))

@@ -108,12 +108,12 @@ class TestNoSignalNull:
         train_i, val_i, test_i = role_idx(ROLE_TRAIN), role_idx(ROLE_VAL), role_idx(ROLE_TEST)
 
         model_spec = models.ModelSpec(models.ModelKind.EHR_LINEAR, ehr_dim=bits.shape[1])
-        hp = models.HyperParams(learning_rate=0.1, weight_decay=1e-3, max_epochs=15)
+        hp = models.HyperParams(learning_rate=0.1, weight_decay=1e-3)
         params, _ = models.train_stacked(
             model_spec, [hp],
             models.ArrayDataset(labels=truth[train_i], ehr=bits[train_i]),
             models.ArrayDataset(labels=truth[val_i], ehr=bits[val_i]),
-            seed=10,
+            seed=10, max_epochs=15,
         )[0]
         probs = models.forward(model_spec, params, ehr=bits[test_i])
         for k in range(3):
