@@ -5,8 +5,9 @@ inputs. Randomness derives from one top-level seed by hashing the stage name
 into it, so any stage reruns reproducibly on its own. Config is an INI-style
 key=value file of the keys in `CONFIG_KEYS`; command-line flags override file
 values which override defaults. Exit codes: 1 for pipeline-rule errors, 2 for
-config/IO problems, including an unknown config key or a value that does not
-parse or is out of range; a config is checked whole before any stage runs.
+config/IO problems: an unknown config key, a value that does not parse or is out
+of range, or a missing or malformed artifact (`read_artifact`). A config is
+checked whole before any stage runs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ if __name__ == "__main__":
 import argparse
 import configparser
 import csv
+import fnmatch
 import json
 import sys
 from dataclasses import dataclass
@@ -121,10 +123,6 @@ class RunConfig:
     def existing_input(self, key: str) -> Path:
         return _existing(self.input_file(key), f"set [paths] {key}")
 
-    def artifact(self, name: str, written_by: str) -> Path:
-        """The existing artifact `name` of the output directory, which `written_by` writes."""
-        return _existing(self.out_dir / name, f"run the {written_by} stage first")
-
     def write_csv(self, name: str, columns: Sequence[str], rows) -> None:
         """The artifact `<name>.csv`, under this run's provenance line."""
         atomic_write_text(self.out_dir / f"{name}.csv", csv_text(self.provenance, columns, rows))
@@ -183,7 +181,7 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
     return RunConfig(out_dir=out_dir, seed=seed, provenance=provenance, settings=settings, synth=synth_spec, grid=grid)
 
 
-# --- shared artifact loading ---------------------------------------------------
+# --- per-run artifacts -------------------------------------------------------
 
 # `label` is the one stage that reads the cohort and applies its rules. Besides
 # `labels.csv` it writes two NDJSON files, each the provenance line and then
@@ -196,6 +194,26 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
 
 INCLUDED_STAYS = "included_stays.ndjson"
 WINDOW_VALUES = "window_values.ndjson"
+CHECKPOINT = "checkpoint_{}_split{}.json"  # family, split index
+
+# The stage that writes each artifact a later stage reads, by name or, for the
+# checkpoints, by glob pattern.
+WRITTEN_BY = {
+    "labels.csv": "label",
+    INCLUDED_STAYS: "label",
+    WINDOW_VALUES: "label",
+    "featurizer.json": "featurize",
+    "features.ndjson": "featurize",
+    "splits.csv": "split",
+    CHECKPOINT.format("*", "*"): "train",
+}
+
+# The header of each CSV artifact a later stage reads; its parsers take fields by these positions.
+COLUMNS = {
+    "labels.csv": ("patient_id", "diagnosis", "chart_review", "code_med", "label", "source"),
+    "splits.csv": ("split_index", "patient_id", "role"),
+}
+
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 _WINDOW_VALUE_TYPES = (str, int, float, type(None))
 
@@ -220,6 +238,59 @@ def write_included(cfg: RunConfig, stays: Sequence[cohort.PatientStay]) -> None:
     atomic_write_text(cfg.out_dir / WINDOW_VALUES, "".join(windows))
 
 
+def _written_by(name: str) -> str:
+    return next(stage for pattern, stage in WRITTEN_BY.items() if fnmatch.fnmatchcase(name, pattern))
+
+
+def _malformed(cfg: RunConfig, name: str, problem: str) -> ConfigError:
+    return ConfigError(f"{cfg.out_dir / name} {problem}; rerun the {_written_by(name)} stage")
+
+
+def read_artifact(cfg: RunConfig, name: str, parse: Callable) -> object:
+    """`parse(path)` of the `.json` artifact `name`. Of an `.ndjson` one, `parse(record)`
+    of each line's object, by patient, one line per patient; of a `.csv` one, whose header
+    must equal `COLUMNS[name]`, the list of `parse(row)` of each patient's rows, by patient.
+    Patients keep file order. A missing or malformed file is a `ConfigError` (exit 2)
+    naming it, the line where there is one, and the stage that writes it."""
+    path = _existing(cfg.out_dir / name, f"run the {_written_by(name)} stage first")
+    lineno, out = None, {}
+    try:
+        if name.endswith(".json"):
+            return parse(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if name.endswith(".csv"):
+            rows = csv.reader(lines)
+            columns = COLUMNS[name]
+            header = next((row for row in rows if row and not row[0].startswith("#")), [])
+            lineno = rows.line_num or None
+            if tuple(header) != columns:
+                raise ValueError(f"header {','.join(header)!r} is not {','.join(columns)!r}")
+            patient = columns.index("patient_id")
+            for row in rows:
+                lineno = rows.line_num
+                if len(row) != len(columns):
+                    raise ValueError(f"{len(row)} fields, not {len(columns)}")
+                out.setdefault(row[patient], []).append(parse(row))
+            return out
+        for lineno, line in enumerate(lines, start=1):
+            if not line or line.startswith("#"):
+                continue
+            record = json.loads(line)
+            if type(record) is not dict:
+                raise ValueError("record is not a JSON object")
+            patient_id = record["patient_id"]
+            if type(patient_id) is not str or not patient_id:
+                raise ValueError("patient_id missing or empty")
+            if patient_id in out:
+                raise _malformed(cfg, name, f"line {lineno} repeats patient {patient_id!r}")
+            out[patient_id] = parse(record)
+        return out
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError, LabelError, FeaturizeError, ModelError too
+        where = "" if lineno is None else f"line {lineno} "
+        reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise _malformed(cfg, name, f"{where}is malformed ({reason})") from exc
+
+
 def _included_stay(record: dict) -> IncludedStay:
     refs, reviews = record["image_refs"], record["reviews"]
     if type(refs) is not list or not refs or any(type(ref) is not str for ref in refs):
@@ -239,83 +310,51 @@ def _window(record: dict) -> dict[str, object]:
     return window
 
 
-def read_per_stay(cfg: RunConfig, name: str, written_by: str, parse: Callable[[dict], object]) -> dict[str, object]:
-    """`parse` of each record of the per-stay file `name`, by patient, in file
-    order; `ConfigError` (exit 2) if the file is missing or malformed."""
-    path = cfg.artifact(name, written_by)
-    out: dict[str, object] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line or line.startswith("#"):
-            continue
-        try:
-            record = json.loads(line)
-            if type(record) is not dict:
-                raise ValueError("record is not a JSON object")
-            patient_id = record["patient_id"]
-            if type(patient_id) is not str or not patient_id:
-                raise ValueError("patient_id missing or empty")
-            value = parse(record)
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError, LabelError, FeaturizeError too
-            raise ConfigError(f"{path} line {lineno} is malformed ({exc}); rerun the {written_by} stage") from exc
-        if patient_id in out:
-            raise ConfigError(f"{path} line {lineno} repeats patient {patient_id!r}; rerun the {written_by} stage")
-        out[patient_id] = value
-    return out
-
-
 def read_included(cfg: RunConfig) -> list[IncludedStay]:
     """The included stays `label` wrote."""
-    return list(read_per_stay(cfg, INCLUDED_STAYS, "label", _included_stay).values())
+    return list(read_artifact(cfg, INCLUDED_STAYS, _included_stay).values())
 
 
-def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    header: list[str] = []
-    rows: list[list[str]] = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].startswith("#"):
-                continue
-            if not header:
-                header = row
-            else:
-                rows.append(row)
-    return header, rows
+def _label_row(row: list[str]) -> tuple[int, int]:
+    diagnosis, label = row[1], row[4]
+    if diagnosis not in labels.DIAGNOSES:
+        raise ValueError(f"unknown diagnosis {diagnosis!r}")
+    if label not in ("0", "1"):
+        raise ValueError(f"label {label!r} is not 0 or 1")
+    return labels.DIAGNOSES.index(diagnosis), int(label)
 
 
-def load_labels_csv(path: Path) -> dict[str, dict[str, int]]:
-    header, rows = read_csv_rows(path)
-    idx = {name: header.index(name) for name in ("patient_id", "diagnosis", "label")}
-    out: dict[str, dict[str, int]] = {}
-    for row in rows:
-        out.setdefault(row[idx["patient_id"]], {})[row[idx["diagnosis"]]] = int(row[idx["label"]])
-    return out
+def _split_row(row: list[str]) -> tuple[int, str]:
+    split_index, role = int(row[0]), row[2]
+    if split_index not in range(evaluation.N_SPLITS):
+        raise ValueError(f"split index {split_index} is outside 0 to {evaluation.N_SPLITS - 1}")
+    if role not in (evaluation.ROLE_TRAIN, evaluation.ROLE_VAL, evaluation.ROLE_TEST):
+        raise ValueError(f"unknown role {role!r}")
+    return split_index, role
 
 
-def load_splits_csv(path: Path) -> list[evaluation.SplitAssignment]:
-    header, rows = read_csv_rows(path)
-    idx = {name: header.index(name) for name in ("split_index", "patient_id", "role")}
-    by_split: dict[int, dict[str, str]] = {}
-    for row in rows:
-        by_split.setdefault(int(row[idx["split_index"]]), {})[row[idx["patient_id"]]] = row[idx["role"]]
-    return [
-        evaluation.SplitAssignment(split_index=k, roles=by_split[k]) for k in sorted(by_split)
-    ]
-
-
-def load_fitted_featurizer(cfg: RunConfig) -> featurize.FittedFeaturizer:
-    path = cfg.artifact("featurizer.json", "featurize")
-    return featurize.FittedFeaturizer.from_json(path.read_text(encoding="utf-8"))
+def _per_patient(cfg: RunConfig, name: str, parse: Callable[[list[str]], tuple[int, object]],
+                 patient_ids: Sequence[str], keys: Sequence) -> list[list]:
+    """Row i: the values of patient `patient_ids[i]` in the CSV artifact `name`,
+    where `parse` gives each file row's position in `keys` and its value. Each
+    patient has exactly one row per key, and no other patient appears."""
+    by_patient = read_artifact(cfg, name, parse)
+    table = []
+    for pid in patient_ids:
+        cells = sorted(by_patient.pop(pid, ()))
+        if [k for k, _ in cells] != list(range(len(keys))):
+            problem = (f"needs one row for each of {', '.join(map(str, keys))}" if cells
+                       else f"missing from the {_written_by(name)} file")
+            raise _malformed(cfg, name, f"is malformed (patient {pid} {problem})")
+        table.append([value for _, value in cells])
+    if by_patient:
+        raise _malformed(cfg, name, f"is malformed (patient {next(iter(by_patient))} is not an included stay)")
+    return table
 
 
 def label_matrix(cfg: RunConfig, patient_ids: Sequence[str]) -> np.ndarray:
     """(n, 3) `label` column of `labels.csv` for `patient_ids`, in that order."""
-    label_map = load_labels_csv(cfg.artifact("labels.csv", "label"))
-    rows = []
-    for pid in patient_ids:
-        if pid not in label_map:
-            raise ConfigError(f"patient {pid} missing from the label file")
-        rows.append([label_map[pid][d] for d in labels.DIAGNOSES])
-    return np.asarray(rows, dtype=float)
+    return np.asarray(_per_patient(cfg, "labels.csv", _label_row, patient_ids, labels.DIAGNOSES), dtype=float)
 
 
 @dataclass
@@ -327,7 +366,9 @@ class PipelineData:
     emb: np.ndarray  # (m, e): every image of each patient's selected study, patient by patient
     image_counts: np.ndarray  # (n,): rows of `emb` per patient
     label_matrix: np.ndarray  # (n, 3)
+    roles: np.ndarray  # (n, N_SPLITS): each patient's role in each split
     reviews: list[tuple[labels.ChartReview, ...]]  # (n,): each patient's chart reviews
+    fitted: featurize.FittedFeaturizer
 
     def _image_starts(self) -> np.ndarray:
         return np.cumsum(self.image_counts) - self.image_counts
@@ -346,21 +387,24 @@ class PipelineData:
         """Per-patient probabilities of the patients `idx`, averaged over their images."""
         return models.predict(checkpoint.spec, checkpoint.params, self.ehr[idx], *self.images(idx))
 
+    def split_indices(self, split_index: int, role: str) -> np.ndarray:
+        """The patients with `role` in split `split_index`, in patient order."""
+        return np.flatnonzero(self.roles[:, split_index] == role)
+
 
 def assemble_data(cfg: RunConfig) -> PipelineData:
     included = read_included(cfg)
     patient_ids = [stay.patient_id for stay in included]
-    fitted = load_fitted_featurizer(cfg)
-    features = read_per_stay(
-        cfg, "features.ndjson", "featurize", lambda record: featurize.unpack_bits_hex(record["bits"], fitted.dim)
-    )
+    fitted = read_artifact(cfg, "featurizer.json",
+                           lambda path: featurize.FittedFeaturizer.from_json(path.read_text(encoding="utf-8")))
+    features = read_artifact(cfg, "features.ndjson", lambda record: featurize.unpack_bits_hex(record["bits"], fitted.dim))
     embeddings = imaging.load_embeddings(cfg.existing_input("embeddings"))
 
     ehr_rows = []
     emb_rows = []
     for stay in included:
         if stay.patient_id not in features:
-            raise ConfigError(f"patient {stay.patient_id} missing from the feature file")
+            raise _malformed(cfg, "features.ndjson", f"is malformed (patient {stay.patient_id} missing from the file)")
         for ref in stay.image_refs:
             if ref not in embeddings:
                 raise ConfigError(f"image {ref} missing from the embedding file")
@@ -372,24 +416,10 @@ def assemble_data(cfg: RunConfig) -> PipelineData:
         emb=np.stack(emb_rows).astype(float),
         image_counts=np.asarray([len(stay.image_refs) for stay in included]),
         label_matrix=label_matrix(cfg, patient_ids),
+        roles=np.asarray(_per_patient(cfg, "splits.csv", _split_row, patient_ids, range(evaluation.N_SPLITS))),
         reviews=[stay.reviews for stay in included],
+        fitted=fitted,
     )
-
-
-def split_indices(data: PipelineData, assignment: evaluation.SplitAssignment, role: str) -> np.ndarray:
-    wanted = [i for i, pid in enumerate(data.patient_ids) if assignment.roles.get(pid) == role]
-    return np.asarray(wanted, dtype=int)
-
-
-def checkpoint_path(cfg: RunConfig, family: str, split_index: int) -> Path:
-    return cfg.out_dir / f"checkpoint_{family}_split{split_index}.json"
-
-
-def load_trained_checkpoint(cfg: RunConfig, family: str, split_index: int) -> models.Checkpoint:
-    path = checkpoint_path(cfg, family, split_index)
-    if not path.exists():
-        raise ConfigError(f"missing checkpoint {path}; run the train stage first")
-    return models.load_checkpoint(path)
 
 
 # --- stages ----------------------------------------------------------------
@@ -418,17 +448,9 @@ def run_label(cfg: RunConfig) -> None:
         codemed = labels.code_med_label(stay, ruleset)
         used = chart if chart is not None else codemed
         for diag in labels.DIAGNOSES:
-            rows.append(
-                [
-                    stay.patient_id,
-                    diag,
-                    None if chart is None else int(chart[diag]),
-                    int(codemed[diag]),
-                    int(used[diag]),
-                    used.source,
-                ]
-            )
-    cfg.write_csv("labels", ("patient_id", "diagnosis", "chart_review", "code_med", "label", "source"), rows)
+            chart_label = None if chart is None else int(chart[diag])
+            rows.append([stay.patient_id, diag, chart_label, int(codemed[diag]), int(used[diag]), used.source])
+    cfg.write_csv("labels", COLUMNS["labels.csv"], rows)
 
     reviews = [stay.reviews for stay in stays]
     if any(len(r) >= 2 for r in reviews):
@@ -442,7 +464,7 @@ def run_label(cfg: RunConfig) -> None:
 
 
 def run_featurize(cfg: RunConfig) -> None:
-    windows = read_per_stay(cfg, WINDOW_VALUES, "label", _window)
+    windows = read_artifact(cfg, WINDOW_VALUES, _window)
     if not windows:
         raise ConfigError("cohort file contains no includable stays")
     ids = list(windows)
@@ -470,58 +492,37 @@ def run_split(cfg: RunConfig) -> None:
     for assignment in splits:
         for pid in ids:
             rows.append([assignment.split_index, pid, assignment.roles[pid]])
-    cfg.write_csv("splits", ("split_index", "patient_id", "role"), rows)
+    cfg.write_csv("splits", COLUMNS["splits.csv"], rows)
     print(f"split: wrote {len(splits)} splits over {len(ids)} patients")
 
 
 def run_train(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
-    splits = load_splits_csv(cfg.artifact("splits.csv", "split"))
 
     def dataset(idx: np.ndarray) -> models.ArrayDataset:
         return models.ArrayDataset(labels=data.label_matrix[idx], ehr=data.ehr[idx], emb=data.first_images(idx))
 
     results = []
     for family in cfg.families():
-        for assignment in splits:
-            seed = stage_seed(cfg.seed, f"train/{family}/split{assignment.split_index}")
+        for split_index in range(evaluation.N_SPLITS):
+            seed = stage_seed(cfg.seed, f"train/{family}/split{split_index}")
             result = models.sweep(
                 family, cfg.grid,
-                dataset(split_indices(data, assignment, evaluation.ROLE_TRAIN)),
-                dataset(split_indices(data, assignment, evaluation.ROLE_VAL)),
+                dataset(data.split_indices(split_index, evaluation.ROLE_TRAIN)),
+                dataset(data.split_indices(split_index, evaluation.ROLE_VAL)),
                 seed=seed, ehr_dim=data.ehr.shape[1], emb_dim=data.emb.shape[1],
             )
-            results.append((family, assignment.split_index, seed, result))
+            results.append((family, split_index, seed, result))
 
     log_rows = []
     for family, split_index, seed, result in results:
         models.save_checkpoint(
-            checkpoint_path(cfg, family, split_index),
-            result.spec,
-            result.params,
-            result.hp,
-            cfg.grid.max_epochs,
-            seed=seed,
+            cfg.out_dir / CHECKPOINT.format(family, split_index), result.spec, result.params, result.hp,
+            cfg.grid.max_epochs, seed=seed, provenance=cfg.provenance,
             val_metrics={"macro_auroc": result.val_auroc, "best_epoch": result.history.best_epoch},
-            provenance=cfg.provenance,
         )
-        for run in result.runs:
-            log_rows.append(
-                [
-                    family,
-                    split_index,
-                    run.spec.kind.value,
-                    run.hp.learning_rate,
-                    run.hp.momentum,
-                    run.hp.weight_decay,
-                    run.val_auroc,
-                ]
-            )
-    cfg.write_csv(
-        "sweep_log",
-        ("family", "split", "kind", "learning_rate", "momentum", "weight_decay", "val_macro_auroc"),
-        log_rows,
-    )
+        log_rows.extend([family, split_index, run.spec.kind.value, *run.hp, run.val_auroc] for run in result.runs)
+    cfg.write_csv("sweep_log", ("family", "split", "kind", *models.HyperParams._fields, "val_macro_auroc"), log_rows)
     print(f"train: wrote {len(results)} checkpoints")
 
 
@@ -547,7 +548,6 @@ def physician_rows(cfg: RunConfig, data: PipelineData, split_index: int, test_id
 
 def run_evaluate(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
-    splits = load_splits_csv(cfg.artifact("splits.csv", "split"))
     families = cfg.families()
     metric_rows = []
     bin_rows = []
@@ -557,11 +557,10 @@ def run_evaluate(cfg: RunConfig) -> None:
     summary_values: dict[tuple[str, str, str], list[Optional[float]]] = {}
 
     for family in families:
-        for assignment in splits:
-            split_index = assignment.split_index
-            checkpoint = load_trained_checkpoint(cfg, family, split_index)
-            test_idx = split_indices(data, assignment, evaluation.ROLE_TEST)
-            val_idx = split_indices(data, assignment, evaluation.ROLE_VAL)
+        for split_index in range(evaluation.N_SPLITS):
+            checkpoint = read_artifact(cfg, CHECKPOINT.format(family, split_index), models.load_checkpoint)
+            test_idx = data.split_indices(split_index, evaluation.ROLE_TEST)
+            val_idx = data.split_indices(split_index, evaluation.ROLE_VAL)
             test_probs = data.predict(checkpoint, test_idx)
             test_y = data.label_matrix[test_idx].astype(int)
             report = evaluation.metrics_report(
@@ -631,23 +630,20 @@ def run_evaluate(cfg: RunConfig) -> None:
 
 def run_explain(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
-    splits = load_splits_csv(cfg.artifact("splits.csv", "split"))
-    fitted = load_fitted_featurizer(cfg)
     repeats = cfg.settings["explain"].get("repeats", 10)
     feature_bits = data.ehr.astype(np.uint8)
 
     # groups come from the full cohort so every split ranks the same partition
-    signals = explain.variable_signal(feature_bits, fitted)
-    groups = explain.correlation_groups(signals, fitted.config.variables)
+    signals = explain.variable_signal(feature_bits, data.fitted)
+    groups = explain.correlation_groups(signals, data.fitted.config.variables)
 
     for family in [f for f in ("ehr", "combined") if f in cfg.families()]:
         report_rows = []
         for d_idx, diag in enumerate(labels.DIAGNOSES):
             per_split_drops = []
-            for assignment in splits:
-                split_index = assignment.split_index
-                checkpoint = load_trained_checkpoint(cfg, family, split_index)
-                test_idx = split_indices(data, assignment, evaluation.ROLE_TEST)
+            for split_index in range(evaluation.N_SPLITS):
+                checkpoint = read_artifact(cfg, CHECKPOINT.format(family, split_index), models.load_checkpoint)
+                test_idx = data.split_indices(split_index, evaluation.ROLE_TEST)
                 emb, image_counts = data.images(test_idx)
 
                 def predict(bits: np.ndarray) -> np.ndarray:
@@ -660,7 +656,7 @@ def run_explain(cfg: RunConfig) -> None:
                 try:
                     drops = explain.permutation_importance(
                         predict, feature_bits[test_idx], data.label_matrix[test_idx, d_idx].astype(int),
-                        groups, fitted, rng, repeats=repeats,
+                        groups, data.fitted, rng, repeats=repeats,
                     )
                 except evaluation.SingleClass:
                     drops = None

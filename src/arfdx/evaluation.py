@@ -223,17 +223,17 @@ def threshold_at_ppv(preds, labels, target: float = OPERATING_PPV) -> ThresholdR
 
 
 def macro_average(per_diagnosis_values: Sequence[float]) -> float:
-    if len(per_diagnosis_values) != 3:
+    if len(per_diagnosis_values) != len(DIAGNOSES):
         raise EvalError("macro average expects one value per diagnosis")
-    return float(sum(per_diagnosis_values)) / 3.0
+    return float(sum(per_diagnosis_values)) / len(DIAGNOSES)
 
 
 def summarize_splits(values: Sequence[float]) -> tuple[float, float, float]:
-    """(median, min, max) over exactly five split values; median is exact."""
-    if len(values) != 5:
-        raise EvalError("cross-split summary expects exactly 5 values")
+    """(median, min, max) over exactly `N_SPLITS` split values; median is exact."""
+    if len(values) != N_SPLITS:
+        raise EvalError(f"cross-split summary expects exactly {N_SPLITS} values")
     ordered = sorted(float(v) for v in values)
-    return (ordered[2], ordered[0], ordered[4])
+    return (ordered[N_SPLITS // 2], ordered[0], ordered[-1])
 
 
 def macro_auroc(probs: np.ndarray, label_matrix: np.ndarray) -> float:

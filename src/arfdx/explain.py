@@ -95,7 +95,8 @@ def permutation_importance(
     groups: Sequence[FeatureGroup],
     fitted: FittedFeaturizer,
     rng: np.random.Generator,
-    repeats: int = 10,
+    *,
+    repeats: int,
 ) -> dict[str, float]:
     """Mean AUROC drop per group when its member columns are jointly shuffled.
 

@@ -494,7 +494,7 @@ def save_checkpoint(path, spec: ModelSpec, params: Params, hp: HyperParams, max_
 
 def load_checkpoint(path) -> Checkpoint:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if type(payload) is not dict or payload.get("format") != CHECKPOINT_FORMAT:
         raise ModelError(f"unrecognized checkpoint format in {path}")
     raw_spec = payload["spec"]
     if raw_spec["hidden"] != HIDDEN_UNITS or raw_spec["outputs"] != N_OUTPUTS:

@@ -253,7 +253,7 @@ def test_criterion_08_permutation_importance_sanity():
         test_idx = split_rng.permutation(n)[:120]
         drops = explain.permutation_importance(
             predict, bits[test_idx], y_all[test_idx], groups, fitted,
-            np.random.default_rng([109, split_index]),
+            np.random.default_rng([109, split_index]), repeats=10,
         )
         assert abs(drops["noise_a"]) < 1e-9
         assert abs(drops["noise_b"]) < 1e-9

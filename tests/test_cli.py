@@ -119,6 +119,22 @@ class TestPipelineStages:
         assert (out / "cohort_rejects.txt").read_text() == ""
 
 
+class TestArtifactTable:
+    def test_each_artifact_first_appears_after_its_writing_stage(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(MINI_CONFIG)
+        out = tmp_path / "out"
+        checkpoints = [cli.CHECKPOINT.format("ehr", k) for k in range(evaluation.N_SPLITS)]
+        for done, stage in enumerate(("synth", "label", "featurize", "split", "train"), start=1):
+            assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
+            for pattern, writer in cli.WRITTEN_BY.items():
+                assert bool(list(out.glob(pattern))) == (writer in cli.STAGES[:done]), (stage, pattern)
+            assert all((out / name).exists() == (stage == "train") for name in checkpoints)
+        for name, columns in cli.COLUMNS.items():
+            with (out / name).open(newline="") as handle:
+                assert tuple(list(csv.reader(handle))[1]) == columns
+
+
 class TestErrorHandling:
     def test_missing_config_file_exits_2(self, tmp_path):
         code = cli.main(["synth", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
@@ -144,7 +160,7 @@ class TestErrorHandling:
             assert code == cli.EXIT_CONFIG_ERROR
             assert "[train] families" in capsys.readouterr().err
 
-    def test_corrupt_checkpoint_exits_1(self, mini_run, capsys):
+    def test_corrupt_checkpoint_exits_2(self, mini_run, capsys):
         config, out = mini_run
         ckpt = out / "checkpoint_ehr_split0.json"
         payload = json.loads(ckpt.read_text())
@@ -152,8 +168,9 @@ class TestErrorHandling:
         payload["params"][name]["shape"] = [1, 1]
         ckpt.write_text(json.dumps(payload))
         code = cli.main(["evaluate", "--config", str(config), "--out", str(out)])
-        assert code == cli.EXIT_MODULE_ERROR
-        assert "ModelError" in capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"{ckpt} is malformed" in err and "has shape (1, 1)" in err and "rerun the train stage" in err
 
     def test_missing_cohort_input_exits_2(self, tmp_path):
         config = tmp_path / "run.ini"
@@ -375,7 +392,8 @@ class TestIncludedStays:
         assert all(len(s.image_refs) == 3 for s in included)
         assert included[2].image_refs == stays[2].studies[0].image_refs
 
-        _, rows = cli.read_csv_rows(out / "labels.csv")
+        with (out / "labels.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))[2:]
         label_ids = list(dict.fromkeys(row[0] for row in rows))
         assert label_ids == [s.patient_id for s in included]
         assert {row[5] for row in rows if row[0] == included[0].patient_id} == {labels.SOURCE_CODE_MED}
@@ -422,11 +440,17 @@ class TestIncludedStays:
             ("train", "features.ndjson", lambda line: line[: len(line) // 2]),
             ("evaluate", "features.ndjson", lambda line: json.dumps({"patient_id": json.loads(line)["patient_id"]})),
             ("train", "features.ndjson", lambda line: line.replace('", "patient_id"', 'ff", "patient_id"')),
+            ("train", "splits.csv", lambda line: line.rsplit(",", 1)[0]),
+            ("train", "splits.csv", lambda line: line.rsplit(",", 1)[0] + ",bogus"),
+            ("train", "splits.csv", lambda line: "7" + line[1:]),
+            ("train", "labels.csv", lambda line: ",".join(line.split(",")[:4] + ["7"] + line.split(",")[5:])),
+            ("featurize", "labels.csv", lambda line: line.replace(",pneumonia,", ",asthma,")),
         ],
         ids=[
             "truncated", "not-an-object", "refs-string", "refs-empty", "no-reviews-field", "review-short",
             "window-not-an-object", "window-list-value", "features-truncated", "features-no-bits",
-            "features-too-wide",
+            "features-too-wide", "splits-no-role", "splits-role-bogus", "splits-index-7", "labels-label-7",
+            "labels-unknown-diagnosis",
         ],
     )
     def test_corrupt_artifact_exits_2_naming_it(self, mini_run, capsys, stage, name, corrupt):
@@ -436,7 +460,35 @@ class TestIncludedStays:
         lines[2] = corrupt(lines[2])
         path.write_text("\n".join(lines) + "\n")
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
-        assert f"{path} line 3 is malformed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path} line 3 is malformed" in err and f"rerun the {cli.WRITTEN_BY[name]} stage" in err
+
+    @pytest.mark.parametrize(
+        "stage, name, corrupt, problem",
+        [
+            ("train", "featurizer.json", lambda text: "{not json", "Expecting property name"),
+            ("train", "featurizer.json",
+             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dim"}), "no key 'dim'"),
+            ("evaluate", "checkpoint_ehr_split0.json", lambda text: "{not json", "Expecting property name"),
+            ("evaluate", "checkpoint_ehr_split0.json", lambda text: "[]", "unrecognized checkpoint format"),
+            ("train", "splits.csv", lambda text: re.sub(r"(?m)^0,p03,.*\n", "", text),
+             "patient p03 needs one row for each of 0, 1, 2, 3, 4"),
+            ("train", "splits.csv", lambda text: text + "0,ghost,train\n", "patient ghost is not an included stay"),
+            ("evaluate", "features.ndjson", lambda text: re.sub(r'(?m)^.*"patient_id": "p01".*\n', "", text),
+             "patient p01 missing from the file"),
+        ],
+        ids=["featurizer-not-json", "featurizer-no-dim", "checkpoint-not-json", "checkpoint-not-an-object",
+             "splits-row-deleted", "splits-other-patient", "features-row-deleted"],
+    )
+    def test_corrupt_whole_artifact_exits_2_naming_it(self, mini_run, capsys, stage, name, corrupt, problem):
+        config, out = mini_run
+        path = out / name
+        path.write_text(corrupt(path.read_text()))
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        writer = "train" if name.startswith("checkpoint_") else cli.WRITTEN_BY[name]
+        # no line is named: the fault is in the whole file
+        assert f"{path} is malformed (" in err and problem in err and f"rerun the {writer} stage" in err
 
     def test_repeated_patient_exits_2(self, mini_run, capsys):
         config, out = mini_run

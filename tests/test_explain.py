@@ -137,13 +137,13 @@ class TestPermutationImportance:
 
     def test_unused_group_has_exactly_zero_drop(self):
         predict, bits, y, groups, fitted = self.planted_setup()
-        drops = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(0))
+        drops = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(0), repeats=10)
         assert drops["noise_a"] == 0.0
         assert drops["noise_b"] == 0.0
 
     def test_planted_group_has_maximal_drop(self):
         predict, bits, y, groups, fitted = self.planted_setup()
-        drops = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(1))
+        drops = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(1), repeats=10)
         assert drops["signal"] > 0.1
         assert drops["signal"] > drops["noise_a"]
         assert drops["signal"] > drops["noise_b"]
