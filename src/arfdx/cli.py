@@ -638,13 +638,16 @@ def run_explain(cfg: RunConfig) -> None:
     groups = explain.correlation_groups(signals, data.fitted.config.variables)
 
     for family in [f for f in ("ehr", "combined") if f in cfg.families()]:
+        # (checkpoint, test indices, their images) per split, read once for every diagnosis
+        splits = []
+        for split_index in range(evaluation.N_SPLITS):
+            test_idx = data.split_indices(split_index, evaluation.ROLE_TEST)
+            splits.append((read_artifact(cfg, CHECKPOINT.format(family, split_index), models.load_checkpoint),
+                           test_idx, *data.images(test_idx)))
         report_rows = []
         for d_idx, diag in enumerate(labels.DIAGNOSES):
             per_split_drops = []
-            for split_index in range(evaluation.N_SPLITS):
-                checkpoint = read_artifact(cfg, CHECKPOINT.format(family, split_index), models.load_checkpoint)
-                test_idx = data.split_indices(split_index, evaluation.ROLE_TEST)
-                emb, image_counts = data.images(test_idx)
+            for split_index, (checkpoint, test_idx, emb, image_counts) in enumerate(splits):
 
                 def predict(bits: np.ndarray) -> np.ndarray:
                     probs = models.predict(checkpoint.spec, checkpoint.params, bits.astype(float), emb, image_counts)

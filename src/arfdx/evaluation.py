@@ -91,11 +91,33 @@ def _validate_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ascending ranks of `values`; tied values share the average of their positions."""
-    _, block, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    # average 1-based rank (i + j) / 2 + 1 of each tied block, i..j its 0-based sorted positions
-    return ((ends - counts + ends - 1) / 2.0 + 1.0)[block]
+    """1-based ascending ranks along the last axis; tied values share the
+    average of their positions.
+
+    Each tied block i..j (0-based sorted positions) gets rank (i + j) / 2 + 1,
+    a multiple of 0.5, so sums of ranks are exact in float64. One row goes
+    through `np.unique`, the faster kernel for a single row; stacked rows
+    share one stable argsort and find their tie blocks from sorted neighbours.
+    """
+    values = np.asarray(values)
+    if values.ndim == 1:
+        _, block, counts = np.unique(values, return_inverse=True, return_counts=True)
+        ends = np.cumsum(counts)
+        return ((ends - counts + ends - 1) / 2.0 + 1.0)[block]
+    n = values.shape[-1]
+    # rows laid end to end: a tied block never crosses a row start, and a flat
+    # position minus its row's offset is its position within the row
+    offset = np.repeat(np.arange(values.size // n) * n, n)
+    order = np.argsort(values, axis=-1, kind="stable").reshape(-1) + offset
+    ordered = values.reshape(-1)[order]
+    new_block = np.empty(values.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new_block[1:])
+    new_block[::n] = True
+    starts = np.flatnonzero(new_block)
+    ends = np.append(starts[1:], values.size) - 1
+    ranks = np.empty(values.size)
+    ranks[order] = ((starts + ends) / 2.0)[np.cumsum(new_block) - 1] - offset + 1.0
+    return ranks.reshape(values.shape)
 
 
 def auroc(scores, labels) -> float:
@@ -236,23 +258,40 @@ def summarize_splits(values: Sequence[float]) -> tuple[float, float, float]:
     return (ordered[N_SPLITS // 2], ordered[0], ordered[-1])
 
 
-def macro_auroc(probs: np.ndarray, label_matrix: np.ndarray) -> float:
-    """Macro AUROC over the three diagnosis columns.
+def macro_auroc(probs: np.ndarray, label_matrix: np.ndarray) -> float | np.ndarray:
+    """Macro AUROC over the three diagnosis columns: a float for (n, 3)
+    probabilities, one value per config for stacked (G, n, 3) ones.
 
     Columns where the labels are single-class carry no ranking information
-    and are skipped; if every column is single-class this raises.
+    and are skipped; if every column is single-class this raises. Stacked
+    rows are ranked together and averaged column by column, left to right as
+    `np.mean` sums, so each equals the (n, 3) result for that row bit for bit.
     """
     probs = np.asarray(probs, dtype=float)
     label_matrix = np.asarray(label_matrix, dtype=int)
-    values = []
-    for col in range(label_matrix.shape[1]):
-        try:
-            values.append(auroc(probs[:, col], label_matrix[:, col]))
-        except SingleClass:
-            continue
-    if not values:
+    if probs.ndim == 2:
+        values = []
+        for col in range(label_matrix.shape[1]):
+            try:
+                values.append(auroc(probs[:, col], label_matrix[:, col]))
+            except SingleClass:
+                continue
+        if not values:
+            raise SingleClass("every diagnosis is single-class; macro AUROC undefined")
+        return float(np.mean(values))
+    n_pos = label_matrix.sum(axis=0)
+    n_neg = label_matrix.shape[0] - n_pos
+    cols = np.flatnonzero((n_pos > 0) & (n_neg > 0))
+    if cols.size == 0:
         raise SingleClass("every diagnosis is single-class; macro AUROC undefined")
-    return float(np.mean(values))
+    n_pos, n_neg = n_pos[cols], n_neg[cols]
+    ranks = average_ranks(probs[..., cols].swapaxes(-1, -2))  # (G, columns, n)
+    pos_rank_sum = (ranks * label_matrix[:, cols].T).sum(axis=-1)
+    values = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    total = values[..., 0].copy()
+    for k in range(1, cols.size):
+        total += values[..., k]
+    return total / cols.size
 
 
 def roc_points(scores, labels) -> list[tuple[float, float, float]]:

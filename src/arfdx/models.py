@@ -17,6 +17,15 @@ broadcast the shared batch across it, and a config that stops early is
 dropped from the stack. Unstacked parameters are the single-config case of
 the same kernels.
 
+Inside `train_stacked`, parameters, velocity, gradient and one scratch
+array are each one flat (G, P) buffer, P the architecture's parameter
+count, and the per-name arrays `forward` and `backward` read are views into
+them. A batch is one `backward` into the gradient views and one in-place
+`sgd_step` on the flat buffers. Each epoch gathers the shuffled training
+rows once and slices its batches from them, checks that every parameter is
+finite once, after its last batch, and scores every config's validation
+macro AUROC in one call.
+
 Training reads the first image of each patient's selected study; `predict`
 scores patients on every image of that study and averages per patient.
 """
@@ -24,6 +33,7 @@ scores patients on every image of that study and averages per patient.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -111,7 +121,7 @@ Params = dict[str, np.ndarray]
 
 
 class HyperParams(NamedTuple):
-    """One config's SGD rates; for stacked parameters, per-config (G, 1, 1) columns."""
+    """One config's SGD rates; for the flat (G, P) buffers of `sgd_step`, per-config (G, 1) columns."""
 
     learning_rate: float = 1e-1
     momentum: float = 0.9
@@ -233,40 +243,60 @@ def forward(spec: ModelSpec, params: Params, ehr=None, emb=None) -> np.ndarray:
     return _sigmoid(top_in @ _t(params[weight]) + params[bias])
 
 
-def backward(spec: ModelSpec, params: Params, ehr, emb, label_matrix) -> Params:
+def backward(spec: ModelSpec, params: Params, ehr, emb, label_matrix, out: Optional[Params] = None) -> Params:
     """Analytic gradient of the batch-mean cross-entropy for every parameter,
-    per config for stacked parameters."""
-    ehr, emb = _check_inputs(spec, ehr, emb)
-    y = np.atleast_2d(np.asarray(label_matrix, dtype=float))
-    n = y.shape[0]
-    if n == 0:
-        raise ModelError("cannot compute gradients on an empty batch")
+    per config for stacked parameters.
+
+    Without `out` the inputs are checked and the gradients allocated. With
+    `out` (arrays shaped like `params`, stacked) the gradients are written
+    into it and the inputs are taken as checked: `train_stacked` checks them
+    once per call."""
+    if out is None:
+        ehr, emb = _check_inputs(spec, ehr, emb)
+        label_matrix = np.atleast_2d(np.asarray(label_matrix, dtype=float))
+        if label_matrix.shape[0] == 0:
+            raise ModelError("cannot compute gradients on an empty batch")
+        out = {name: np.empty_like(value) for name, value in params.items()}
     top_in, weight, bias = _top_input(spec, params, ehr, emb)
-    dz = (_sigmoid(top_in @ _t(params[weight]) + params[bias]) - y) / n  # (..., n, 3)
-    grads = {weight: _t(dz) @ top_in, bias: dz.sum(axis=-2).reshape(params[bias].shape)}
+    dz = (_sigmoid(top_in @ _t(params[weight]) + params[bias]) - label_matrix) / label_matrix.shape[0]
+    stacked = dz.ndim == 3  # stacked bias gradients keep the batch axis: (G, 1, out)
+    np.matmul(_t(dz), top_in, out=out[weight])
+    np.add.reduce(dz, axis=-2, keepdims=stacked, out=out[bias])
     if spec.uses_hidden:
         # relu(p) > 0 exactly where p > 0, so the hidden units give the ReLU mask
         hidden = top_in[..., -HIDDEN_UNITS:]
         dhidden = (dz @ params[weight][..., -HIDDEN_UNITS:]) * (hidden > 0)
-        grads["W1"] = _t(dhidden) @ ehr
-        grads["b1"] = dhidden.sum(axis=-2).reshape(params["b1"].shape)
-    return grads
+        np.matmul(_t(dhidden), ehr, out=out["W1"])
+        np.add.reduce(dhidden, axis=-2, keepdims=stacked, out=out["b1"])
+    return out
 
 
-def sgd_step(params: Params, velocity: Params, grads: Params, hp: HyperParams) -> tuple[Params, Params]:
-    """v' = momentum v + (g + weight_decay theta); theta' = theta - lr v'.
+def sgd_step(theta: np.ndarray, velocity: np.ndarray, grads: np.ndarray, scratch: np.ndarray,
+             hp: HyperParams) -> None:
+    """v' = momentum v + (g + weight_decay theta); theta' = theta - lr v', in place.
 
-    For stacked parameters the rates are per-config columns."""
-    new_params: Params = {}
-    new_velocity: Params = {}
-    for name, theta in params.items():
-        v = hp.momentum * velocity[name] + (grads[name] + hp.weight_decay * theta)
-        updated = theta - hp.learning_rate * v
-        if not np.all(np.isfinite(updated)):
-            raise Diverged(f"non-finite update for parameter {name!r}")
-        new_params[name] = updated
-        new_velocity[name] = v
-    return new_params, new_velocity
+    All four arrays are flat (G, P) buffers and the rates (G, 1) columns;
+    `grads` and `scratch` are overwritten. Each product and sum is the one
+    the formula names (IEEE addition and multiplication commute), so the
+    result equals the out-of-place update bit for bit."""
+    np.multiply(hp.weight_decay, theta, out=scratch)
+    grads += scratch
+    velocity *= hp.momentum
+    velocity += grads
+    np.multiply(hp.learning_rate, velocity, out=scratch)
+    theta -= scratch
+
+
+def _stacked_views(flat: np.ndarray, spec: ModelSpec) -> Params:
+    """Each parameter of `spec` as a view into the rows of a flat (G, P)
+    buffer, P the architecture's parameter count: W (G, out, in), b (G, 1, out)."""
+    views: Params = {}
+    start = 0
+    for name, shape in spec.param_shapes().items():
+        size = math.prod(shape)
+        views[name] = flat[:, start : start + size].reshape((flat.shape[0],) + (1,) * (2 - len(shape)) + shape)
+        start += size
+    return views
 
 
 def train_stacked(
@@ -296,19 +326,23 @@ def train_stacked(
         raise ModelError("train and validation sets must be non-empty")
     train_ehr, train_emb = _check_inputs(spec, train_set.ehr, train_set.emb)
     val_ehr, val_emb = _check_inputs(spec, val_set.ehr, val_set.emb)
+    train_arrays = {"ehr": train_ehr, "emb": train_emb, "labels": train_set.labels}
+    shuffled = {key: np.empty_like(a) for key, a in train_arrays.items() if a is not None}
 
     rng = np.random.default_rng(seed)
     g_count = len(hps)
-    shapes = spec.param_shapes()
-    # every config starts from the same draw: W (G, out, in), b (G, 1, out)
-    theta = {
-        name: np.repeat(value.reshape((1,) * (3 - value.ndim) + value.shape), g_count, axis=0)
-        for name, value in init_params(spec, rng).items()
-    }
-    velocity = {name: np.zeros_like(value) for name, value in theta.items()}
-    best = {name: value.copy() for name, value in theta.items()}
+    n_params = sum(math.prod(shape) for shape in spec.param_shapes().values())
+    theta = np.empty((g_count, n_params))
+    theta_views = _stacked_views(theta, spec)
+    for name, value in init_params(spec, rng).items():
+        theta_views[name][...] = value  # every config starts from the same draw
+    velocity = np.zeros_like(theta)
+    grads = np.empty_like(theta)
+    scratch = np.empty_like(theta)
+    grad_views = _stacked_views(grads, spec)
+    best = theta.copy()
 
-    rates = HyperParams(*(np.array(column, dtype=float).reshape(g_count, 1, 1) for column in zip(*hps)))
+    rates = HyperParams(*(np.array(column, dtype=float).reshape(g_count, 1) for column in zip(*hps)))
     histories = [TrainHistory() for _ in hps]
     best_metric = [-np.inf] * g_count
     stale_epochs = [0] * g_count
@@ -317,29 +351,27 @@ def train_stacked(
 
     for epoch in range(1, max_epochs + 1):
         order = rng.permutation(n)
+        for key, target in shuffled.items():
+            np.take(train_arrays[key], order, axis=0, out=target)
         for start in range(0, n, BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            grads = backward(
-                spec, theta,
-                None if train_ehr is None else train_ehr[idx],
-                None if train_emb is None else train_emb[idx],
-                train_set.labels[idx],
-            )
-            try:
-                theta, velocity = sgd_step(theta, velocity, grads, rates)
-            except Diverged as exc:
-                raise Diverged(f"epoch {epoch}: {exc}") from exc
+            batch = {key: a[start : start + BATCH_SIZE] for key, a in shuffled.items()}
+            backward(spec, theta_views, batch.get("ehr"), batch.get("emb"), batch["labels"], out=grad_views)
+            sgd_step(theta, velocity, grads, scratch, rates)
+        # a non-finite parameter stays non-finite under the update (lr > 0),
+        # so one check per epoch names the epoch where the first one appeared
+        if not np.isfinite(theta).all():
+            name = next(name for name, value in theta_views.items() if not np.isfinite(value).all())
+            raise Diverged(f"epoch {epoch}: non-finite update for parameter {name!r}")
 
-        probs = forward(spec, theta, val_ehr, val_emb)
+        val_metrics = macro_auroc(forward(spec, theta_views, val_ehr, val_emb), val_set.labels).tolist()
         keep = np.ones(active.size, dtype=bool)
         for row, g in enumerate(active):
             history = histories[g]
-            val_metric = macro_auroc(probs[row], val_set.labels)
+            val_metric = val_metrics[row]
             history.val_auroc.append(val_metric)
             if val_metric > best_metric[g]:
                 best_metric[g] = val_metric
-                for name, value in theta.items():
-                    best[name][g] = value[row]
+                best[g] = theta[row]
                 history.best_epoch = epoch
                 stale_epochs[g] = 0
             else:
@@ -349,12 +381,15 @@ def train_stacked(
             active = active[keep]
             if active.size == 0:
                 break
-            theta = {name: value[keep] for name, value in theta.items()}
-            velocity = {name: value[keep] for name, value in velocity.items()}
+            theta, velocity = theta[keep], velocity[keep]
+            grads, scratch = grads[keep], scratch[keep]
+            theta_views, grad_views = _stacked_views(theta, spec), _stacked_views(grads, spec)
             rates = HyperParams(*(rate[keep] for rate in rates))
 
+    shapes = spec.param_shapes()
+    best_views = _stacked_views(best, spec)
     return [
-        ({name: value[g].reshape(shapes[name]).copy() for name, value in best.items()}, histories[g])
+        ({name: value[g].reshape(shapes[name]).copy() for name, value in best_views.items()}, histories[g])
         for g in range(g_count)
     ]
 

@@ -5,10 +5,11 @@ counting, AUPR, ROC points and the PPV operating point by recounting the
 confusion at every distinct threshold (AUPR also by walking tied blocks),
 gradients by central finite differences through the batch-mean
 cross-entropy `loss` (the package computes only its analytic gradient),
-training by the plain one-config, one-batch-at-a-time loop, prediction by
-one forward per patient and image, stay parsing by one `_require` call per
-field, window values by one scan of the events per variable, and the pooled
-agreement table by a loop over every reviewer pair.
+training by the plain one-config, one-batch-at-a-time loop with the
+functional SGD update (the package updates flat buffers in place),
+prediction by one forward per patient and image, stay parsing by one
+`_require` call per field, window values by one scan of the events per
+variable, and the pooled agreement table by a loop over every reviewer pair.
 """
 
 import math
@@ -124,9 +125,25 @@ def threshold_at_ppv_loop(preds, labels, target):
     return best[:3] + dor_from_confusion(*best[3]) + (best[3],)
 
 
+def sgd_step_reference(params, velocity, grads, hp):
+    """The functional update: v' = momentum v + (g + weight_decay theta);
+    theta' = theta - lr v', as new arrays, raising on a non-finite theta'."""
+    new_params = {}
+    new_velocity = {}
+    for name, theta in params.items():
+        v = hp.momentum * velocity[name] + (grads[name] + hp.weight_decay * theta)
+        updated = theta - hp.learning_rate * v
+        if not np.all(np.isfinite(updated)):
+            raise models.Diverged(f"non-finite update for parameter {name!r}")
+        new_params[name] = updated
+        new_velocity[name] = v
+    return new_params, new_velocity
+
+
 def train_reference(spec, hp, train_set, val_set, seed, max_epochs):
-    """One config trained alone, one batch at a time, through the public
-    single-config kernels: (best params, per-epoch val macro AUROC, best epoch)."""
+    """One config trained alone, one batch at a time, through the unstacked
+    `models.backward`, the functional update above and the (n, 3)
+    `macro_auroc`: (best params, per-epoch val macro AUROC, best epoch)."""
     rng = np.random.default_rng(seed)
     params = models.init_params(spec, rng)
     velocity = {name: np.zeros_like(value) for name, value in params.items()}
@@ -148,7 +165,7 @@ def train_reference(spec, hp, train_set, val_set, seed, max_epochs):
                 None if emb is None else emb[idx],
                 train_set.labels[idx],
             )
-            params, velocity = models.sgd_step(params, velocity, grads, hp)
+            params, velocity = sgd_step_reference(params, velocity, grads, hp)
         metric = macro_auroc(models.forward(spec, params, val_ehr, val_emb), val_set.labels)
         val_aurocs.append(metric)
         if metric > best_metric:
@@ -177,33 +194,39 @@ PROB_EPS = 1e-7  # loss clamp to keep log() finite
 
 
 def loss(probs, label_matrix):
-    """Batch-mean cross-entropy summed over the three sigmoid outputs.
+    """Batch-mean cross-entropy summed over the three sigmoid outputs: a float
+    for (n, 3) probabilities, one value per config for stacked (G, n, 3) ones.
 
     Probabilities are clamped to [eps, 1-eps] before the logs; the L2 penalty
     is applied by the optimizer update, not included here.
     """
     probs = np.clip(np.atleast_2d(np.asarray(probs, dtype=float)), PROB_EPS, 1.0 - PROB_EPS)
     y = np.atleast_2d(np.asarray(label_matrix, dtype=float))
-    per_sample = -(y * np.log(probs) + (1.0 - y) * np.log(1.0 - probs)).sum(axis=1)
-    return float(per_sample.mean())
+    per_sample = -(y * np.log(probs) + (1.0 - y) * np.log(1.0 - probs)).sum(axis=-1)
+    if per_sample.ndim == 1:
+        return float(per_sample.mean())
+    return per_sample.mean(axis=-1)
 
 
 def finite_diff_grads(spec, params, ehr, emb, y, h=1e-4):
-    """Central finite differences of the batch-mean loss, per coordinate."""
+    """Central finite differences of the batch-mean loss, per coordinate.
+
+    For each parameter of size s, its 2s perturbed copies (+h at coordinate
+    i in copy i, -h in copy s + i, every other parameter unchanged) are
+    stacked along the config axis and scored by one forward."""
     grads = {}
     for name, theta in params.items():
-        grad = np.zeros_like(theta)
-        flat = theta.ravel()
-        grad_flat = grad.ravel()
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + h
-            loss_plus = loss(models.forward(spec, params, ehr, emb), y)
-            flat[i] = original - h
-            loss_minus = loss(models.forward(spec, params, ehr, emb), y)
-            flat[i] = original
-            grad_flat[i] = (loss_plus - loss_minus) / (2.0 * h)
-        grads[name] = grad
+        size = theta.size
+        stacked = {
+            other: np.repeat(value.reshape((1,) * (3 - value.ndim) + value.shape), 2 * size, axis=0)
+            for other, value in params.items()
+        }
+        copies = stacked[name].reshape(2 * size, size)
+        coordinate = np.arange(size)
+        copies[coordinate, coordinate] = theta.ravel() + h
+        copies[size + coordinate, coordinate] = theta.ravel() - h
+        losses = loss(models.forward(spec, stacked, ehr, emb), y)
+        grads[name] = ((losses[:size] - losses[size:]) / (2.0 * h)).reshape(theta.shape)
     return grads
 
 

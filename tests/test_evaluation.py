@@ -3,6 +3,7 @@ import typing
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from arfdx.evaluation import (
     ROLE_TEST,
@@ -17,6 +18,7 @@ from arfdx.evaluation import (
     SingleClass,
     aupr,
     auroc,
+    average_ranks,
     calibration,
     dor_from_confusion,
     macro_auroc,
@@ -303,6 +305,55 @@ class TestAggregation:
         assert macro_auroc(probs, labels) == 1.0
         with pytest.raises(SingleClass):
             macro_auroc(probs, np.array([[1, 1, 1], [1, 1, 1]]))
+
+
+@st.composite
+def stacked_probs_and_labels(draw):
+    """(G, n, 3) probabilities on a coarse grid (heavy ties) and (n, 3) 0/1
+    labels; each label column may be held single-class."""
+    g = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=25))
+    grid = draw(st.sampled_from((2, 5, 20)))
+    probs = draw(arrays(np.int64, (g, n, 3), elements=st.integers(0, grid))) / grid
+    labels = draw(arrays(np.int64, (n, 3), elements=st.integers(0, 1)))
+    for col, held in enumerate(draw(st.lists(st.sampled_from((None, 0, 1)), min_size=3, max_size=3))):
+        if held is not None:
+            labels[:, col] = held
+    return probs, labels
+
+
+class TestStackedMacroAuroc:
+    @given(stacked_probs_and_labels())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_row_result_and_the_bruteforce_oracle(self, case):
+        probs, labels = case
+        ranked = average_ranks(probs.swapaxes(-1, -2))
+        assert all(np.array_equal(ranked[g, col], average_ranks(probs[g, :, col]))
+                   for g in range(len(probs)) for col in range(3))
+        scored = [col for col in range(3) if 0 < labels[:, col].sum() < len(labels)]
+        if not scored:
+            with pytest.raises(SingleClass):
+                macro_auroc(probs, labels)
+            return
+        stacked = macro_auroc(probs, labels)
+        assert stacked.shape == (len(probs),)
+        for row, value in zip(probs, stacked):
+            assert value == macro_auroc(row, labels)  # bit for bit
+        for col in scored:
+            # every other column single-class: the macro value is this column's AUROC
+            alone = np.zeros_like(labels)
+            alone[:, col] = labels[:, col]
+            for row, value in zip(probs, macro_auroc(probs, alone)):
+                assert abs(value - auroc_bruteforce(row[:, col], labels[:, col])) <= 1e-12
+
+    def test_columns_are_averaged_left_to_right(self):
+        rng = np.random.default_rng(31)
+        probs = rng.random((40, 60, 3))
+        labels = (rng.random((60, 3)) < 0.4).astype(int)
+        columns = [[auroc(row[:, col], labels[:, col]) for col in range(3)] for row in probs]
+        # the case tells summation orders apart: some row's sum depends on it
+        assert any((a + b) + c != (c + b) + a for a, b, c in columns)
+        assert macro_auroc(probs, labels).tolist() == [macro_auroc(row, labels) for row in probs]
 
 
 class TestRocPoints:

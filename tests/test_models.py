@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -24,7 +25,8 @@ from arfdx.models import (
     train_stacked,
 )
 from oracles import (
-    finite_diff_grads, loss, max_relative_error, predict_patient, random_gradcheck_instance, train_reference,
+    finite_diff_grads, loss, max_relative_error, predict_patient, random_gradcheck_instance, sgd_step_reference,
+    train_reference,
 )
 
 ALL_SPECS = [
@@ -142,21 +144,22 @@ class TestSgdStep:
 
     def test_first_step(self):
         params, velocity = {"w": np.array([0.0])}, {"w": np.array([0.0])}
-        new_params, new_velocity = sgd_step(params, velocity, {"w": np.array([1.0])}, self.hp())
+        new_params, new_velocity = sgd_step_reference(params, velocity, {"w": np.array([1.0])}, self.hp())
         assert new_params["w"][0] == pytest.approx(-0.1, abs=1e-15)
         assert new_velocity["w"][0] == pytest.approx(1.0)
 
     def test_second_identical_step_accumulates_momentum(self):
         params, velocity = {"w": np.array([0.0])}, {"w": np.array([0.0])}
         grads = {"w": np.array([1.0])}
-        params, velocity = sgd_step(params, velocity, grads, self.hp())
-        params, velocity = sgd_step(params, velocity, grads, self.hp())
+        params, velocity = sgd_step_reference(params, velocity, grads, self.hp())
+        params, velocity = sgd_step_reference(params, velocity, grads, self.hp())
         assert velocity["w"][0] == pytest.approx(1.9, abs=1e-12)
         assert params["w"][0] == pytest.approx(-0.29, abs=1e-12)
 
     def test_decay_only_step(self):
         params, velocity = {"w": np.array([1.0])}, {"w": np.array([0.0])}
-        new_params, _ = sgd_step(params, velocity, {"w": np.array([0.0])}, self.hp(lr=1.0, momentum=0.0, wd=0.1))
+        new_params, _ = sgd_step_reference(params, velocity, {"w": np.array([0.0])},
+                                           self.hp(lr=1.0, momentum=0.0, wd=0.1))
         assert new_params["w"][0] == pytest.approx(0.9, abs=1e-15)
 
     def test_reduces_to_vanilla_gradient_descent(self):
@@ -164,13 +167,41 @@ class TestSgdStep:
         theta = rng.normal(size=(3, 4))
         grad = rng.normal(size=(3, 4))
         hp = HyperParams(learning_rate=0.05, momentum=0.0, weight_decay=0.0)
-        new_params, _ = sgd_step({"w": theta}, {"w": np.zeros_like(theta)}, {"w": grad}, hp)
+        new_params, _ = sgd_step_reference({"w": theta}, {"w": np.zeros_like(theta)}, {"w": grad}, hp)
         assert np.array_equal(new_params["w"], theta - 0.05 * grad)
 
     def test_non_finite_update_raises(self):
         params, velocity = {"w": np.array([0.0])}, {"w": np.array([0.0])}
         with pytest.raises(Diverged):
-            sgd_step(params, velocity, {"w": np.array([np.inf])}, self.hp())
+            sgd_step_reference(params, velocity, {"w": np.array([np.inf])}, self.hp())
+
+    def test_in_place_update_equals_the_functional_reference(self):
+        # 50 steps on flat (G, P) buffers against the reference per config,
+        # with two configs leaving the stack after step 25
+        rng = np.random.default_rng(11)
+        hps = [HyperParams(float(lr), float(m), float(wd)) for lr, m, wd in zip(
+            rng.choice(models.LEARNING_RATE_GRID, 5), rng.choice(models.MOMENTUM_GRID, 5),
+            rng.choice(models.WEIGHT_DECAY_GRID, 5),
+        )]
+        theta = rng.normal(size=(5, 17))
+        velocity = np.zeros_like(theta)
+        grads, scratch = np.empty_like(theta), np.empty_like(theta)
+        reference = [({"w": row.copy()}, {"w": np.zeros(17)}) for row in theta]
+        active = np.arange(5)
+        rates = HyperParams(*(np.array(column).reshape(5, 1) for column in zip(*hps)))
+        for step in range(50):
+            if step == 25:
+                keep = np.array([True, False, True, True, False])
+                active = active[keep]
+                theta, velocity, grads, scratch = theta[keep], velocity[keep], grads[keep], scratch[keep]
+                rates = HyperParams(*(rate[keep] for rate in rates))
+            step_grads = rng.normal(size=theta.shape)
+            grads[...] = step_grads
+            sgd_step(theta, velocity, grads, scratch, rates)
+            for row, g in enumerate(active):
+                reference[g] = sgd_step_reference(*reference[g], {"w": step_grads[row]}, hps[g])
+                assert np.array_equal(theta[row], reference[g][0]["w"])
+                assert np.array_equal(velocity[row], reference[g][1]["w"])
 
 
 def separable_dataset(n, rng):
@@ -285,6 +316,34 @@ class TestTrainStacked:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(Diverged, match=r"^epoch 1: non-finite update"):
                 train_stacked(STACK_SPECS[1], hps, data, data, seed=0, max_epochs=5)
+
+    @pytest.mark.parametrize("rate, epoch", [(1e40, 2), (1e20, 3)])
+    def test_divergence_after_the_first_epoch_names_its_epoch(self, rate, epoch):
+        # weight decay times learning rate multiplies theta by about -rate**2
+        # a step, so it overflows after a few of the two batches per epoch
+        data = noisy_dataset(40, np.random.default_rng(22))
+        hps = [HyperParams(learning_rate=0.1), HyperParams(learning_rate=rate, momentum=0.9, weight_decay=rate)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Diverged, match=rf"^epoch {epoch}: non-finite update"):
+                train_stacked(STACK_SPECS[1], hps, data, data, seed=0, max_epochs=10)
+
+    def test_default_grid_size_equals_the_reference_loop(self):
+        rng = np.random.default_rng(19)
+        train_set, val_set = noisy_dataset(40, rng), noisy_dataset(20, rng)
+        grid = SweepGrid()
+        hps = [HyperParams(*rates) for rates in
+               itertools.product(grid.learning_rates, grid.momentums, grid.weight_decays)]
+        assert len(hps) == 48
+        spec = STACK_SPECS[4]  # combined_hidden
+        stacked = train_stacked(spec, hps, train_set, val_set, seed=8, max_epochs=3)
+        for config in (0, 17, 47):
+            params, history = stacked[config]
+            ref_params, ref_aurocs, ref_best_epoch = train_reference(
+                spec, hps[config], train_set, val_set, seed=8, max_epochs=3
+            )
+            assert history.val_auroc == ref_aurocs
+            assert history.best_epoch == ref_best_epoch
+            assert all(np.array_equal(params[name], ref_params[name]) for name in ref_params)
 
 
 class TestSweep:
