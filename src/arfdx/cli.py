@@ -408,7 +408,7 @@ def assemble_data(cfg: RunConfig) -> PipelineData:
         for ref in stay.image_refs:
             if ref not in embeddings:
                 raise ConfigError(f"image {ref} missing from the embedding file")
-            emb_rows.append(embeddings[ref].vector)
+            emb_rows.append(embeddings[ref])
         ehr_rows.append(features[stay.patient_id].astype(float))
     return PipelineData(
         patient_ids=patient_ids,
@@ -631,39 +631,30 @@ def run_evaluate(cfg: RunConfig) -> None:
 def run_explain(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
     repeats = cfg.settings["explain"].get("repeats", 10)
-    feature_bits = data.ehr.astype(np.uint8)
 
     # groups come from the full cohort so every split ranks the same partition
-    signals = explain.variable_signal(feature_bits, data.fitted)
+    signals = explain.variable_signal(data.ehr, data.fitted)
     groups = explain.correlation_groups(signals, data.fitted.config.variables)
 
     for family in [f for f in ("ehr", "combined") if f in cfg.families()]:
-        # (checkpoint, test indices, their images) per split, read once for every diagnosis
-        splits = []
+        # per split, one {group: drop} per diagnosis (None where it is single-class),
+        # all three from one permutation stream
+        per_split = []
         for split_index in range(evaluation.N_SPLITS):
             test_idx = data.split_indices(split_index, evaluation.ROLE_TEST)
-            splits.append((read_artifact(cfg, CHECKPOINT.format(family, split_index), models.load_checkpoint),
-                           test_idx, *data.images(test_idx)))
+            checkpoint = read_artifact(cfg, CHECKPOINT.format(family, split_index), models.load_checkpoint)
+            emb, image_counts = data.images(test_idx)
+
+            def predict(features: np.ndarray) -> np.ndarray:
+                return models.predict(checkpoint.spec, checkpoint.params, features, emb, image_counts)
+
+            rng = np.random.default_rng(stage_seed(cfg.seed, f"explain/{family}/split{split_index}"))
+            per_split.append(explain.permutation_importance(
+                predict, data.ehr[test_idx], data.label_matrix[test_idx], groups, data.fitted, rng, repeats=repeats,
+            ))
         report_rows = []
         for d_idx, diag in enumerate(labels.DIAGNOSES):
-            per_split_drops = []
-            for split_index, (checkpoint, test_idx, emb, image_counts) in enumerate(splits):
-
-                def predict(bits: np.ndarray) -> np.ndarray:
-                    probs = models.predict(checkpoint.spec, checkpoint.params, bits.astype(float), emb, image_counts)
-                    return probs[:, d_idx]
-
-                rng = np.random.default_rng(
-                    stage_seed(cfg.seed, f"explain/{family}/split{split_index}/{diag}")
-                )
-                try:
-                    drops = explain.permutation_importance(
-                        predict, feature_bits[test_idx], data.label_matrix[test_idx, d_idx].astype(int),
-                        groups, data.fitted, rng, repeats=repeats,
-                    )
-                except evaluation.SingleClass:
-                    drops = None
-                per_split_drops.append(drops)
+            per_split_drops = [drops[d_idx] for drops in per_split]
             if any(d is None for d in per_split_drops):
                 report_rows.append([diag, "(single-class split; importance undefined)", None, None, None])
                 continue

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from ._util import atomic_write_text
 from .labels import ChartReview
@@ -58,8 +58,7 @@ class NoStudy(CohortError):
     pass
 
 
-@dataclass(frozen=True)
-class ObservationEvent:
+class ObservationEvent(NamedTuple):
     variable: str
     time: int
     value: object  # float, categorical token, or None when not recorded
@@ -160,12 +159,12 @@ def window_values(stay: PatientStay, min_window: int = MINUTES_PER_DAY) -> dict[
     start, end = observation_window(stay, min_window)
     values: dict[str, object] = {}
     latest: dict[str, int] = {}
-    for event in stay.events:
-        if start <= event.time <= end and event.time >= latest.get(event.variable, start):
-            latest[event.variable] = event.time
-            values[event.variable] = event.value
+    for variable, time, value in stay.events:
+        if start <= time <= end and time >= latest.get(variable, start):
+            latest[variable] = time
+            values[variable] = value
         else:
-            values.setdefault(event.variable, None)
+            values.setdefault(variable, None)
     return values
 
 
@@ -391,7 +390,7 @@ def stay_to_json(stay: PatientStay) -> str:
     text = _ENCODER.encode(record)
     # sorted keys: "events" goes between "admit_time" (an integer) and "icd_codes"
     cut = text.index(',"icd_codes":')
-    events = [{"variable": e.variable, "time": e.time, "value": e.value} for e in stay.events]
+    events = [{"variable": variable, "time": time, "value": value} for variable, time, value in stay.events]
     pieces = [text[:cut], ',"events":[']
     for start in range(0, len(events), _EVENTS_PER_ENCODE):
         if start:

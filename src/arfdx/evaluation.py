@@ -258,6 +258,25 @@ def summarize_splits(values: Sequence[float]) -> tuple[float, float, float]:
     return (ordered[N_SPLITS // 2], ordered[0], ordered[-1])
 
 
+def column_aurocs(probs: np.ndarray, label_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The label columns holding both classes, and the AUROC of each, shape
+    (..., columns) for (..., n, k) scores, from one stacked rank pass.
+
+    Ranks are multiples of 0.5, so their sums are exact and each value equals
+    `auroc` on that column bit for bit.
+    """
+    label_matrix = np.asarray(label_matrix, dtype=int)
+    n_pos = label_matrix.sum(axis=0)
+    n_neg = label_matrix.shape[0] - n_pos
+    cols = np.flatnonzero((n_pos > 0) & (n_neg > 0))
+    if cols.size == 0:
+        return cols, np.empty(probs.shape[:-2] + (0,))
+    n_pos, n_neg = n_pos[cols], n_neg[cols]
+    ranks = average_ranks(probs[..., cols].swapaxes(-1, -2))  # (..., columns, n)
+    pos_rank_sum = (ranks * label_matrix[:, cols].T).sum(axis=-1)
+    return cols, (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def macro_auroc(probs: np.ndarray, label_matrix: np.ndarray) -> float | np.ndarray:
     """Macro AUROC over the three diagnosis columns: a float for (n, 3)
     probabilities, one value per config for stacked (G, n, 3) ones.
@@ -279,15 +298,9 @@ def macro_auroc(probs: np.ndarray, label_matrix: np.ndarray) -> float | np.ndarr
         if not values:
             raise SingleClass("every diagnosis is single-class; macro AUROC undefined")
         return float(np.mean(values))
-    n_pos = label_matrix.sum(axis=0)
-    n_neg = label_matrix.shape[0] - n_pos
-    cols = np.flatnonzero((n_pos > 0) & (n_neg > 0))
+    cols, values = column_aurocs(probs, label_matrix)
     if cols.size == 0:
         raise SingleClass("every diagnosis is single-class; macro AUROC undefined")
-    n_pos, n_neg = n_pos[cols], n_neg[cols]
-    ranks = average_ranks(probs[..., cols].swapaxes(-1, -2))  # (G, columns, n)
-    pos_rank_sum = (ranks * label_matrix[:, cols].T).sum(axis=-1)
-    values = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     total = values[..., 0].copy()
     for k in range(1, cols.size):
         total += values[..., k]

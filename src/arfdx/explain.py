@@ -10,11 +10,11 @@ splits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .evaluation import auroc, average_ranks
+from .evaluation import average_ranks, column_aurocs
 from .featurize import FittedFeaturizer
 
 
@@ -90,39 +90,48 @@ def correlation_groups(signals: np.ndarray, variable_names: Sequence[str]) -> li
 
 def permutation_importance(
     predict: Callable[[np.ndarray], np.ndarray],
-    feature_bits: np.ndarray,
+    features: np.ndarray,
     y: np.ndarray,
     groups: Sequence[FeatureGroup],
     fitted: FittedFeaturizer,
     rng: np.random.Generator,
     *,
     repeats: int,
-) -> dict[str, float]:
-    """Mean AUROC drop per group when its member columns are jointly shuffled.
+) -> list[Optional[dict[str, float]]]:
+    """Mean AUROC drop per group when its member columns are jointly shuffled,
+    for every label column at once.
 
-    One shared permutation covers every member variable's block per repeat,
-    preserving within-group structure under the null. `predict` maps a
-    feature matrix to one score per patient for the diagnosis under study.
+    `predict` maps an (n, d) feature matrix to (n, k) scores and `y` holds the
+    (n, k) labels. One shared permutation covers every member variable's block
+    per repeat, preserving within-group structure under the null, and every
+    column is scored from the same permuted matrix. Returns one
+    {group_id: mean drop} per column, None for a column that is single-class.
     Per-group generators are spawned from `rng` in group order, so groups
     could be evaluated in parallel without changing results.
+
+    The permuted matrix is one copy of `features`, refilled in place: a repeat
+    rewrites only the group's columns, and they are restored after the group.
+    `predict` must not keep the matrix it is given.
     """
-    feature_bits = np.asarray(feature_bits)
-    baseline = auroc(predict(feature_bits), y)
+    features = np.asarray(features)
+    cols, baseline = column_aurocs(predict(features), y)
+    drops: list[Optional[dict[str, float]]] = [{} if col in cols else None for col in range(np.shape(y)[1])]
     slices = fitted.block_slices()
-    n = feature_bits.shape[0]
+    n = features.shape[0]
+    shuffled = features.copy()
     group_rngs = rng.spawn(len(groups))
-    drops: dict[str, float] = {}
     for group, group_rng in zip(groups, group_rngs):
         columns = np.concatenate(
             [np.arange(slices[var].start, slices[var].stop) for var in group.members]
         )
-        total = 0.0
+        total = np.zeros(cols.size)
         for _ in range(repeats):
             perm = group_rng.permutation(n)
-            shuffled = feature_bits.copy()
-            shuffled[:, columns] = feature_bits[perm][:, columns]
-            total += baseline - auroc(predict(shuffled), y)
-        drops[group.group_id] = total / repeats
+            shuffled[:, columns] = features[perm[:, None], columns]
+            total += baseline - column_aurocs(predict(shuffled), y)[1]
+        shuffled[:, columns] = features[:, columns]
+        for col, drop in zip(cols, (total / repeats).tolist()):
+            drops[col][group.group_id] = drop
     return drops
 
 

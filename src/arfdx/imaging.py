@@ -76,7 +76,8 @@ def write_embeddings(path, embeddings: Iterable[ImageEmbedding]) -> None:
     atomic_write_bytes(path, embeddings_to_bytes(embeddings))
 
 
-def load_embeddings(path) -> dict[str, ImageEmbedding]:
+def load_embeddings(path) -> dict[str, np.ndarray]:
+    """{image id: float32 vector}, every vector a row view of one (count, width) matrix."""
     data = Path(path).read_bytes()
     if data[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
         raise FormatError("bad embedding file magic")
@@ -85,7 +86,9 @@ def load_embeddings(path) -> dict[str, ImageEmbedding]:
         raise FormatError("truncated embedding header")
     count, width = struct.unpack_from("<II", data, offset)
     offset += 8
-    out: dict[str, ImageEmbedding] = {}
+    if count and width < 1:
+        raise FormatError(f"embedding file declares width {width} for {count} records")
+    vector_starts: dict[str, int] = {}  # image id -> byte offset of its vector
     for _ in range(count):
         if len(data) < offset + 2:
             raise FormatError("truncated embedding record")
@@ -95,13 +98,16 @@ def load_embeddings(path) -> dict[str, ImageEmbedding]:
         if len(data) < end:
             raise FormatError("truncated embedding record")
         image_id = data[offset : offset + id_len].decode("utf-8")
-        offset += id_len
-        vector = np.frombuffer(data, dtype="<f4", count=width, offset=offset).copy()
-        offset = end
-        if image_id in out:
+        if image_id in vector_starts:
             raise FormatError(f"duplicate embedding id {image_id!r}")
-        out[image_id] = ImageEmbedding(study_image_id=image_id, vector=vector)
+        vector_starts[image_id] = offset + id_len
+        offset = end
     if offset != len(data):
         raise FormatError("trailing bytes after final embedding record")
-    return out
-
+    byte_index = np.fromiter(vector_starts.values(), dtype=np.intp, count=count)[:, None] + np.arange(4 * width)
+    matrix = np.frombuffer(data, dtype=np.uint8)[byte_index].view("<f4").astype(np.float32, copy=False)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        first_bad = list(vector_starts)[int(np.argmin(finite))]
+        raise ImagingError(f"embedding {first_bad!r} has non-finite entries")
+    return dict(zip(vector_starts, matrix))

@@ -27,7 +27,9 @@ finite once, after its last batch, and scores every config's validation
 macro AUROC in one call.
 
 Training reads the first image of each patient's selected study; `predict`
-scores patients on every image of that study and averages per patient.
+scores patients on every image of that study and averages per patient. It
+computes each patient's EHR part (features, or hidden units) once and
+repeats it per image.
 """
 
 from __future__ import annotations
@@ -214,24 +216,31 @@ def _concat(emb: np.ndarray, x: np.ndarray) -> np.ndarray:
 # gain the same leading axis as the parameters.
 
 
-def _top_input(spec: ModelSpec, params: Params, ehr, emb) -> tuple[np.ndarray, str, str]:
+def _top_input(spec: ModelSpec, params: Params, ehr, emb, image_counts=None) -> tuple[np.ndarray, str, str]:
     """The output layer's input and the names of its weight and bias.
 
     The input is [m ; x], [m ; relu(W1 x + b1)] or either part alone, as the
     architecture has an embedding m, EHR features x and a hidden layer; the
-    hidden units, when present, are its last `HIDDEN_UNITS` columns.
+    hidden units, when present, are its last `HIDDEN_UNITS` columns. With
+    `image_counts`, `ehr` holds one row per patient and `emb` one per image:
+    the EHR part is computed per patient, then repeated for each image.
     """
     if spec.uses_hidden:
         x, weight, bias = np.maximum(ehr @ _t(params["W1"]) + params["b1"], 0.0), "W2", "b2"
     else:
         x, weight, bias = ehr, "W", "b"
     if spec.needs_emb:
+        if x is not None and image_counts is not None:
+            x = np.repeat(x, image_counts, axis=-2)
         x = emb if x is None else _concat(emb, x)
     return x, weight, bias
 
 
-def forward(spec: ModelSpec, params: Params, ehr=None, emb=None) -> np.ndarray:
+def forward(spec: ModelSpec, params: Params, ehr=None, emb=None, image_counts=None) -> np.ndarray:
     """Per-diagnosis probabilities, shape (n, 3), or (G, n, 3) for stacked parameters.
+
+    With `image_counts`, `ehr` has one row per patient and `emb`
+    `image_counts[i]` rows for patient i, and there is one output row per image.
 
     ehr_linear:      sigmoid(W x + b)
     ehr_two_layer:   sigmoid(W2 relu(W1 x + b1) + b2)
@@ -239,7 +248,7 @@ def forward(spec: ModelSpec, params: Params, ehr=None, emb=None) -> np.ndarray:
     combined_direct: sigmoid(W [m ; x] + b)
     combined_hidden: sigmoid(W2 [m ; relu(W1 x + b1)] + b2)
     """
-    top_in, weight, bias = _top_input(spec, params, *_check_inputs(spec, ehr, emb))
+    top_in, weight, bias = _top_input(spec, params, *_check_inputs(spec, ehr, emb), image_counts)
     return _sigmoid(top_in @ _t(params[weight]) + params[bias])
 
 
@@ -469,7 +478,8 @@ def predict(spec: ModelSpec, params: Params, ehr, emb, image_counts) -> np.ndarr
     `emb` holds every image of each patient's selected study, patient by
     patient, `image_counts[i]` rows for patient i. Image and combined models
     run one forward over all (patient, image) rows and average each patient's
-    rows; EHR models ignore the images.
+    rows; the EHR part of that forward (the features, or the hidden units) is
+    computed once per patient. EHR models ignore the images.
     """
     if not spec.needs_emb:
         return forward(spec, params, ehr=ehr)
@@ -478,7 +488,7 @@ def predict(spec: ModelSpec, params: Params, ehr, emb, image_counts) -> np.ndarr
         raise ModelError(f"{spec.kind.value} needs at least one image embedding per patient")
     if emb is None or len(emb) != counts.sum():
         raise ModelError(f"{spec.kind.value} needs one embedding row per counted image ({counts.sum()})")
-    per_image = forward(spec, params, ehr=np.repeat(ehr, counts, axis=0) if spec.needs_ehr else None, emb=emb)
+    per_image = forward(spec, params, ehr=ehr, emb=emb, image_counts=counts)
     return np.add.reduceat(per_image, np.cumsum(counts) - counts, axis=0) / counts[:, None]
 
 

@@ -7,9 +7,11 @@ gradients by central finite differences through the batch-mean
 cross-entropy `loss` (the package computes only its analytic gradient),
 training by the plain one-config, one-batch-at-a-time loop with the
 functional SGD update (the package updates flat buffers in place),
-prediction by one forward per patient and image, stay parsing by one
-`_require` call per field, window values by one scan of the events per
-variable, and the pooled agreement table by a loop over every reviewer pair.
+prediction by one forward per patient and image (or over EHR rows repeated
+per image), permutation importance by one scalar AUROC per label column and
+permuted matrix, stay parsing by one `_require` call per field, window
+values by one scan of the events per variable, and the pooled agreement
+table by a loop over every reviewer pair.
 """
 
 import math
@@ -25,7 +27,7 @@ from arfdx.cohort import (
     PatientStay,
     map_support_kind,
 )
-from arfdx.evaluation import dor_from_confusion, macro_auroc
+from arfdx.evaluation import SingleClass, auroc, dor_from_confusion, macro_auroc
 from arfdx.labels import ChartReview, LabelError
 
 
@@ -188,6 +190,17 @@ def predict_patient(spec, params, ehr_x=None, embeddings=None):
         for emb in embeddings
     ]
     return np.mean(np.stack(per_image), axis=0)
+
+
+def predict_reference(spec, params, ehr, emb, image_counts):
+    """Per-patient probabilities from one forward over the (patient, image)
+    rows, each patient's EHR row repeated per image before the forward, then
+    the mean of each patient's rows."""
+    if not spec.needs_emb:
+        return models.forward(spec, params, ehr=ehr)
+    counts = np.asarray(image_counts, dtype=int)
+    per_image = models.forward(spec, params, ehr=np.repeat(ehr, counts, axis=0) if spec.needs_ehr else None, emb=emb)
+    return np.add.reduceat(per_image, np.cumsum(counts) - counts, axis=0) / counts[:, None]
 
 
 PROB_EPS = 1e-7  # loss clamp to keep log() finite
@@ -355,6 +368,35 @@ def latest_value_reference(events, var, window):
         if event.variable == var and start <= event.time <= end and (best_time is None or event.time >= best_time):
             best_time, best_value = event.time, event.value
     return best_value
+
+
+def permutation_importance_reference(predict, features, y, groups, fitted, rng, *, repeats):
+    """Grouped permutation importance one label column at a time, with the
+    scalar `auroc`: every permuted matrix is a fresh copy of `features` with
+    the group's columns taken from the permuted rows. The permutations are the
+    ones the package draws (a generator spawned per group, one permutation per
+    repeat), shared by every column. None for a single-class column."""
+    slices = fitted.block_slices()
+    n = features.shape[0]
+    perms = [[group_rng.permutation(n) for _ in range(repeats)] for group_rng in rng.spawn(len(groups))]
+    out = []
+    for col in range(y.shape[1]):
+        try:
+            baseline = auroc(predict(features)[:, col], y[:, col])
+        except SingleClass:
+            out.append(None)
+            continue
+        drops = {}
+        for group, group_perms in zip(groups, perms):
+            columns = np.concatenate([np.arange(slices[v].start, slices[v].stop) for v in group.members])
+            total = 0.0
+            for perm in group_perms:
+                shuffled = features.copy()
+                shuffled[:, columns] = features[perm][:, columns]
+                total += baseline - auroc(predict(shuffled)[:, col], y[:, col])
+            drops[group.group_id] = total / repeats
+        out.append(drops)
+    return out
 
 
 def pooled_table_loop(patient_reviews, diagnosis):

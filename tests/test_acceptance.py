@@ -240,8 +240,8 @@ def test_criterion_08_permutation_importance_sanity():
     fitted = featurize.fit(rows, config)
     bits = featurize.encode_rows(rows, fitted)
     slices = fitted.block_slices()
-    weights = np.zeros(fitted.dim)
-    weights[slices["signal"]] = [0.0, 1.0, 2.0, 3.0, 4.0]
+    weights = np.zeros((fitted.dim, 1))
+    weights[slices["signal"], 0] = [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def predict(feature_bits):
         return feature_bits.astype(float) @ weights
@@ -251,8 +251,8 @@ def test_criterion_08_permutation_importance_sanity():
     for split_index in range(5):
         split_rng = np.random.default_rng([108, split_index])
         test_idx = split_rng.permutation(n)[:120]
-        drops = explain.permutation_importance(
-            predict, bits[test_idx], y_all[test_idx], groups, fitted,
+        [drops] = explain.permutation_importance(
+            predict, bits[test_idx], y_all[test_idx, None], groups, fitted,
             np.random.default_rng([109, split_index]), repeats=10,
         )
         assert abs(drops["noise_a"]) < 1e-9

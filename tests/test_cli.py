@@ -316,12 +316,14 @@ class TestOnePredictionPath:
         baselines = []
         permutation_importance = explain.permutation_importance
 
-        def recording(predict, feature_bits, y, *args, **kwargs):
-            try:
-                baselines.append(evaluation.auroc(predict(feature_bits), y))
-            except evaluation.SingleClass:
-                baselines.append(None)
-            return permutation_importance(predict, feature_bits, y, *args, **kwargs)
+        def recording(predict, features, y, *args, **kwargs):
+            probs = predict(features)
+            for d_idx in range(len(labels.DIAGNOSES)):
+                try:
+                    baselines.append(evaluation.auroc(probs[:, d_idx], y[:, d_idx]))
+                except evaluation.SingleClass:
+                    baselines.append(None)
+            return permutation_importance(predict, features, y, *args, **kwargs)
 
         monkeypatch.setattr(explain, "permutation_importance", recording)
         assert cli.main(["explain", "--config", str(config), "--out", str(out)]) == 0
@@ -333,8 +335,8 @@ class TestOnePredictionPath:
             for model, split, diag, metric, value in rows
             if model == "combined" and metric == "auroc" and diag != "macro"
         }
-        # explain walks diagnoses, then splits
-        expected = [test_auroc[(diag, k)] for diag in labels.DIAGNOSES for k in range(evaluation.N_SPLITS)]
+        # explain walks splits, then diagnoses
+        expected = [test_auroc[(diag, k)] for k in range(evaluation.N_SPLITS) for diag in labels.DIAGNOSES]
         assert sum(b is not None for b in baselines) >= 10
         assert baselines == expected
 
@@ -342,6 +344,35 @@ class TestOnePredictionPath:
 def run_stages(config, out, stages):
     for stage in stages:
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+
+
+class TestSingleClassSplit:
+    def test_undefined_row_for_that_diagnosis_only(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(MINI_CONFIG)
+        out = tmp_path / "out"
+        run_stages(config, out, ("synth", "label", "featurize", "split"))
+        with (out / "splits.csv").open(newline="") as handle:
+            test0 = {pid for split, pid, role in list(csv.reader(handle))[2:] if (split, role) == ("0", "test")}
+        # copd is negative for every test patient of split 0, and two-class elsewhere
+        lines = (out / "labels.csv").read_text().splitlines()
+        for i, line in enumerate(lines[2:], start=2):
+            cells = line.split(",")
+            if cells[0] in test0 and cells[1] == "copd":
+                cells[4] = "0"
+                lines[i] = ",".join(cells)
+        (out / "labels.csv").write_text("\n".join(lines) + "\n")
+        copd = {cells[0]: cells[4] for cells in (line.split(",") for line in lines[2:]) if cells[1] == "copd"}
+        assert {copd[pid] for pid in test0} == {"0"} and set(copd.values()) == {"0", "1"}
+        run_stages(config, out, ("train", "explain"))
+
+        with (out / "importance_ehr.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))[2:]
+        by_diagnosis = {diag: [row for row in rows if row[0] == diag] for diag in labels.DIAGNOSES}
+        assert by_diagnosis["copd"] == [["copd", "(single-class split; importance undefined)", "", "", ""]]
+        for diag in ("pneumonia", "heart_failure"):
+            assert len(by_diagnosis[diag]) > 1
+            assert all(len(row[4].split(";")) == evaluation.N_SPLITS for row in by_diagnosis[diag])
 
 
 def included_cohort():

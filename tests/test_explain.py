@@ -11,6 +11,7 @@ from arfdx.explain import (
     variable_signal,
 )
 from arfdx.featurize import FeaturizerConfig, encode_rows, fit
+from oracles import permutation_importance_reference
 
 
 def fitted_featurizer(var_names, rows):
@@ -126,31 +127,43 @@ class TestPermutationImportance:
         fitted = fitted_featurizer(["noise_a", "noise_b", "signal"], rows)
         bits = encode_rows(rows, fitted)
         slices = fitted.block_slices()
-        weights = np.zeros(fitted.dim)
-        weights[slices["signal"]] = [0, 1, 2, 3, 4]  # monotone read of the signal bins
+        weights = np.zeros((fitted.dim, 1))
+        weights[slices["signal"], 0] = [0, 1, 2, 3, 4]  # monotone read of the signal bins
 
         def predict(feature_bits):
             return feature_bits.astype(float) @ weights
 
         groups = [FeatureGroup(v, (v,)) for v in ("noise_a", "noise_b", "signal")]
-        return predict, bits, y, groups, fitted
+        return predict, bits, y[:, None], groups, fitted
+
+    def three_column_setup(self, n=150, seed=61):
+        """Three label columns scored by a linear model whose rounded scores tie."""
+        _, bits, y, groups, fitted = self.planted_setup(n=n, seed=seed)
+        rng = np.random.default_rng(seed)
+        weights = np.round(rng.normal(size=(fitted.dim, 3)), 1)
+        labels = np.concatenate([y, rng.integers(0, 2, size=(n, 2))], axis=1)
+
+        def predict(features):
+            return np.round(features.astype(float) @ weights, 1)
+
+        return predict, bits, labels, groups, fitted
 
     def test_unused_group_has_exactly_zero_drop(self):
         predict, bits, y, groups, fitted = self.planted_setup()
-        drops = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(0), repeats=10)
+        [drops] = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(0), repeats=10)
         assert drops["noise_a"] == 0.0
         assert drops["noise_b"] == 0.0
 
     def test_planted_group_has_maximal_drop(self):
         predict, bits, y, groups, fitted = self.planted_setup()
-        drops = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(1), repeats=10)
+        [drops] = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(1), repeats=10)
         assert drops["signal"] > 0.1
         assert drops["signal"] > drops["noise_a"]
         assert drops["signal"] > drops["noise_b"]
 
     def test_identity_permutation_gives_zero_drop(self):
         predict, bits, y, groups, fitted = self.planted_setup(n=60)
-        drops = permutation_importance(predict, bits, y, groups, fitted, IdentityRng(), repeats=1)
+        [drops] = permutation_importance(predict, bits, y, groups, fitted, IdentityRng(), repeats=1)
         assert all(v == 0.0 for v in drops.values())
 
     def test_shuffling_preserves_column_multisets(self):
@@ -164,6 +177,31 @@ class TestPermutationImportance:
         permutation_importance(spy, bits, y, groups, fitted, np.random.default_rng(2), repeats=2)
         for matrix in observed:
             assert np.array_equal(np.sort(matrix, axis=0), np.sort(bits, axis=0))
+
+    def test_equals_per_column_scalar_auroc_reference(self):
+        predict, bits, y, groups, fitted = self.three_column_setup()
+        got = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(3), repeats=4)
+        expected = permutation_importance_reference(
+            predict, bits, y, groups, fitted, np.random.default_rng(3), repeats=4
+        )
+        assert got == expected  # dicts of floats: equal bit for bit
+        assert any(v != 0.0 for drops in got for v in drops.values())
+
+    def test_single_class_column_is_none_alone(self):
+        predict, bits, y, groups, fitted = self.three_column_setup()
+        y[:, 1] = 0
+        got = permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(4), repeats=3)
+        assert got[1] is None
+        assert got[0] is not None and got[2] is not None
+        assert got == permutation_importance_reference(
+            predict, bits, y, groups, fitted, np.random.default_rng(4), repeats=3
+        )
+
+    def test_leaves_the_callers_features_unchanged(self):
+        predict, bits, y, groups, fitted = self.three_column_setup()
+        before = bits.copy()
+        permutation_importance(predict, bits, y, groups, fitted, np.random.default_rng(5), repeats=3)
+        assert np.array_equal(bits, before)
 
 
 class TestRankAggregation:

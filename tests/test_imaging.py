@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from arfdx.imaging import FormatError, ImageEmbedding, embeddings_to_bytes, load_embeddings, write_embeddings
+from arfdx.imaging import FormatError, ImageEmbedding, ImagingError, embeddings_to_bytes, load_embeddings, write_embeddings
 
 
 class TestEmbeddingFile:
@@ -14,7 +16,7 @@ class TestEmbeddingFile:
         write_embeddings(path, records)
         loaded = load_embeddings(path)
         assert set(loaded) == {"img-a", "img-b"}
-        assert np.array_equal(loaded["img-a"].vector, records[0].vector)
+        assert np.array_equal(loaded["img-a"], records[0].vector)
 
     def test_width_mismatch_rejected(self):
         records = [
@@ -58,3 +60,29 @@ class TestEmbeddingFile:
         path.write_bytes(b"ARFEMB1\x00" + struct.pack("<II", 2, 2) + record + record)
         with pytest.raises(FormatError, match="duplicate"):
             load_embeddings(path)
+
+    def test_non_finite_entry_names_the_first_bad_id(self, tmp_path):
+        def record(image_id, values):
+            return struct.pack("<H", len(image_id)) + image_id + np.asarray(values, dtype="<f4").tobytes()
+
+        path = tmp_path / "emb.bin"
+        path.write_bytes(
+            b"ARFEMB1\x00" + struct.pack("<II", 3, 2)
+            + record(b"ok", [0, 1]) + record(b"bad", [np.nan, 1]) + record(b"worse", [np.inf, 0])
+        )
+        with pytest.raises(ImagingError, match="'bad' has non-finite"):
+            load_embeddings(path)
+
+    def test_zero_width_header_with_records_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        path.write_bytes(b"ARFEMB1\x00" + struct.pack("<II", 1, 0) + struct.pack("<H", 1) + b"a")
+        with pytest.raises(ImagingError, match="width 0"):
+            load_embeddings(path)
+
+    def test_vectors_are_rows_of_one_matrix(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_embeddings(path, [ImageEmbedding(f"img-{i}", np.full(3, i, dtype=np.float32)) for i in range(4)])
+        loaded = load_embeddings(path)
+        assert [v.dtype for v in loaded.values()] == [np.float32] * 4
+        assert len({id(v.base) for v in loaded.values()}) == 1
+        assert [v.tolist() for v in loaded.values()] == [[float(i)] * 3 for i in range(4)]

@@ -25,8 +25,8 @@ from arfdx.models import (
     train_stacked,
 )
 from oracles import (
-    finite_diff_grads, loss, max_relative_error, predict_patient, random_gradcheck_instance, sgd_step_reference,
-    train_reference,
+    finite_diff_grads, loss, max_relative_error, predict_patient, predict_reference, random_gradcheck_instance,
+    sgd_step_reference, train_reference,
 )
 
 ALL_SPECS = [
@@ -482,6 +482,18 @@ class TestPredictPatient:
         ])
         assert got.shape == (n, 3)
         assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_equals_the_forward_over_repeated_rows(self, spec):
+        # the EHR part (features or hidden units) is computed once per patient
+        # and repeated per image; the result must not change by a bit
+        rng = np.random.default_rng(24)
+        params = init_params(spec, rng)
+        counts = np.tile(np.arange(1, 5), 15)
+        ehr = rng.integers(0, 2, size=(counts.size, 7)).astype(float)
+        emb = rng.normal(size=(int(counts.sum()), 5))
+        got = predict(spec, params, ehr, emb, counts)
+        assert np.array_equal(got, predict_reference(spec, params, ehr, emb, counts))
 
 
 class TestCheckpoint:
