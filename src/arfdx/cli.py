@@ -659,8 +659,7 @@ def run_explain(cfg: RunConfig) -> None:
                 report_rows.append([diag, "(single-class split; importance undefined)", None, None, None])
                 continue
             report = explain.aggregate_ranks(groups, per_split_drops)
-            ordered = sorted(report.mean_rank, key=lambda gid: (report.mean_rank[gid], gid))
-            for gid in ordered:
+            for gid in report.ranking:
                 report_rows.append(
                     [
                         diag,

@@ -21,6 +21,7 @@ from .labels import ChartReview
 
 MINUTES_PER_HOUR = 60
 MINUTES_PER_DAY = 24 * MINUTES_PER_HOUR
+MIN_WINDOW = MINUTES_PER_DAY  # the observation window is at least 24 h long
 
 
 class SupportKind(str, Enum):
@@ -91,19 +92,17 @@ class PatientStay:
 @dataclass(frozen=True)
 class CohortConfig:
     onset_horizon: int = 7 * MINUTES_PER_DAY
-    min_window: int = MINUTES_PER_DAY
     surgical_units: frozenset[str] = DEFAULT_SURGICAL_UNITS
     post_surgical_buffer: int = MINUTES_PER_DAY
 
     def __post_init__(self):
-        if self.onset_horizon <= 0 or self.min_window <= 0 or self.post_surgical_buffer <= 0:
+        if self.onset_horizon <= 0 or self.post_surgical_buffer <= 0:
             raise CohortError("cohort durations must be positive")
 
 
 def detect_arf_onset(stay: PatientStay) -> Optional[int]:
     """Earliest time of significant respiratory support; None when never given."""
-    times = [t for t, kind in stay.support_events if kind in SupportKind.__members__.values()]
-    return min(times) if times else None
+    return min((t for t, _kind in stay.support_events), default=None)
 
 
 def exclude_surgical(stay: PatientStay, cfg: CohortConfig) -> bool:
@@ -135,28 +134,28 @@ def include_stay(stay: PatientStay, cfg: CohortConfig) -> bool:
     return True
 
 
-def observation_window(stay: PatientStay, min_window: int = MINUTES_PER_DAY) -> tuple[int, int]:
-    """Data-extraction window: admission up to onset, but at least `min_window` long.
+def observation_window(stay: PatientStay) -> tuple[int, int]:
+    """Data-extraction window: admission up to onset, but at least `MIN_WINDOW` long.
 
-    Onset exactly at admit + min_window takes the minimum-window branch;
+    Onset exactly at admit + MIN_WINDOW takes the minimum-window branch;
     both branches agree there, the choice is documented for determinism.
     """
     onset = detect_arf_onset(stay)
     if onset is None:
         raise OnsetRequired(f"stay {stay.patient_id!r} has no respiratory-support onset")
-    if onset - stay.admit_time > min_window:
+    if onset - stay.admit_time > MIN_WINDOW:
         return (stay.admit_time, onset)
-    return (stay.admit_time, stay.admit_time + min_window)
+    return (stay.admit_time, stay.admit_time + MIN_WINDOW)
 
 
-def window_values(stay: PatientStay, min_window: int = MINUTES_PER_DAY) -> dict[str, object]:
+def window_values(stay: PatientStay) -> dict[str, object]:
     """Every variable the stay records, mapped to its most recent value inside
     the observation window, or None when it has no observation there.
 
     One pass over the events; equal-time observations resolve to the
     later-listed one.
     """
-    start, end = observation_window(stay, min_window)
+    start, end = observation_window(stay)
     values: dict[str, object] = {}
     latest: dict[str, int] = {}
     for variable, time, value in stay.events:
@@ -205,9 +204,9 @@ def parse_stay(obj: Mapping) -> PatientStay:
     """Build and validate a PatientStay from one decoded NDJSON object.
 
     Times are integers (not bools), every list field is a JSON array, events
-    and studies are objects, and an event value is a finite number, a token
-    string or null. A bad record raises `CohortError` naming its first failed
-    check.
+    and studies are objects, an image ref is a non-empty string, and an event
+    value is a finite number, a token string or null. A bad record raises
+    `CohortError` naming its first failed check.
     """
     if not isinstance(obj, Mapping):
         raise CohortError("record is not a JSON object")
@@ -265,7 +264,9 @@ def parse_stay(obj: Mapping) -> PatientStay:
             raise CohortError(f"study {study_id!r} has no image_refs")
         if type(refs) not in _SEQUENCES:
             raise CohortError(f"study {study_id!r} image_refs must be a list")
-        studies.append(ImagingStudy(study_id, time, tuple(str(r) for r in refs)))
+        if not all(type(r) is str and r != "" for r in refs):
+            raise CohortError(f"study {study_id!r} image_refs must be non-empty strings")
+        studies.append(ImagingStudy(study_id, time, tuple(refs)))
 
     intervals_by_unit: dict[str, list[tuple[int, int]]] = {}
     unit_intervals = []

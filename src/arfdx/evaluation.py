@@ -95,16 +95,11 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     average of their positions.
 
     Each tied block i..j (0-based sorted positions) gets rank (i + j) / 2 + 1,
-    a multiple of 0.5, so sums of ranks are exact in float64. One row goes
-    through `np.unique`, the faster kernel for a single row; stacked rows
-    share one stable argsort and find their tie blocks from sorted neighbours.
+    a multiple of 0.5, so sums of ranks are exact in float64. Every row
+    shares one stable argsort and finds its tie blocks from sorted neighbours.
     """
     values = np.asarray(values)
-    if values.ndim == 1:
-        _, block, counts = np.unique(values, return_inverse=True, return_counts=True)
-        ends = np.cumsum(counts)
-        return ((ends - counts + ends - 1) / 2.0 + 1.0)[block]
-    n = values.shape[-1]
+    n = max(values.shape[-1], 1)  # an empty row still needs a nonzero stride
     # rows laid end to end: a tied block never crosses a row start, and a flat
     # position minus its row's offset is its position within the row
     offset = np.repeat(np.arange(values.size // n) * n, n)
@@ -123,12 +118,10 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 def auroc(scores, labels) -> float:
     """Probability a random positive outranks a random negative; ties count half."""
     scores, labels = _validate_scores(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
+    cols, values = column_aurocs(scores[:, None], labels[:, None])
+    if cols.size == 0:
         raise SingleClass("AUROC needs both classes present")
-    pos_rank_sum = float(average_ranks(scores)[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(values[0])
 
 
 def aupr(scores, labels) -> float:
@@ -262,8 +255,8 @@ def column_aurocs(probs: np.ndarray, label_matrix: np.ndarray) -> tuple[np.ndarr
     """The label columns holding both classes, and the AUROC of each, shape
     (..., columns) for (..., n, k) scores, from one stacked rank pass.
 
-    Ranks are multiples of 0.5, so their sums are exact and each value equals
-    `auroc` on that column bit for bit.
+    The one home of the rank-sum formula: `auroc` and `macro_auroc` call it.
+    Ranks are multiples of 0.5, so their sums are exact at any stacking.
     """
     label_matrix = np.asarray(label_matrix, dtype=int)
     n_pos = label_matrix.sum(axis=0)
@@ -282,23 +275,10 @@ def macro_auroc(probs: np.ndarray, label_matrix: np.ndarray) -> float | np.ndarr
     probabilities, one value per config for stacked (G, n, 3) ones.
 
     Columns where the labels are single-class carry no ranking information
-    and are skipped; if every column is single-class this raises. Stacked
-    rows are ranked together and averaged column by column, left to right as
-    `np.mean` sums, so each equals the (n, 3) result for that row bit for bit.
+    and are skipped; if every column is single-class this raises. The column
+    AUROCs are summed left to right, as `np.mean` sums three values.
     """
-    probs = np.asarray(probs, dtype=float)
-    label_matrix = np.asarray(label_matrix, dtype=int)
-    if probs.ndim == 2:
-        values = []
-        for col in range(label_matrix.shape[1]):
-            try:
-                values.append(auroc(probs[:, col], label_matrix[:, col]))
-            except SingleClass:
-                continue
-        if not values:
-            raise SingleClass("every diagnosis is single-class; macro AUROC undefined")
-        return float(np.mean(values))
-    cols, values = column_aurocs(probs, label_matrix)
+    cols, values = column_aurocs(np.asarray(probs, dtype=float), label_matrix)
     if cols.size == 0:
         raise SingleClass("every diagnosis is single-class; macro AUROC undefined")
     total = values[..., 0].copy()

@@ -147,15 +147,15 @@ class ImportanceReport:
     per_split_drops: tuple[Mapping[str, float], ...]
     mean_rank: Mapping[str, float]
     mean_drop: Mapping[str, float]
-    top5: tuple[str, ...]
+    ranking: tuple[str, ...]  # every group id, smallest mean rank first
 
 
 def aggregate_ranks(
     groups: Sequence[FeatureGroup],
     per_split_drops: Sequence[Mapping[str, float]],
 ) -> ImportanceReport:
-    """Average per-split descending-drop ranks; top five have the smallest
-    mean rank, ties broken lexicographically by group id."""
+    """Average per-split descending-drop ranks; the ranking orders the
+    groups by mean rank, ties broken lexicographically by group id."""
     group_ids = [g.group_id for g in groups]
     for drops in per_split_drops:
         if set(drops) != set(group_ids):
@@ -167,11 +167,10 @@ def aggregate_ranks(
     mean_drop = {
         gid: float(np.mean([drops[gid] for drops in per_split_drops])) for gid in group_ids
     }
-    ordered = sorted(group_ids, key=lambda gid: (mean_rank[gid], gid))
     return ImportanceReport(
         groups=tuple(groups),
         per_split_drops=tuple(dict(d) for d in per_split_drops),
         mean_rank=mean_rank,
         mean_drop=mean_drop,
-        top5=tuple(ordered[:5]),
+        ranking=tuple(sorted(group_ids, key=lambda gid: (mean_rank[gid], gid))),
     )

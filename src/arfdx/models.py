@@ -252,20 +252,11 @@ def forward(spec: ModelSpec, params: Params, ehr=None, emb=None, image_counts=No
     return _sigmoid(top_in @ _t(params[weight]) + params[bias])
 
 
-def backward(spec: ModelSpec, params: Params, ehr, emb, label_matrix, out: Optional[Params] = None) -> Params:
+def backward(spec: ModelSpec, params: Params, ehr, emb, label_matrix, out: Params) -> Params:
     """Analytic gradient of the batch-mean cross-entropy for every parameter,
-    per config for stacked parameters.
-
-    Without `out` the inputs are checked and the gradients allocated. With
-    `out` (arrays shaped like `params`, stacked) the gradients are written
-    into it and the inputs are taken as checked: `train_stacked` checks them
+    per config for stacked parameters, written into `out` (arrays shaped like
+    `params`). The inputs are taken as checked: `train_stacked` checks them
     once per call."""
-    if out is None:
-        ehr, emb = _check_inputs(spec, ehr, emb)
-        label_matrix = np.atleast_2d(np.asarray(label_matrix, dtype=float))
-        if label_matrix.shape[0] == 0:
-            raise ModelError("cannot compute gradients on an empty batch")
-        out = {name: np.empty_like(value) for name, value in params.items()}
     top_in, weight, bias = _top_input(spec, params, ehr, emb)
     dz = (_sigmoid(top_in @ _t(params[weight]) + params[bias]) - label_matrix) / label_matrix.shape[0]
     stacked = dz.ndim == 3  # stacked bias gradients keep the batch axis: (G, 1, out)

@@ -1,17 +1,18 @@
 """Independent oracles shared by the unit and acceptance tests.
 
 These deliberately avoid the package's code paths: AUROC by brute-force pair
-counting, AUPR, ROC points and the PPV operating point by recounting the
-confusion at every distinct threshold (AUPR also by walking tied blocks),
-gradients by central finite differences through the batch-mean
-cross-entropy `loss` (the package computes only its analytic gradient),
-training by the plain one-config, one-batch-at-a-time loop with the
-functional SGD update (the package updates flat buffers in place),
-prediction by one forward per patient and image (or over EHR rows repeated
-per image), permutation importance by one scalar AUROC per label column and
-permuted matrix, stay parsing by one `_require` call per field, window
-values by one scan of the events per variable, and the pooled agreement
-table by a loop over every reviewer pair.
+counting, ranks and macro AUROC one row and one label column at a time
+through `np.unique` (the package ranks stacked rows with one argsort), AUPR,
+ROC points and the PPV operating point by recounting the confusion at every
+distinct threshold (AUPR also by walking tied blocks), gradients by central
+finite differences through the batch-mean cross-entropy `loss` (the package
+computes only its analytic gradient), training by the plain one-config,
+one-batch-at-a-time loop with the functional SGD update (the package
+updates flat buffers in place), prediction by one forward per patient and
+image (or over EHR rows repeated per image), permutation importance by one
+scalar AUROC per label column and permuted matrix, stay parsing by one
+`_require` call per field, window values by one scan of the events per
+variable, and the pooled agreement table by a loop over every reviewer pair.
 """
 
 import math
@@ -27,7 +28,7 @@ from arfdx.cohort import (
     PatientStay,
     map_support_kind,
 )
-from arfdx.evaluation import SingleClass, auroc, dor_from_confusion, macro_auroc
+from arfdx.evaluation import SingleClass, auroc, dor_from_confusion
 from arfdx.labels import ChartReview, LabelError
 
 
@@ -44,6 +45,34 @@ def auroc_bruteforce(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def average_ranks_reference(values):
+    """Average ranks of one row through `np.unique`: the tied block at sorted
+    positions i..j (0-based) gets rank (i + j) / 2 + 1."""
+    _, block, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + ends - 1) / 2.0 + 1.0)[block]
+
+
+def macro_auroc_reference(probs, label_matrix):
+    """Macro AUROC of (n, k) probabilities, one label column at a time: the
+    positives' rank sum from `average_ranks_reference`, then `np.mean` over
+    the columns that hold both classes."""
+    probs = np.asarray(probs, dtype=float)
+    label_matrix = np.asarray(label_matrix, dtype=int)
+    values = []
+    for col in range(label_matrix.shape[1]):
+        labels = label_matrix[:, col]
+        n_pos = int(labels.sum())
+        n_neg = labels.shape[0] - n_pos
+        if n_pos == 0 or n_neg == 0:
+            continue
+        pos_rank_sum = float(average_ranks_reference(probs[:, col])[labels == 1].sum())
+        values.append((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    if not values:
+        raise SingleClass("every diagnosis is single-class; macro AUROC undefined")
+    return float(np.mean(values))
 
 
 def aupr_stepsum(scores, labels):
@@ -142,10 +171,17 @@ def sgd_step_reference(params, velocity, grads, hp):
     return new_params, new_velocity
 
 
+def gradients(spec, params, ehr, emb, label_matrix):
+    """`models.backward` into fresh arrays shaped like `params`."""
+    out = {name: np.empty_like(value) for name, value in params.items()}
+    return models.backward(spec, params, ehr, emb, label_matrix, out)
+
+
 def train_reference(spec, hp, train_set, val_set, seed, max_epochs):
     """One config trained alone, one batch at a time, through the unstacked
-    `models.backward`, the functional update above and the (n, 3)
-    `macro_auroc`: (best params, per-epoch val macro AUROC, best epoch)."""
+    `models.backward`, the functional update above and
+    `macro_auroc_reference`: (best params, per-epoch val macro AUROC, best
+    epoch)."""
     rng = np.random.default_rng(seed)
     params = models.init_params(spec, rng)
     velocity = {name: np.zeros_like(value) for name, value in params.items()}
@@ -161,14 +197,14 @@ def train_reference(spec, hp, train_set, val_set, seed, max_epochs):
         order = rng.permutation(n)
         for start in range(0, n, models.BATCH_SIZE):
             idx = order[start : start + models.BATCH_SIZE]
-            grads = models.backward(
+            grads = gradients(
                 spec, params,
                 None if ehr is None else ehr[idx],
                 None if emb is None else emb[idx],
                 train_set.labels[idx],
             )
             params, velocity = sgd_step_reference(params, velocity, grads, hp)
-        metric = macro_auroc(models.forward(spec, params, val_ehr, val_emb), val_set.labels)
+        metric = macro_auroc_reference(models.forward(spec, params, val_ehr, val_emb), val_set.labels)
         val_aurocs.append(metric)
         if metric > best_metric:
             best_metric, best_epoch, stale_epochs = metric, epoch, 0
@@ -323,7 +359,9 @@ def parse_stay_reference(obj):
         _require(time >= admit_time, f"study {study_id!r} precedes admission")
         refs = raw.get("image_refs", [])
         _require(bool(refs), f"study {study_id!r} has no image_refs")
-        studies.append(ImagingStudy(study_id=study_id, time=time, image_refs=tuple(str(r) for r in refs)))
+        _require(all(isinstance(r, str) and r != "" for r in refs),
+                 f"study {study_id!r} image_refs must be non-empty strings")
+        studies.append(ImagingStudy(study_id=study_id, time=time, image_refs=tuple(refs)))
 
     intervals_by_unit = {}
     unit_intervals = []

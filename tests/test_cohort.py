@@ -140,40 +140,45 @@ class TestObservationWindow:
 
 
 def windowed(events):
-    """`window_values` of a stay whose observation window is minutes 0..180."""
-    stay = make_stay(support=[(180, SupportKind.IMV)])
+    """`window_values` of a stay whose onset at 3 h gives it the 24 h minimum
+    window, minutes 0..D."""
+    stay = make_stay(support=[(3 * H, SupportKind.IMV)])
     stay.events = [ObservationEvent(variable, time, value) for variable, time, value in events]
-    return window_values(stay, min_window=60)
+    return window_values(stay)
 
 
 class TestWindowValues:
     def test_latest_in_window_wins(self):
-        assert windowed([("hr", 60, 80.0), ("hr", 120, 95.0)]) == {"hr": 95.0}
+        assert windowed([("hr", 8 * H, 80.0), ("hr", 16 * H, 95.0)]) == {"hr": 95.0}
 
     def test_no_events_for_variable(self):
-        assert "hr" not in windowed([("sbp", 10, 120.0)])
+        assert "hr" not in windowed([("sbp", H, 120.0)])
 
     def test_event_outside_window_ignored(self):
-        assert windowed([("hr", 60, 80.0), ("hr", 200, 90.0)]) == {"hr": 80.0}
+        assert windowed([("hr", 8 * H, 80.0), ("hr", D + 2 * H, 90.0)]) == {"hr": 80.0}
 
     def test_variable_recorded_only_outside_window_maps_to_none(self):
-        assert windowed([("hr", 200, 90.0), ("sbp", 10, 120.0)]) == {"hr": None, "sbp": 120.0}
+        assert windowed([("hr", D + 2 * H, 90.0), ("sbp", H, 120.0)]) == {"hr": None, "sbp": 120.0}
 
     def test_equal_times_take_later_listed(self):
-        assert windowed([("hr", 60, 80.0), ("hr", 60, 85.0), ("hr", 30, 70.0)]) == {"hr": 85.0}
+        assert windowed([("hr", 8 * H, 80.0), ("hr", 8 * H, 85.0), ("hr", 4 * H, 70.0)]) == {"hr": 85.0}
 
     def test_window_bounds_inclusive(self):
         assert windowed([("hr", 0, 70.0)]) == {"hr": 70.0}
-        assert windowed([("hr", 180, 71.0), ("sbp", 181, 1.0)]) == {"hr": 71.0, "sbp": None}
+        assert windowed([("hr", D, 71.0), ("sbp", D + 1, 1.0)]) == {"hr": 71.0, "sbp": None}
 
     def test_int_float_and_token_values_keep_their_type(self):
-        window = windowed([("gcs", 10, 15), ("temp", 10, 37.5), ("rhythm", 10, "afib"), ("o2", 10, None)])
+        window = windowed([("gcs", H, 15), ("temp", H, 37.5), ("rhythm", H, "afib"), ("o2", H, None)])
         assert window == {"gcs": 15, "temp": 37.5, "rhythm": "afib", "o2": None}
         assert [type(window[v]) for v in ("gcs", "temp")] == [int, float]
 
     @given(
         st.lists(
-            st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 240), st.integers(-3, 3) | st.none()),
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.integers(0, 28).map(lambda hours: hours * H),
+                st.integers(-3, 3) | st.none(),
+            ),
             max_size=12,
         )
     )
@@ -182,7 +187,7 @@ class TestWindowValues:
         stay_events = [ObservationEvent(*event) for event in events]
         assert set(window) == {variable for variable, _, _ in events}
         for variable, value in window.items():
-            assert value == latest_value_reference(stay_events, variable, (0, 180))
+            assert value == latest_value_reference(stay_events, variable, (0, D))
 
 
 class TestSelectStudy:
@@ -300,6 +305,9 @@ class TestIngestion:
             (("icd_codes",), 5),
             (("support_events",), None),
             (("studies", 0, "image_refs"), 5),
+            (("studies", 0, "image_refs"), [7, None]),
+            (("studies", 0, "image_refs", 0), ""),
+            (("studies", 0, "image_refs", 0), ["s1-i1"]),
             (("admit_time",), True),
             (("events", 0, "time"), True),
             (("support_events", 0, 0), True),

@@ -31,7 +31,15 @@ from arfdx.evaluation import (
     threshold_at_ppv,
 )
 from arfdx.labels import ChartReview
-from oracles import aupr_loop, aupr_stepsum, auroc_bruteforce, roc_points_loop, threshold_at_ppv_loop
+from oracles import (
+    aupr_loop,
+    aupr_stepsum,
+    auroc_bruteforce,
+    average_ranks_reference,
+    macro_auroc_reference,
+    roc_points_loop,
+    threshold_at_ppv_loop,
+)
 
 
 @st.composite
@@ -131,6 +139,8 @@ class TestAuroc:
     def test_rounded_scores_match_bruteforce(self, case):
         scores, labels = case
         assert auroc(scores, labels) == pytest.approx(auroc_bruteforce(scores, labels), abs=1e-12)
+        # one column's rank sum, ranked through np.unique: equal bit for bit
+        assert auroc(scores, labels) == macro_auroc_reference(scores[:, None], labels[:, None])
 
     def test_negation_complements_without_ties(self):
         rng = np.random.default_rng(21)
@@ -328,17 +338,24 @@ class TestStackedMacroAuroc:
     def test_equals_the_per_row_result_and_the_bruteforce_oracle(self, case):
         probs, labels = case
         ranked = average_ranks(probs.swapaxes(-1, -2))
-        assert all(np.array_equal(ranked[g, col], average_ranks(probs[g, :, col]))
+        assert all(np.array_equal(ranked[g, col], average_ranks_reference(probs[g, :, col]))
+                   for g in range(len(probs)) for col in range(3))
+        assert all(np.array_equal(average_ranks(probs[g, :, col]), average_ranks_reference(probs[g, :, col]))
                    for g in range(len(probs)) for col in range(3))
         scored = [col for col in range(3) if 0 < labels[:, col].sum() < len(labels)]
         if not scored:
             with pytest.raises(SingleClass):
                 macro_auroc(probs, labels)
+            with pytest.raises(SingleClass):
+                macro_auroc(probs[0], labels)
             return
         stacked = macro_auroc(probs, labels)
         assert stacked.shape == (len(probs),)
         for row, value in zip(probs, stacked):
-            assert value == macro_auroc(row, labels)  # bit for bit
+            reference = macro_auroc_reference(row, labels)
+            assert value == reference  # bit for bit
+            assert macro_auroc(row, labels) == reference
+            assert isinstance(macro_auroc(row, labels), float)
         for col in scored:
             # every other column single-class: the macro value is this column's AUROC
             alone = np.zeros_like(labels)
@@ -353,7 +370,13 @@ class TestStackedMacroAuroc:
         columns = [[auroc(row[:, col], labels[:, col]) for col in range(3)] for row in probs]
         # the case tells summation orders apart: some row's sum depends on it
         assert any((a + b) + c != (c + b) + a for a, b, c in columns)
-        assert macro_auroc(probs, labels).tolist() == [macro_auroc(row, labels) for row in probs]
+        expected = [macro_auroc_reference(row, labels) for row in probs]
+        assert macro_auroc(probs, labels).tolist() == expected
+        assert [macro_auroc(row, labels) for row in probs] == expected
+
+    def test_empty_row_has_empty_ranks(self):
+        assert average_ranks(np.array([])).shape == (0,)
+        assert average_ranks(np.empty((3, 0))).shape == (3, 0)
 
 
 class TestRocPoints:

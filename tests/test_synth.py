@@ -69,9 +69,8 @@ class TestStatisticalProperties:
     def test_missingness_correlation_sign_matches_shift(self, big_cohort):
         spec = synth.SynthSpec(n_patients=2000, seed=8)
         stays = big_cohort.stays
-        cfg = cohort_mod.CohortConfig()
         variables = [f"var{i:02d}" for i in range(spec.n_numeric_vars)]
-        rows = [cohort_mod.window_values(stay, cfg.min_window) for stay in stays]
+        rows = [cohort_mod.window_values(stay) for stay in stays]
         config = featurize.FeaturizerConfig(numeric_vars=tuple(variables), categorical_vars=())
         fitted = featurize.fit(rows, config)
         bits = featurize.encode_rows(rows, fitted)
@@ -94,9 +93,8 @@ class TestNoSignalNull:
             missing_shift=(0.0, 0.0, 0.0), seed=9,
         )
         generated = synth.generate(spec)
-        cfg = cohort_mod.CohortConfig()
         variables = [f"var{i:02d}" for i in range(8)]
-        rows = [cohort_mod.window_values(stay, cfg.min_window) for stay in generated.stays]
+        rows = [cohort_mod.window_values(stay) for stay in generated.stays]
         config = featurize.FeaturizerConfig(numeric_vars=tuple(variables), categorical_vars=())
         fitted = featurize.fit(rows, config)
         bits = featurize.encode_rows(rows, fitted).astype(float)
