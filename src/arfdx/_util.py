@@ -52,11 +52,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def csv_text(header_comment: str, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV with a leading provenance comment line and RFC-4180 quoting."""
+    """CSV with a leading provenance comment line and RFC-4180 quoting; None is an empty field."""
     buffer = io.StringIO()
     buffer.write("# " + header_comment + "\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(columns))
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+    writer.writerows(rows)
     return buffer.getvalue()

@@ -379,9 +379,10 @@ class PipelineData:
 
     def images(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every image row of the patients `idx`, with per-patient counts, for `models.predict`."""
-        starts = self._image_starts()
-        rows = [np.arange(starts[i], starts[i] + self.image_counts[i]) for i in idx]
-        return self.emb[np.concatenate(rows)], self.image_counts[idx]
+        counts = self.image_counts[idx]
+        # number the result rows, then shift each patient's run of rows to its run in `emb`
+        shift = np.repeat(self._image_starts()[idx] - (np.cumsum(counts) - counts), counts)
+        return self.emb[np.arange(shift.size) + shift], counts
 
     def predict(self, checkpoint: models.Checkpoint, idx: np.ndarray) -> np.ndarray:
         """Per-patient probabilities of the patients `idx`, averaged over their images."""
@@ -409,10 +410,10 @@ def assemble_data(cfg: RunConfig) -> PipelineData:
             if ref not in embeddings:
                 raise ConfigError(f"image {ref} missing from the embedding file")
             emb_rows.append(embeddings[ref])
-        ehr_rows.append(features[stay.patient_id].astype(float))
+        ehr_rows.append(features[stay.patient_id])
     return PipelineData(
         patient_ids=patient_ids,
-        ehr=np.stack(ehr_rows),
+        ehr=np.stack(ehr_rows).astype(float),
         emb=np.stack(emb_rows).astype(float),
         image_counts=np.asarray([len(stay.image_refs) for stay in included]),
         label_matrix=label_matrix(cfg, patient_ids),

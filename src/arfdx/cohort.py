@@ -204,7 +204,8 @@ def parse_stay(obj: Mapping) -> PatientStay:
     """Build and validate a PatientStay from one decoded NDJSON object.
 
     Times are integers (not bools), every list field is a JSON array, events
-    and studies are objects, an image ref is a non-empty string, and an event
+    and studies are objects, an image ref or reviewer id is a non-empty
+    string, a unit code, ICD code or medication is a string, and an event
     value is a finite number, a token string or null. A bad record raises
     `CohortError` naming its first failed check.
     """
@@ -273,11 +274,13 @@ def parse_stay(obj: Mapping) -> PatientStay:
     for raw in _list_field(obj, "unit_intervals"):
         if type(raw) not in _SEQUENCES or len(raw) != 3:
             raise CohortError("unit interval must be [unit, start, end]")
+        if type(raw[0]) is not str:
+            raise CohortError("unit interval unit code must be a string")
         if type(raw[1]) is not int or type(raw[2]) is not int:
             raise CohortError("unit interval bounds must be integers")
         if raw[1] > raw[2]:
             raise CohortError(f"unit interval for {raw[0]!r} has start > end")
-        unit_code, start, end = str(raw[0]), raw[1], raw[2]
+        unit_code, start, end = raw
         unit_intervals.append((unit_code, start, end))
         intervals_by_unit.setdefault(unit_code, []).append((start, end))
     for unit_code, spans in intervals_by_unit.items():
@@ -290,10 +293,16 @@ def parse_stay(obj: Mapping) -> PatientStay:
     for raw in _list_field(obj, "reviews"):
         if type(raw) is not dict:
             raise CohortError("chart review must be an object")
+        reviewer_id = raw.get("reviewer_id")
+        if type(reviewer_id) is not str or reviewer_id == "":
+            raise CohortError("chart review reviewer_id missing or empty")
         try:
-            reviews.append(ChartReview(reviewer_id=str(raw.get("reviewer_id", "")), scores=dict(raw["scores"])))
+            reviews.append(ChartReview(reviewer_id=reviewer_id, scores=dict(raw["scores"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # LabelError is a ValueError
             raise CohortError(f"bad chart review: {exc}") from exc
+    icd_codes, medications = _list_field(obj, "icd_codes"), _list_field(obj, "medications")
+    if not all(type(item) is str for item in (*icd_codes, *medications)):
+        raise CohortError("icd_codes and medications must hold strings")
 
     return PatientStay(
         patient_id=patient_id,
@@ -303,8 +312,8 @@ def parse_stay(obj: Mapping) -> PatientStay:
         studies=studies,
         unit_intervals=unit_intervals,
         reviews=reviews,
-        icd_codes=set(str(c) for c in _list_field(obj, "icd_codes")),
-        medications=set(str(m) for m in _list_field(obj, "medications")),
+        icd_codes=set(icd_codes),
+        medications=set(medications),
     )
 
 

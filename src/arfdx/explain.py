@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .evaluation import average_ranks, column_aurocs
-from .featurize import FittedFeaturizer
+from .featurize import FittedFeaturizer, variable_signal  # the signal correlation_groups reads
 
 
 class ExplainError(ValueError):
@@ -29,20 +29,6 @@ GROUPING_THRESHOLD = 0.6  # |Pearson r| above which two variables share a group
 class FeatureGroup:
     group_id: str
     members: tuple[str, ...]
-
-
-def variable_signal(feature_bits: np.ndarray, fitted: FittedFeaturizer) -> np.ndarray:
-    """Per patient and variable: 0 when the block is all zero (missing),
-    otherwise 1 + the set bit's index. One scalar per variable keeps the
-    grouping at the variable level rather than the bit level."""
-    slices = fitted.block_slices()
-    variables = fitted.config.variables
-    out = np.zeros((feature_bits.shape[0], len(variables)), dtype=float)
-    for col, var in enumerate(variables):
-        block = feature_bits[:, slices[var]]
-        present = block.any(axis=1)
-        out[present, col] = block[present].argmax(axis=1) + 1.0
-    return out
 
 
 def correlation_groups(signals: np.ndarray, variable_names: Sequence[str]) -> list[FeatureGroup]:
@@ -121,9 +107,7 @@ def permutation_importance(
     shuffled = features.copy()
     group_rngs = rng.spawn(len(groups))
     for group, group_rng in zip(groups, group_rngs):
-        columns = np.concatenate(
-            [np.arange(slices[var].start, slices[var].stop) for var in group.members]
-        )
+        columns = np.concatenate([np.arange(slices[var].start, slices[var].stop) for var in group.members])
         total = np.zeros(cols.size)
         for _ in range(repeats):
             perm = group_rng.permutation(n)

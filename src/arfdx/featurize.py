@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -54,28 +57,27 @@ class FittedFeaturizer:
 
     Blocks are laid out numeric variables first (each `RANGE_BINS` wide,
     unused trailing bits stay zero when edges collapse), then categorical
-    one-hot blocks, so the total width is stable across refits.
+    one-hot blocks, so the total width is stable across refits. The layout
+    is computed once per featurizer; encoding and decoding both read it.
     """
 
     config: FeaturizerConfig
     edges: Mapping[str, tuple[float, ...]]
 
-    @property
-    def dim(self) -> int:
-        return RANGE_BINS * len(self.config.numeric_vars) + sum(
-            len(vocab) for _, vocab in self.config.categorical_vars
-        )
+    @cached_property
+    def _slices(self) -> dict[str, slice]:
+        config = self.config
+        widths = [RANGE_BINS] * len(config.numeric_vars) + [len(vocab) for _, vocab in config.categorical_vars]
+        stops = accumulate(widths)
+        return {var: slice(stop - width, stop) for var, width, stop in zip(config.variables, widths, stops)}
 
-    def block_slices(self) -> dict[str, slice]:
-        slices = {}
-        offset = 0
-        for var in self.config.numeric_vars:
-            slices[var] = slice(offset, offset + RANGE_BINS)
-            offset += RANGE_BINS
-        for var, vocab in self.config.categorical_vars:
-            slices[var] = slice(offset, offset + len(vocab))
-            offset += len(vocab)
-        return slices
+    @cached_property
+    def dim(self) -> int:
+        return max((block.stop for block in self._slices.values()), default=0)
+
+    def block_slices(self) -> Mapping[str, slice]:
+        """Each variable's block of bits; callers must not modify the mapping."""
+        return self._slices
 
     def to_json(self, provenance: Optional[str] = None) -> str:
         payload = {
@@ -153,31 +155,24 @@ def fit(rows: Sequence[Mapping[str, object]], config: FeaturizerConfig) -> Fitte
 
 def encode(row: Mapping[str, object], fitted: FittedFeaturizer) -> np.ndarray:
     """Encode one patient's window values into the binary feature vector."""
-    config = fitted.config
-    bits = np.zeros(fitted.dim, dtype=np.uint8)
-    offset = 0
-    for var in config.numeric_vars:
+    bits = bytearray(fitted.dim)
+    slices = fitted.block_slices()
+    for var in fitted.config.numeric_vars:
         value = row.get(var)
         if value is not None:
-            v = _as_float(var, value)
-            var_edges = np.asarray(fitted.edges[var], dtype=float)
             # bin index = number of edges strictly below the value
-            bin_idx = int(np.searchsorted(var_edges, v, side="left"))
-            bits[offset + bin_idx] = 1
-        offset += RANGE_BINS
-    for var, vocab in config.categorical_vars:
+            bits[slices[var].start + bisect_left(fitted.edges[var], _as_float(var, value))] = 1
+    for var, vocab in fitted.config.categorical_vars:
         value = row.get(var)
-        if value is not None:
-            token = str(value)
-            if token in vocab:
-                bits[offset + vocab.index(token)] = 1
-            # unknown tokens encode as the all-zero block
-        offset += len(vocab)
-    return bits
+        # unknown tokens encode as the all-zero block
+        if value is not None and str(value) in vocab:
+            bits[slices[var].start + vocab.index(str(value))] = 1
+    return np.frombuffer(bits, dtype=np.uint8)
 
 
 def encode_rows(rows: Sequence[Mapping[str, object]], fitted: FittedFeaturizer) -> np.ndarray:
-    return np.stack([encode(row, fitted) for row in rows]) if rows else np.zeros((0, fitted.dim), np.uint8)
+    joined = bytearray().join(encode(row, fitted) for row in rows)
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(rows), fitted.dim)
 
 
 def infer_config(rows: Sequence[Mapping[str, object]]) -> FeaturizerConfig:
@@ -208,13 +203,17 @@ def infer_config(rows: Sequence[Mapping[str, object]]) -> FeaturizerConfig:
 
 # --- missingness analysis ---------------------------------------------------
 
-def presence_indicators(feature_bits: np.ndarray, fitted: FittedFeaturizer) -> np.ndarray:
-    """Per patient and variable, 1 when any bit of the variable's block is set."""
+def variable_signal(feature_bits: np.ndarray, fitted: FittedFeaturizer) -> np.ndarray:
+    """Per patient and variable: 0 when the block is all zero (missing),
+    otherwise 1 + the set bit's index. One scalar per variable keeps the
+    grouping at the variable level rather than the bit level."""
     slices = fitted.block_slices()
     variables = fitted.config.variables
-    out = np.zeros((feature_bits.shape[0], len(variables)), dtype=np.uint8)
+    out = np.zeros((feature_bits.shape[0], len(variables)), dtype=float)
     for col, var in enumerate(variables):
-        out[:, col] = feature_bits[:, slices[var]].any(axis=1)
+        block = feature_bits[:, slices[var]]
+        present = block.any(axis=1)
+        out[present, col] = block[present].argmax(axis=1) + 1.0
     return out
 
 
@@ -247,7 +246,7 @@ def missingness_correlation(
     """
     if feature_bits.shape[0] < 2:
         raise FeaturizeError("missingness correlation needs at least two patients")
-    presence = presence_indicators(feature_bits, fitted)
+    presence = variable_signal(feature_bits, fitted) > 0
     out = {}
     for col, var in enumerate(fitted.config.variables):
         for d_idx, diagnosis in enumerate(diagnoses):
@@ -270,11 +269,15 @@ def unpack_bits_hex(hex_text: str, dim: int) -> np.ndarray:
     return bits[:dim]
 
 
+# One encoder for every line (json.dumps with options builds a new one per call).
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_features(path, patient_ids: Sequence[str], feature_bits: np.ndarray,
                    header: str | None = None) -> None:
     lines = []
     if header:
         lines.append("# " + header)
     for pid, bits in zip(patient_ids, feature_bits):
-        lines.append(json.dumps({"patient_id": pid, "bits": pack_bits_hex(bits)}, sort_keys=True))
+        lines.append(_encode_line({"patient_id": pid, "bits": pack_bits_hex(bits)}))
     atomic_write_text(path, "".join(line + "\n" for line in lines))

@@ -548,6 +548,8 @@ def load_checkpoint(path) -> Checkpoint:
                 f"checkpoint parameter {name!r} has shape {tuple(entry['shape'])}, expected {shape}"
             )
         params[name] = np.asarray(entry["data"], dtype=float).reshape(shape)
+        if not np.isfinite(params[name]).all():
+            raise ModelError(f"checkpoint parameter {name!r} has a non-finite entry")
     hp = HyperParams(*(payload["hyper"][name] for name in HyperParams._fields))
     return Checkpoint(spec=spec, params=params, hp=hp,
                       seed=payload["seed"], val_metrics=payload["val_metrics"])

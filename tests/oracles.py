@@ -12,7 +12,9 @@ updates flat buffers in place), prediction by one forward per patient and
 image (or over EHR rows repeated per image), permutation importance by one
 scalar AUROC per label column and permuted matrix, stay parsing by one
 `_require` call per field, window values by one scan of the events per
-variable, and the pooled agreement table by a loop over every reviewer pair.
+variable, the pooled agreement table by a loop over every reviewer pair, and
+feature encoding by a numpy `searchsorted` per value along its own walk over
+the block offsets.
 """
 
 import math
@@ -368,10 +370,11 @@ def parse_stay_reference(obj):
     for raw in obj.get("unit_intervals", []):
         _require(isinstance(raw, (list, tuple)) and len(raw) == 3, "unit interval must be [unit, start, end]")
         unit_code, start, end = raw
+        _require(isinstance(unit_code, str), "unit interval unit code must be a string")
         _require(isinstance(start, int) and isinstance(end, int), "unit interval bounds must be integers")
         _require(start <= end, f"unit interval for {unit_code!r} has start > end")
-        unit_intervals.append((str(unit_code), start, end))
-        intervals_by_unit.setdefault(str(unit_code), []).append((start, end))
+        unit_intervals.append((unit_code, start, end))
+        intervals_by_unit.setdefault(unit_code, []).append((start, end))
     for unit_code, spans in intervals_by_unit.items():
         spans.sort()
         for (s0, e0), (s1, _e1) in zip(spans, spans[1:]):
@@ -379,11 +382,17 @@ def parse_stay_reference(obj):
 
     reviews = []
     for raw in obj.get("reviews", []):
+        reviewer_id = raw.get("reviewer_id")
+        _require(isinstance(reviewer_id, str) and reviewer_id != "", "chart review reviewer_id missing or empty")
         try:
-            reviews.append(ChartReview(reviewer_id=str(raw.get("reviewer_id", "")), scores=dict(raw["scores"])))
+            reviews.append(ChartReview(reviewer_id=reviewer_id, scores=dict(raw["scores"])))
         except (LabelError, KeyError, TypeError) as exc:
             raise CohortError(f"bad chart review: {exc}") from exc
 
+    icd_codes = obj.get("icd_codes", [])
+    _require(all(isinstance(c, str) for c in icd_codes), "icd_codes and medications must hold strings")
+    medications = obj.get("medications", [])
+    _require(all(isinstance(m, str) for m in medications), "icd_codes and medications must hold strings")
     return PatientStay(
         patient_id=patient_id,
         admit_time=admit_time,
@@ -392,8 +401,8 @@ def parse_stay_reference(obj):
         studies=studies,
         unit_intervals=unit_intervals,
         reviews=reviews,
-        icd_codes=set(str(c) for c in obj.get("icd_codes", [])),
-        medications=set(str(m) for m in obj.get("medications", [])),
+        icd_codes=set(icd_codes),
+        medications=set(medications),
     )
 
 
@@ -434,6 +443,39 @@ def permutation_importance_reference(predict, features, y, groups, fitted, rng, 
                 total += baseline - auroc(predict(shuffled)[:, col], y[:, col])
             drops[group.group_id] = total / repeats
         out.append(drops)
+    return out
+
+
+def encode_reference(row, fitted):
+    """One patient's feature bits: each numeric value's bin by a numpy
+    `searchsorted` over its edges, each block's offset from a running sum of
+    the widths, numeric blocks first, then categorical one-hot blocks."""
+    config = fitted.config
+    width = 5 * len(config.numeric_vars) + sum(len(vocab) for _, vocab in config.categorical_vars)
+    bits = np.zeros(width, dtype=np.uint8)
+    offset = 0
+    for var in config.numeric_vars:
+        value = row.get(var)
+        if value is not None:
+            edges = np.asarray(fitted.edges[var], dtype=float)
+            bits[offset + int(np.searchsorted(edges, float(value), side="left"))] = 1
+        offset += 5
+    for var, vocab in config.categorical_vars:
+        value = row.get(var)
+        if value is not None and str(value) in vocab:
+            bits[offset + vocab.index(str(value))] = 1
+        offset += len(vocab)
+    return bits
+
+
+def presence_indicators_reference(feature_bits, fitted):
+    """Per patient and variable, 1 when any bit of the variable's block is set,
+    with the blocks located by `encode_reference`'s offset walk."""
+    config = fitted.config
+    widths = [5] * len(config.numeric_vars) + [len(vocab) for _, vocab in config.categorical_vars]
+    out = np.zeros((feature_bits.shape[0], len(widths)), dtype=np.uint8)
+    for col, (start, width) in enumerate(zip(np.cumsum([0] + widths), widths)):
+        out[:, col] = feature_bits[:, start : start + width].any(axis=1)
     return out
 
 

@@ -172,6 +172,18 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert f"{ckpt} is malformed" in err and "has shape (1, 1)" in err and "rerun the train stage" in err
 
+    @pytest.mark.parametrize("stage", ["evaluate", "explain"])
+    def test_non_finite_checkpoint_exits_2(self, mini_run, capsys, stage):
+        config, out = mini_run
+        ckpt = out / "checkpoint_ehr_split0.json"
+        payload = json.loads(ckpt.read_text())
+        payload["params"]["W1"]["data"][0] = float("nan")  # json.dumps writes NaN, which json.loads accepts
+        ckpt.write_text(json.dumps(payload))
+        code = cli.main([stage, "--config", str(config), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"{ckpt} is malformed" in err and "'W1' has a non-finite entry" in err and "rerun the train stage" in err
+
     def test_missing_cohort_input_exits_2(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text(MINI_CONFIG)

@@ -317,6 +317,14 @@ class TestIngestion:
             (("events", 0, "value"), {"value": 88.0}),
             (("events", 0, "value"), 10**400),
             (("reviews", 0, "scores", "copd"), "high"),
+            (("unit_intervals", 0, 0), None),
+            (("unit_intervals", 0, 0), 7),
+            (("icd_codes",), [7, None]),
+            (("medications",), [None]),
+            (("reviews", 0, "reviewer_id"), None),
+            (("reviews", 0, "reviewer_id"), ""),
+            (("reviews", 0, "reviewer_id"), 5),
+            (("reviews", 0), {"scores": {"pneumonia": 1, "heart_failure": 4, "copd": 3.5}}),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else type(v).__name__,
     )

@@ -19,6 +19,7 @@ from arfdx.featurize import (
     phi_coefficient,
     unpack_bits_hex,
 )
+from oracles import encode_reference, presence_indicators_reference
 
 
 def quantile_oracle(values, q):
@@ -130,6 +131,96 @@ class TestEncode:
         low = int(np.argmax(encode({"x": value}, fitted)))
         high = int(np.argmax(encode({"x": value + bump}, fitted)))
         assert high >= low
+
+
+# training values drawn from a small pool of ints and floats, so quantile edges
+# often repeat and collapse, and constant or all-missing variables get no edges
+TRAIN_POOL = [-2.5, 0, 1, 1.0, 3, 3.5, 7, 1e6, None]
+VOCAB_POOL = ["a", "b", "1", "7"]
+MISSING = object()
+
+
+@st.composite
+def fitted_and_rows(draw, min_rows=0):
+    """A fitted featurizer and rows to encode: numeric values equal to an edge,
+    ints and floats, tokens in and out of the vocabulary (ints among them),
+    None, and variables absent from the row."""
+    numeric = tuple(f"n{i}" for i in range(draw(st.integers(0, 3))))
+    categorical = tuple(
+        (f"c{i}", tuple(draw(st.lists(st.sampled_from(VOCAB_POOL), min_size=1, max_size=4, unique=True))))
+        for i in range(draw(st.integers(0, 2)))
+    )
+    train = [
+        {var: draw(st.sampled_from(TRAIN_POOL)) for var in numeric}
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    fitted = fit(train, FeaturizerConfig(numeric_vars=numeric, categorical_vars=categorical))
+    edges = [edge for var in numeric for edge in fitted.edges[var]]
+    numbers = st.one_of(
+        st.sampled_from(TRAIN_POOL),
+        st.floats(-10, 10),
+        st.integers(-5, 10),
+        *([st.sampled_from(edges)] if edges else []),
+    )
+    tokens = st.sampled_from(VOCAB_POOL + ["zz", None, 1, 7])
+    rows = []
+    for _ in range(draw(st.integers(min_rows, 8))):
+        row = {var: draw(st.one_of(st.just(MISSING), numbers)) for var in numeric}
+        row.update({var: draw(st.one_of(st.just(MISSING), tokens)) for var, _ in categorical})
+        rows.append({var: value for var, value in row.items() if value is not MISSING})
+    return fitted, rows
+
+
+def reference_matrix(rows, fitted):
+    return np.stack([encode_reference(row, fitted) for row in rows]) if rows else np.zeros((0, fitted.dim), np.uint8)
+
+
+class TestEncodeMatchesReference:
+    @given(fitted_and_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_encode_rows_equals_numpy_reference(self, case):
+        fitted, rows = case
+        bits = encode_rows(rows, fitted)
+        assert bits.dtype == np.uint8 and bits.shape == (len(rows), fitted.dim)
+        assert np.array_equal(bits, reference_matrix(rows, fitted))
+        for row, vector in zip(rows, bits):
+            assert np.array_equal(encode(row, fitted), vector)
+
+    def test_edge_cases_equal_reference(self):
+        # "a" collapses duplicate edges, "b" is constant (no edges), "c" never observed
+        train = [{"a": v, "b": 4.0, "c": None} for v in (1, 1, 1.0, 3, 7, 9)]
+        config = FeaturizerConfig(numeric_vars=("a", "b", "c"), categorical_vars=(("g", ("1", "F")),))
+        fitted = fit(train, config)
+        assert fitted.edges["a"] == (1.0, 3.0, 7.0) and fitted.edges["b"] == fitted.edges["c"] == ()
+        rows = [
+            {"a": 1, "b": 4, "c": 0.5, "g": 1},
+            {"a": 3.0, "g": "F"},
+            {"a": 7, "b": None, "g": "unknown"},
+            {"a": 7.5, "c": -1e9, "g": None},
+            {},
+        ]
+        bits = encode_rows(rows, fitted)
+        assert np.array_equal(bits, reference_matrix(rows, fitted))
+        assert bits[:, :5].tolist() == [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                                        [0, 0, 0, 0, 0]]
+
+    def test_no_rows_gives_an_empty_matrix(self):
+        fitted = fit([{"x": 1.0}, {"x": 2.0}], numeric_config())
+        assert encode_rows([], fitted).shape == (0, 5)
+
+    @given(fitted_and_rows(min_rows=2), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_missingness_equals_presence_indicator_path(self, case, seed):
+        fitted, rows = case
+        bits = encode_rows(rows, fitted)
+        y = np.random.default_rng(seed).integers(0, 2, size=(len(rows), 2))
+        presence = presence_indicators_reference(bits, fitted)
+        expected = {
+            (var, diagnosis): phi_coefficient(presence[:, col], y[:, d])
+            for col, var in enumerate(fitted.config.variables)
+            for d, diagnosis in enumerate(("d0", "d1"))
+        }
+        assert missingness_correlation(bits, y, fitted, ("d0", "d1")) == expected
 
 
 class TestWindowExtraction:
