@@ -216,6 +216,7 @@ COLUMNS = {
 
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 _WINDOW_VALUE_TYPES = (str, int, float, type(None))
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -307,6 +308,10 @@ def _window(record: dict) -> dict[str, object]:
     window = record["window"]
     if type(window) is not dict or any(type(value) not in _WINDOW_VALUE_TYPES for value in window.values()):
         raise ValueError("window must map each variable to a string, a number or null")
+    # `cohort.parse_stay`'s rule for an event value; it rejects NaN and infinities too
+    for variable, value in window.items():
+        if type(value) in (int, float) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise ValueError(f"window value for {variable!r} is not finite")
     return window
 
 

@@ -48,9 +48,6 @@ class SplitAssignment:
     split_index: int
     roles: Mapping[str, str]  # patient_id -> train/val/test
 
-    def ids_with_role(self, role: str) -> list[str]:
-        return [pid for pid, r in self.roles.items() if r == role]
-
 
 def make_splits(patient_ids: Sequence[str], seed: int) -> list[SplitAssignment]:
     """Five independent seeded shuffles into 60/20/20 train/val/test.

@@ -86,9 +86,6 @@ class DiagnosisLabels:
             raise KeyError(diagnosis)
         return getattr(self, diagnosis)
 
-    def as_tuple(self) -> tuple[bool, bool, bool]:
-        return (self.pneumonia, self.heart_failure, self.copd)
-
 
 @dataclass(frozen=True)
 class PhenotypeRule:

@@ -11,7 +11,9 @@ more signal available than either unimodal model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +27,15 @@ from .cohort import (
 from .imaging import ImageEmbedding
 from .labels import DIAGNOSES, ChartReview, PhenotypeRule, PhenotypeRuleset
 
-DEFAULT_PREVALENCES = (0.31, 0.22, 0.09)
+# The generative model, one value per diagnosis where it is a tuple.
+# `generate` reads these when it runs.
+PREVALENCES = (0.31, 0.22, 0.09)
+EHR_SHIFT = 0.6  # mean shift on each diagnosis's three dedicated variables
+EMB_SHIFT = 0.5  # mean shift on each diagnosis's four dedicated embedding dimensions
+MISSING_BASE = 0.15
+MISSING_SHIFT = (0.10, -0.08, 0.12)
+REVIEW_COUNT_PROBS = (0.23, 0.48, 0.19, 0.10)  # of 1, 2, 3 or 4 chart reviews
+REVIEWER_NOISE = 0.25
 
 # Small slices of published code/medication lists, enough to exercise the
 # conjunction rule for each diagnosis.
@@ -57,54 +67,14 @@ def default_ruleset() -> PhenotypeRuleset:
 @dataclass(frozen=True)
 class SynthSpec:
     n_patients: int = 200
-    prevalences: tuple[float, float, float] = DEFAULT_PREVALENCES
     n_numeric_vars: int = 12
     emb_dim: int = 16
-    # (3, n_numeric_vars): additive mean shift on each variable per diagnosis
-    ehr_signal: tuple[tuple[float, ...], ...] | None = None
-    # (3, emb_dim): embedding mean shift per diagnosis
-    emb_signal: tuple[tuple[float, ...], ...] | None = None
-    missing_base: float = 0.15
-    missing_shift: tuple[float, float, float] = (0.10, -0.08, 0.12)
-    # probability of a patient receiving 1, 2, 3, or 4 chart reviews
-    review_count_probs: tuple[float, float, float, float] = (0.23, 0.48, 0.19, 0.10)
-    reviewer_noise: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
         for name in ("n_patients", "n_numeric_vars", "emb_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not all(0.0 < p < 1.0 for p in self.prevalences):
-            raise ValueError("prevalences must lie in (0, 1)")
-        if abs(sum(self.review_count_probs) - 1.0) > 1e-9:
-            raise ValueError("review_count_probs must sum to 1")
-
-    def resolved_ehr_signal(self) -> np.ndarray:
-        if self.ehr_signal is not None:
-            signal = np.asarray(self.ehr_signal, dtype=float)
-        else:
-            # each diagnosis shifts three dedicated variables
-            signal = np.zeros((3, self.n_numeric_vars))
-            for k in range(3):
-                cols = [c for c in range(3 * k, 3 * k + 3) if c < self.n_numeric_vars]
-                signal[k, cols] = 0.6
-        if signal.shape != (3, self.n_numeric_vars):
-            raise ValueError("ehr_signal must be shaped (3, n_numeric_vars)")
-        return signal
-
-    def resolved_emb_signal(self) -> np.ndarray:
-        if self.emb_signal is not None:
-            signal = np.asarray(self.emb_signal, dtype=float)
-        else:
-            # each diagnosis shifts four dedicated embedding dimensions
-            signal = np.zeros((3, self.emb_dim))
-            for k in range(3):
-                cols = [c for c in range(4 * k, 4 * k + 4) if c < self.emb_dim]
-                signal[k, cols] = 0.5
-        if signal.shape != (3, self.emb_dim):
-            raise ValueError("emb_signal must be shaped (3, emb_dim)")
-        return signal
 
 
 @dataclass
@@ -112,25 +82,39 @@ class SynthCohort:
     stays: list[PatientStay]
     embeddings: dict[str, ImageEmbedding]
     truth: dict[str, tuple[bool, bool, bool]]
-    ruleset: PhenotypeRuleset = field(default_factory=default_ruleset)
+    ruleset: PhenotypeRuleset
+
+
+def _signal(width: int, span: int, shift: float) -> np.ndarray:
+    """(3, width): diagnosis k shifts columns span*k to span*k + span - 1, those that exist."""
+    signal = np.zeros((3, width))
+    for k in range(3):
+        signal[k, span * k : span * (k + 1)] = shift
+    return signal
 
 
 def _half_point(value: float) -> float:
-    return float(np.floor(value * 2.0 + 0.5)) / 2.0
+    return math.floor(value * 2.0 + 0.5) / 2.0
 
 
 def generate(spec: SynthSpec) -> SynthCohort:
     """Generate a cohort that passes every inclusion rule, with known labels.
 
     Per patient, in fixed draw order: diagnosis bits, onset time, support
-    kind, study-time offset, numeric values, missingness mask, review count,
-    ratings, and the embedding. The single seeded generator makes the whole
-    cohort reproducible byte for byte.
+    kind, study-time offset, numeric values, missingness mask, one
+    observation time per numeric variable (missing ones too), gender, race,
+    review count, ratings, and the embedding. The single seeded generator
+    makes the whole cohort reproducible byte for byte.
     """
     rng = np.random.default_rng(spec.seed)
-    ehr_signal = spec.resolved_ehr_signal()
-    emb_signal = spec.resolved_emb_signal()
+    ehr_signal = _signal(spec.n_numeric_vars, 3, EHR_SHIFT)
+    emb_signal = _signal(spec.emb_dim, 4, EMB_SHIFT)
+    prevalences = np.asarray(PREVALENCES)
+    # the cumulative distribution `Generator.choice` searches for a draw of `p`
+    review_cdf = np.cumsum(REVIEW_COUNT_PROBS)
+    review_cdf = (review_cdf / review_cdf[-1]).tolist()
     ruleset = default_ruleset()
+    first_code_med = {diag: (min(rule.icd_codes), min(rule.medications)) for diag, rule in ruleset.rules.items()}
     var_names = [f"var{idx:02d}" for idx in range(spec.n_numeric_vars)]
     genders = ("F", "M")
     races = ("white", "black", "other")
@@ -143,41 +127,43 @@ def generate(spec: SynthSpec) -> SynthCohort:
 
     for i in range(spec.n_patients):
         pid = f"p{i:0{width}d}"
-        z = (rng.random(3) < np.asarray(spec.prevalences)).astype(float)
+        z = (rng.random(3) < prevalences).astype(float)
 
         admit = 0
         onset = int(rng.integers(6 * MINUTES_PER_HOUR, 24 * MINUTES_PER_HOUR))
         kind = support_kinds[int(rng.integers(0, 3))]
         study_time = onset + int(rng.integers(-120, 121))
 
-        events: list[ObservationEvent] = []
-        mu = ehr_signal.T @ z  # (n_numeric_vars,)
-        values = rng.normal(mu, 1.0)
-        p_missing = float(np.clip(spec.missing_base + np.dot(spec.missing_shift, z), 0.0, 1.0))
-        missing_mask = rng.random(spec.n_numeric_vars) < p_missing
-        for v_idx, name in enumerate(var_names):
-            t = int(rng.integers(admit, onset))
-            if missing_mask[v_idx]:
-                continue
-            events.append(ObservationEvent(variable=name, time=t, value=float(values[v_idx])))
+        values = rng.normal(ehr_signal.T @ z, 1.0).tolist()
+        p_missing = float(np.clip(MISSING_BASE + np.dot(MISSING_SHIFT, z), 0.0, 1.0))
+        missing = (rng.random(spec.n_numeric_vars) < p_missing).tolist()
+        times = rng.integers(admit, onset, size=spec.n_numeric_vars).tolist()
+        events = [
+            ObservationEvent(variable=name, time=t, value=value)
+            for name, t, value, absent in zip(var_names, times, values, missing)
+            if not absent
+        ]
         events.append(ObservationEvent(variable="gender", time=admit, value=genders[int(rng.integers(0, 2))]))
         events.append(ObservationEvent(variable="race", time=admit, value=races[int(rng.integers(0, 3))]))
 
-        n_reviews = int(rng.choice([1, 2, 3, 4], p=spec.review_count_probs))
-        reviews = []
-        for r_idx in range(n_reviews):
-            scores = {}
-            for d_idx, diag in enumerate(DIAGNOSES):
-                raw = 1.0 + 3.0 * (1.0 - z[d_idx]) + rng.normal(0.0, spec.reviewer_noise)
-                scores[diag] = min(max(_half_point(raw), 1.0), 4.0)
-            reviews.append(ChartReview(reviewer_id=f"rev{r_idx}", scores=scores))
+        n_reviews = 1 + bisect.bisect_right(review_cdf, rng.random())
+        # a rating's mean is 1 when the diagnosis is present and 4 when it is absent
+        mean_offset = (3.0 * (1.0 - z)).tolist()
+        noise = rng.normal(0.0, REVIEWER_NOISE, size=(n_reviews, 3)).tolist()
+        reviews = [
+            ChartReview(
+                reviewer_id=f"rev{r_idx}",
+                scores={
+                    diag: min(max(_half_point(1.0 + mean_offset[d_idx] + row[d_idx]), 1.0), 4.0)
+                    for d_idx, diag in enumerate(DIAGNOSES)
+                },
+            )
+            for r_idx, row in enumerate(noise)
+        ]
 
-        codes: set[str] = set()
-        meds: set[str] = set()
-        for d_idx, diag in enumerate(DIAGNOSES):
-            if z[d_idx]:
-                codes.add(sorted(ruleset.rules[diag].icd_codes)[0])
-                meds.add(sorted(ruleset.rules[diag].medications)[0])
+        present = [diag for diag, bit in zip(DIAGNOSES, z) if bit]
+        codes = {first_code_med[diag][0] for diag in present}
+        meds = {first_code_med[diag][1] for diag in present}
 
         image_id = f"{pid}-s0-i0"
         emb_vec = rng.normal(emb_signal.T @ z, 1.0, size=spec.emb_dim).astype(np.float32)

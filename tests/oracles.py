@@ -14,7 +14,7 @@ scalar AUROC per label column and permuted matrix, stay parsing by one
 `_require` call per field, window values by one scan of the events per
 variable, the pooled agreement table by a loop over every reviewer pair, and
 feature encoding by a numpy `searchsorted` per value along its own walk over
-the block offsets.
+the block offsets, and synthetic cohorts by one scalar draw per value.
 """
 
 import math
@@ -22,16 +22,19 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from arfdx import models
+from arfdx import models, synth
 from arfdx.cohort import (
+    MINUTES_PER_HOUR,
     CohortError,
     ImagingStudy,
     ObservationEvent,
     PatientStay,
+    SupportKind,
     map_support_kind,
 )
 from arfdx.evaluation import SingleClass, auroc, dor_from_confusion
-from arfdx.labels import ChartReview, LabelError
+from arfdx.imaging import ImageEmbedding
+from arfdx.labels import DIAGNOSES, ChartReview, LabelError
 
 
 def auroc_bruteforce(scores, labels):
@@ -497,3 +500,77 @@ def pooled_table_loop(patient_reviews, diagnosis):
                 else:
                     d += 1
     return a, b, c, d
+
+
+def ids_with_role(assignment, role):
+    """The patient ids a split assigns to `role`, in assignment order."""
+    return [pid for pid, r in assignment.roles.items() if r == role]
+
+
+def generate_reference(spec):
+    """`synth.generate` by one scalar draw per value, reading the generative
+    constants from `synth` when it runs: per patient, diagnosis bits, onset
+    time, support kind, study-time offset, numeric values, missingness mask,
+    an observation time per variable, gender, race, review count by
+    `Generator.choice`, one rating at a time, and the embedding."""
+    rng = np.random.default_rng(spec.seed)
+    ehr_signal = np.zeros((3, spec.n_numeric_vars))
+    emb_signal = np.zeros((3, spec.emb_dim))
+    for k in range(3):
+        ehr_signal[k, [c for c in range(3 * k, 3 * k + 3) if c < spec.n_numeric_vars]] = synth.EHR_SHIFT
+        emb_signal[k, [c for c in range(4 * k, 4 * k + 4) if c < spec.emb_dim]] = synth.EMB_SHIFT
+    ruleset = synth.default_ruleset()
+    var_names = [f"var{idx:02d}" for idx in range(spec.n_numeric_vars)]
+    support_kinds = (SupportKind.HFNC, SupportKind.NIV, SupportKind.IMV)
+    width = len(str(max(spec.n_patients - 1, 1)))
+    stays, embeddings, truth = [], {}, {}
+    for i in range(spec.n_patients):
+        pid = f"p{i:0{width}d}"
+        z = (rng.random(3) < np.asarray(synth.PREVALENCES)).astype(float)
+        admit = 0
+        onset = int(rng.integers(6 * MINUTES_PER_HOUR, 24 * MINUTES_PER_HOUR))
+        kind = support_kinds[int(rng.integers(0, 3))]
+        study_time = onset + int(rng.integers(-120, 121))
+        values = rng.normal(ehr_signal.T @ z, 1.0)
+        p_missing = float(np.clip(synth.MISSING_BASE + np.dot(synth.MISSING_SHIFT, z), 0.0, 1.0))
+        missing_mask = rng.random(spec.n_numeric_vars) < p_missing
+        events = []
+        for v_idx, name in enumerate(var_names):
+            t = int(rng.integers(admit, onset))
+            if not missing_mask[v_idx]:
+                events.append(ObservationEvent(variable=name, time=t, value=float(values[v_idx])))
+        events.append(ObservationEvent(variable="gender", time=admit, value=("F", "M")[int(rng.integers(0, 2))]))
+        events.append(
+            ObservationEvent(variable="race", time=admit, value=("white", "black", "other")[int(rng.integers(0, 3))])
+        )
+        n_reviews = int(rng.choice([1, 2, 3, 4], p=synth.REVIEW_COUNT_PROBS))
+        reviews = []
+        for r_idx in range(n_reviews):
+            scores = {}
+            for d_idx, diag in enumerate(DIAGNOSES):
+                raw = 1.0 + 3.0 * (1.0 - z[d_idx]) + rng.normal(0.0, synth.REVIEWER_NOISE)
+                scores[diag] = min(max(float(np.floor(raw * 2.0 + 0.5)) / 2.0, 1.0), 4.0)
+            reviews.append(ChartReview(reviewer_id=f"rev{r_idx}", scores=scores))
+        codes, meds = set(), set()
+        for d_idx, diag in enumerate(DIAGNOSES):
+            if z[d_idx]:
+                codes.add(sorted(ruleset.rules[diag].icd_codes)[0])
+                meds.add(sorted(ruleset.rules[diag].medications)[0])
+        image_id = f"{pid}-s0-i0"
+        emb_vec = rng.normal(emb_signal.T @ z, 1.0, size=spec.emb_dim).astype(np.float32)
+        embeddings[image_id] = ImageEmbedding(study_image_id=image_id, vector=emb_vec)
+        stays.append(
+            PatientStay(
+                patient_id=pid,
+                admit_time=admit,
+                events=events,
+                support_events=[(onset, kind)],
+                studies=[ImagingStudy(study_id=f"{pid}-s0", time=study_time, image_refs=(image_id,))],
+                unit_intervals=[("MICU", admit, onset + 48 * MINUTES_PER_HOUR)],
+                reviews=reviews,
+                icd_codes=codes,
+                medications=meds,
+            )
+        )
+        truth[pid] = tuple(bool(b) for b in z)
+    return synth.SynthCohort(stays=stays, embeddings=embeddings, truth=truth, ruleset=ruleset)

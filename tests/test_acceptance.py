@@ -28,6 +28,7 @@ from oracles import (
     auroc_bruteforce,
     finite_diff_grads,
     gradients,
+    ids_with_role,
     max_relative_error,
     random_gradcheck_instance,
 )
@@ -168,7 +169,7 @@ def _pipeline_arrays(generated):
     fitted = featurize.fit(rows, config)
     bits = featurize.encode_rows(rows, fitted).astype(float)
     labels_matrix = np.array(
-        [[int(b) for b in aggregate_reviews(stay.reviews).as_tuple()] for stay in generated.stays],
+        [[int(aggregate_reviews(stay.reviews)[diag]) for diag in DIAGNOSES] for stay in generated.stays],
         dtype=float,
     )
     emb = np.stack(
@@ -192,7 +193,7 @@ def test_criterion_07_combined_beats_unimodal():
     for assignment in splits:
         subsets = {}
         for role in (evaluation.ROLE_TRAIN, evaluation.ROLE_VAL, evaluation.ROLE_TEST):
-            idx = np.array([index_of[p] for p in assignment.ids_with_role(role)])
+            idx = np.array([index_of[p] for p in ids_with_role(assignment, role)])
             subsets[role] = models.ArrayDataset(
                 labels=labels_matrix[idx], ehr=bits[idx], emb=emb[idx]
             )

@@ -414,6 +414,13 @@ def label_artifact_read_by(stage):
     return cli.WINDOW_VALUES if stage == "featurize" else cli.INCLUDED_STAYS
 
 
+def set_window_value(line, variable, value):
+    """A `window_values.ndjson` line with `variable` set to `value`, which
+    `json.dumps` writes as a bare number or a `NaN` token."""
+    record = json.loads(line)
+    return json.dumps({**record, "window": {**record["window"], variable: value}})
+
+
 class TestIncludedStays:
     def test_round_trip_matches_labels_order(self, tmp_path):
         out = tmp_path / "out"
@@ -480,6 +487,8 @@ class TestIncludedStays:
              lambda line: json.dumps({**json.loads(line), "reviews": [{"reviewer_id": "r", "scores": {"copd": 1}}]})),
             ("featurize", cli.WINDOW_VALUES, lambda line: json.dumps({**json.loads(line), "window": [["var00", 1.0]]})),
             ("featurize", cli.WINDOW_VALUES, lambda line: json.dumps({**json.loads(line), "window": {"var00": [1.0]}})),
+            ("featurize", cli.WINDOW_VALUES, lambda line: set_window_value(line, "var00", 10**400)),
+            ("featurize", cli.WINDOW_VALUES, lambda line: set_window_value(line, "var00", float("nan"))),
             ("train", "features.ndjson", lambda line: line[: len(line) // 2]),
             ("evaluate", "features.ndjson", lambda line: json.dumps({"patient_id": json.loads(line)["patient_id"]})),
             ("train", "features.ndjson", lambda line: line.replace('", "patient_id"', 'ff", "patient_id"')),
@@ -491,7 +500,8 @@ class TestIncludedStays:
         ],
         ids=[
             "truncated", "not-an-object", "refs-string", "refs-empty", "no-reviews-field", "review-short",
-            "window-not-an-object", "window-list-value", "features-truncated", "features-no-bits",
+            "window-not-an-object", "window-list-value", "window-value-beyond-float", "window-value-nan",
+            "features-truncated", "features-no-bits",
             "features-too-wide", "splits-no-role", "splits-role-bogus", "splits-index-7", "labels-label-7",
             "labels-unknown-diagnosis",
         ],

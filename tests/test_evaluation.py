@@ -36,6 +36,7 @@ from oracles import (
     aupr_stepsum,
     auroc_bruteforce,
     average_ranks_reference,
+    ids_with_role,
     macro_auroc_reference,
     roc_points_loop,
     threshold_at_ppv_loop,
@@ -57,16 +58,16 @@ class TestMakeSplits:
     def test_exact_60_20_20(self):
         ids = [f"p{i}" for i in range(100)]
         for split in make_splits(ids, seed=0):
-            assert len(split.ids_with_role(ROLE_TRAIN)) == 60
-            assert len(split.ids_with_role(ROLE_VAL)) == 20
-            assert len(split.ids_with_role(ROLE_TEST)) == 20
+            assert len(ids_with_role(split, ROLE_TRAIN)) == 60
+            assert len(ids_with_role(split, ROLE_VAL)) == 20
+            assert len(ids_with_role(split, ROLE_TEST)) == 20
 
     def test_remainder_goes_to_train(self):
         ids = [f"p{i}" for i in range(101)]
         split = make_splits(ids, seed=0)[0]
-        assert len(split.ids_with_role(ROLE_TRAIN)) == 61
-        assert len(split.ids_with_role(ROLE_VAL)) == 20
-        assert len(split.ids_with_role(ROLE_TEST)) == 20
+        assert len(ids_with_role(split, ROLE_TRAIN)) == 61
+        assert len(ids_with_role(split, ROLE_VAL)) == 20
+        assert len(ids_with_role(split, ROLE_TEST)) == 20
 
     def test_same_seed_identical(self):
         ids = [f"p{i}" for i in range(37)]

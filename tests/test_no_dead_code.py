@@ -1,10 +1,12 @@
-"""Every top-level name in the package has a caller inside the package.
+"""Every top-level name and method in the package has a caller inside the package.
 
 Walks the syntax tree of each `src/arfdx/*.py` module and collects its
-top-level functions, classes and assigned names. A name counts as used when
-some module refers to it as a Name, as an Attribute (`module.name`) or in an
-import, anywhere outside the name's own definition. A helper that only tests
-call belongs in the tests; one nothing calls should be deleted.
+top-level functions, classes and assigned names, and the methods and
+properties (not dunders) of its top-level classes. A name counts as used
+when some module refers to it as a Name, as an Attribute (`module.name`,
+`obj.method`) or in an import, anywhere outside the name's own definition.
+A helper that only tests call belongs in the tests; one nothing calls should
+be deleted.
 """
 
 import ast
@@ -25,6 +27,17 @@ def top_level_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
                 for name in bound_names(target):
                     defined[name] = node
     return defined
+
+
+def method_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """`Class.method` for each method and property of each top-level class, with its statement."""
+    return {
+        f"{cls.name}.{node.name}": node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
 
 
 def bound_names(target: ast.expr) -> list[str]:
@@ -58,17 +71,18 @@ def references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """`module.name` for each top-level name no module refers to outside its
-    own definition."""
+    """`module.name` for each top-level name, and `module.Class.method` for each
+    method, that no module refers to outside its own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     refs = {module: references(tree) for module, tree in trees.items()}
     dead = []
     for module, tree in trees.items():
-        for name, node in top_level_definitions(tree).items():
+        for qualified, node in {**top_level_definitions(tree), **method_definitions(tree)}.items():
+            name = qualified.rsplit(".", 1)[-1]
             if name.startswith("__") or any(name in refs[other] for other in trees if other != module):
                 continue
             if name not in references(tree, skip=node):
-                dead.append(f"{module}.{name}")
+                dead.append(f"{module}.{qualified}")
     return sorted(dead)
 
 
@@ -86,6 +100,21 @@ def test_detector_counts_attribute_and_import_references():
         "b": "from . import a\nfrom .a import by_import\n\na.by_attribute()\n",
     }
     assert unreferenced(sources) == []
+
+
+def test_detector_flags_a_method_no_one_calls():
+    sources = {
+        "a": (
+            "class Box:\n"
+            "    def __len__(self):\n        return 0\n\n"
+            "    def helper(self):\n        return 1\n\n"
+            "    def api(self):\n        return self.helper()\n\n"
+            "    @property\n    def size(self):\n        return 2\n\n"
+            "    def unused(self):\n        return self.unused()\n"
+        ),
+        "b": "from a import Box\n\nBox().api()\nprint(Box().size)\n",
+    }
+    assert unreferenced(sources) == ["a.Box.unused"]
 
 
 def test_every_top_level_name_has_a_caller():

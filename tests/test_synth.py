@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arfdx import cohort as cohort_mod
 from arfdx import featurize, models, synth
 from arfdx.evaluation import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, auroc, make_splits
 from arfdx.imaging import embeddings_to_bytes
 from arfdx.labels import DIAGNOSES, aggregate_reviews, code_med_label
+from oracles import generate_reference, ids_with_role
 
 
 def serialize(generated):
@@ -14,20 +16,26 @@ def serialize(generated):
     return cohort_text, emb_bytes
 
 
+def label_tuple(labels):
+    return tuple(labels[diag] for diag in DIAGNOSES)
+
+
 class TestGenerate:
-    def test_noiseless_reviews_recover_truth(self):
-        spec = synth.SynthSpec(n_patients=60, reviewer_noise=0.0, seed=1)
+    def test_noiseless_reviews_recover_truth(self, monkeypatch):
+        monkeypatch.setattr(synth, "REVIEWER_NOISE", 0.0)
+        spec = synth.SynthSpec(n_patients=60, seed=1)
         generated = synth.generate(spec)
+        assert serialize(generated) == serialize(generate_reference(spec))
         for stay in generated.stays:
             labels = aggregate_reviews(stay.reviews)
-            assert labels.as_tuple() == generated.truth[stay.patient_id]
+            assert label_tuple(labels) == generated.truth[stay.patient_id]
 
     def test_codes_and_medications_recover_truth(self):
         spec = synth.SynthSpec(n_patients=60, seed=2)
         generated = synth.generate(spec)
         for stay in generated.stays:
             labels = code_med_label(stay, generated.ruleset)
-            assert labels.as_tuple() == generated.truth[stay.patient_id]
+            assert label_tuple(labels) == generated.truth[stay.patient_id]
 
     def test_same_seed_byte_identical(self):
         spec = synth.SynthSpec(n_patients=40, seed=3)
@@ -53,6 +61,21 @@ class TestGenerate:
         assert cohort_mod.stay_to_json(stays[0]) == cohort_mod.stay_to_json(generated.stays[0])
 
 
+class TestMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_patients=st.integers(1, 60),
+        n_numeric_vars=st.integers(1, 15),
+        emb_dim=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_draws_match_scalar_draws(self, n_patients, n_numeric_vars, emb_dim, seed):
+        spec = synth.SynthSpec(n_patients=n_patients, n_numeric_vars=n_numeric_vars, emb_dim=emb_dim, seed=seed)
+        generated, reference = synth.generate(spec), generate_reference(spec)
+        assert serialize(generated) == serialize(reference)
+        assert generated.truth == reference.truth
+
+
 @pytest.fixture(scope="module")
 def big_cohort():
     return synth.generate(synth.SynthSpec(n_patients=2000, seed=8))
@@ -62,7 +85,7 @@ class TestStatisticalProperties:
     def test_prevalence_within_three_standard_errors(self, big_cohort):
         truth = np.array([big_cohort.truth[s.patient_id] for s in big_cohort.stays], dtype=float)
         n = truth.shape[0]
-        for k, p in enumerate(synth.DEFAULT_PREVALENCES):
+        for k, p in enumerate(synth.PREVALENCES):
             se = np.sqrt(p * (1 - p) / n)
             assert abs(truth[:, k].mean() - p) < 3 * se
 
@@ -78,21 +101,19 @@ class TestStatisticalProperties:
         correlations = featurize.missingness_correlation(bits, truth, fitted, DIAGNOSES)
         # presence correlation sign is the negation of the missingness shift sign
         for d_idx, diag in enumerate(DIAGNOSES):
-            shift = spec.missing_shift[d_idx]
+            shift = synth.MISSING_SHIFT[d_idx]
             mean_presence_corr = np.mean([correlations[(v, diag)] for v in variables])
             assert np.sign(mean_presence_corr) == -np.sign(shift)
 
 
 class TestNoSignalNull:
-    def test_no_signal_cohort_trains_to_chance(self):
-        zero_ehr = tuple(tuple(0.0 for _ in range(8)) for _ in range(3))
-        zero_emb = tuple(tuple(0.0 for _ in range(8)) for _ in range(3))
-        spec = synth.SynthSpec(
-            n_patients=2000, n_numeric_vars=8, emb_dim=8,
-            ehr_signal=zero_ehr, emb_signal=zero_emb,
-            missing_shift=(0.0, 0.0, 0.0), seed=9,
-        )
+    def test_no_signal_cohort_trains_to_chance(self, monkeypatch):
+        monkeypatch.setattr(synth, "EHR_SHIFT", 0.0)
+        monkeypatch.setattr(synth, "EMB_SHIFT", 0.0)
+        monkeypatch.setattr(synth, "MISSING_SHIFT", (0.0, 0.0, 0.0))
+        spec = synth.SynthSpec(n_patients=2000, n_numeric_vars=8, emb_dim=8, seed=9)
         generated = synth.generate(spec)
+        assert serialize(generated) == serialize(generate_reference(spec))
         variables = [f"var{i:02d}" for i in range(8)]
         rows = [cohort_mod.window_values(stay) for stay in generated.stays]
         config = featurize.FeaturizerConfig(numeric_vars=tuple(variables), categorical_vars=())
@@ -102,7 +123,7 @@ class TestNoSignalNull:
 
         split = make_splits([s.patient_id for s in generated.stays], seed=0)[0]
         idx = {pid: i for i, pid in enumerate(s.patient_id for s in generated.stays)}
-        role_idx = lambda role: np.array([idx[p] for p in split.ids_with_role(role)])
+        role_idx = lambda role: np.array([idx[p] for p in ids_with_role(split, role)])
         train_i, val_i, test_i = role_idx(ROLE_TRAIN), role_idx(ROLE_VAL), role_idx(ROLE_TEST)
 
         model_spec = models.ModelSpec(models.ModelKind.EHR_LINEAR, ehr_dim=bits.shape[1])
