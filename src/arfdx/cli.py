@@ -185,7 +185,7 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
 
 # `label` is the one stage that reads the cohort and applies its rules. Besides
 # `labels.csv` it writes two NDJSON files, each the provenance line and then
-# one compact JSON object per included stay, in cohort order:
+# one compact JSON object per included stay, in `patient_id` order:
 # - `included_stays.ndjson`: `patient_id`, the `image_refs` of the study
 #   nearest onset, and the chart `reviews` as parsed. `split`, `train`,
 #   `evaluate` and `explain` read it.
@@ -444,10 +444,10 @@ def run_synth(cfg: RunConfig) -> None:
 
 
 def run_label(cfg: RunConfig) -> None:
+    ruleset = labels.load_ruleset(cfg.existing_input("ruleset"))
     rules = cohort.CohortConfig()
     parsed = cohort.load_cohort(cfg.existing_input("cohort"), cfg.out_dir / "cohort_rejects.txt")
-    stays = [stay for stay in parsed if cohort.include_stay(stay, rules)]
-    ruleset = labels.load_ruleset(cfg.existing_input("ruleset"))
+    stays = sorted((stay for stay in parsed if cohort.include_stay(stay, rules)), key=lambda stay: stay.patient_id)
     rows = []
     for stay in stays:
         chart = labels.aggregate_reviews(stay.reviews) if stay.reviews else None
@@ -458,13 +458,9 @@ def run_label(cfg: RunConfig) -> None:
             rows.append([stay.patient_id, diag, chart_label, int(codemed[diag]), int(used[diag]), used.source])
     cfg.write_csv("labels", COLUMNS["labels.csv"], rows)
 
-    reviews = [stay.reviews for stay in stays]
-    if any(len(r) >= 2 for r in reviews):
-        agreement = labels.rater_agreement(reviews)
-        agreement_rows = [[d, r.kappa, r.raw_agreement, r.n_pairs] for d, r in agreement.items()]
-    else:
-        agreement_rows = [[d, None, None, 0] for d in labels.DIAGNOSES]
-    cfg.write_csv("agreement", ("diagnosis", "kappa", "raw_agreement", "n_pairs"), agreement_rows)
+    agreement = labels.rater_agreement([stay.reviews for stay in stays])
+    cfg.write_csv("agreement", ("diagnosis", "kappa", "raw_agreement", "n_pairs"),
+                  ([d, r.kappa, r.raw_agreement, r.n_pairs] for d, r in agreement.items()))
     write_included(cfg, stays)
     print(f"label: wrote labels for {len(stays)} patients")
 
@@ -532,26 +528,6 @@ def run_train(cfg: RunConfig) -> None:
     print(f"train: wrote {len(results)} checkpoints")
 
 
-def physician_rows(cfg: RunConfig, data: PipelineData, split_index: int, test_idx: np.ndarray,
-                   test_probs: np.ndarray) -> list[list]:
-    """Held-out physician vs model on one split's test patients with 3+ reviews."""
-    cases = []
-    for i, probs in zip(test_idx, test_probs):
-        if len(data.reviews[i]) >= 3:
-            cases.append(evaluation.PhysicianCase(data.reviews[i], dict(zip(labels.DIAGNOSES, probs.tolist()))))
-    if not cases:
-        return []
-    rng = np.random.default_rng(stage_seed(cfg.seed, f"physician/split{split_index}"))
-    try:
-        comparison = evaluation.physician_comparison(cases, rng)
-    except evaluation.EvalError:
-        return []
-    return [
-        [split_index, diag, comparison.physician_auroc[diag], comparison.model_auroc[diag], comparison.n_patients]
-        for diag in labels.DIAGNOSES + ("macro",)
-    ]
-
-
 def run_evaluate(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
     families = cfg.families()
@@ -609,7 +585,9 @@ def run_evaluate(cfg: RunConfig) -> None:
                 metric_rows.append([family, split_index, "macro", metric, value])
                 summary_values.setdefault((family, "macro", metric), []).append(value)
             if family == "combined":
-                comparison_rows.extend(physician_rows(cfg, data, split_index, test_idx, test_probs))
+                rng = np.random.default_rng(stage_seed(cfg.seed, f"physician/split{split_index}"))
+                comparison = evaluation.physician_comparison([data.reviews[i] for i in test_idx], test_probs, rng)
+                comparison_rows.extend([split_index, *row] for row in comparison)
 
     cfg.write_csv("metrics", ("model", "split", "diagnosis", "metric", "value"), metric_rows)
     cfg.write_csv(
@@ -622,11 +600,8 @@ def run_evaluate(cfg: RunConfig) -> None:
 
     summary_rows = []
     for (family, diag, metric), values in sorted(summary_values.items()):
-        if len(values) == evaluation.N_SPLITS and None not in values:
-            median, low, high = evaluation.summarize_splits([float(v) for v in values])
-            summary_rows.append([family, diag, metric, median, low, high])
-        else:
-            summary_rows.append([family, diag, metric, None, None, None])
+        summary = (None, None, None) if None in values else evaluation.summarize_splits(values)
+        summary_rows.append([family, diag, metric, *summary])
     cfg.write_csv("cross_split_summary", ("model", "diagnosis", "metric", "median", "min", "max"), summary_rows)
     cfg.write_csv(
         "physician_comparison", ("split", "diagnosis", "physician_auroc", "model_auroc", "n_patients"), comparison_rows

@@ -326,18 +326,20 @@ class MetricsReport:
 def metrics_report(
     test_probs: np.ndarray,
     test_labels: np.ndarray,
-    val_probs: Optional[np.ndarray] = None,
-    val_labels: Optional[np.ndarray] = None,
+    val_probs: np.ndarray,
+    val_labels: np.ndarray,
 ) -> MetricsReport:
     """Full discrimination/calibration/threshold report for one split.
 
     A cell that cannot be computed (single-class labels, unattainable PPV,
     too few samples) is reported as None instead of aborting the report;
     macro averages are None whenever any constituent diagnosis is. The
-    recalibration line comes from validation predictions when provided.
+    recalibration line comes from the validation predictions.
     """
     test_probs = np.atleast_2d(np.asarray(test_probs, dtype=float))
     test_labels = np.atleast_2d(np.asarray(test_labels, dtype=int))
+    val_probs = np.atleast_2d(np.asarray(val_probs, dtype=float))
+    val_labels = np.atleast_2d(np.asarray(val_labels, dtype=int))
     per_diagnosis = {}
     for idx, diagnosis in enumerate(DIAGNOSES):
         scores = test_probs[:, idx]
@@ -359,16 +361,11 @@ def metrics_report(
             operating_point = threshold_at_ppv(scores, y)
         except (PPVUnattainable, SingleClass):
             operating_point = None
-        recal = None
-        if val_probs is not None and val_labels is not None:
-            try:
-                val_cal = calibration(
-                    np.atleast_2d(np.asarray(val_probs, dtype=float))[:, idx],
-                    np.atleast_2d(np.asarray(val_labels, dtype=int))[:, idx],
-                )
-                recal = (val_cal.slope, val_cal.intercept)
-            except EvalError:
-                recal = None
+        try:
+            val_cal = calibration(val_probs[:, idx], val_labels[:, idx])
+            recal = (val_cal.slope, val_cal.intercept)
+        except EvalError:
+            recal = None
         per_diagnosis[diagnosis] = DiagnosisMetrics(
             prevalence=prevalence,
             auroc=auroc_value,
@@ -392,41 +389,35 @@ def metrics_report(
 
 # --- physician benchmark comparison ------------------------------------------
 
-@dataclass(frozen=True)
-class PhysicianCase:
-    """One test patient with 3+ chart reviews and the model's probabilities."""
-
-    reviews: Sequence[ChartReview]
-    model_probs: Mapping[str, float]
+PHYSICIAN_MIN_REVIEWS = 3  # one review held out leaves a consensus of at least two
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    physician_auroc: Mapping[str, float]  # per diagnosis plus "macro"
-    model_auroc: Mapping[str, float]
-    n_patients: int
-
-
-def physician_comparison(cases: Sequence[PhysicianCase], rng: np.random.Generator) -> ComparisonResult:
+def physician_comparison(patient_reviews: Sequence[Sequence[ChartReview]], probs: np.ndarray,
+                         rng: np.random.Generator) -> list[tuple[str, float, float, int]]:
     """Randomly held-out reviewer vs model, scored against the remaining-review consensus.
 
-    The physician's prediction score is the ordinal 5 - rating from the
-    held-out review; the consensus of the other reviews provides the labels
-    for both contenders.
+    `patient_reviews[i]` and `probs[i]` are test patient i's chart reviews and
+    (3,) model probabilities. Each patient with at least three reviews, in
+    order, holds out the review `rng` draws; the physician's score is 5 minus
+    its rating, so higher means more likely, and the consensus of the other
+    reviews labels both contenders. Returns (diagnosis, physician AUROC, model
+    AUROC, patients compared) per diagnosis and for "macro", or no rows when
+    no patient qualifies or some diagnosis's consensus holds one class.
     """
-    if not cases:
-        raise EvalError("physician comparison needs at least one case")
-    phys_scores = {d: [] for d in DIAGNOSES}
-    model_scores = {d: [] for d in DIAGNOSES}
-    truth = {d: [] for d in DIAGNOSES}
-    for case in cases:
-        bench = labels_mod.physician_benchmark(list(case.reviews), rng)
-        for diag in DIAGNOSES:
-            phys_scores[diag].append(bench.ordinal_scores[diag])
-            model_scores[diag].append(float(case.model_probs[diag]))
-            truth[diag].append(int(bench.consensus[diag]))
-    phys = {d: auroc(phys_scores[d], truth[d]) for d in DIAGNOSES}
-    model = {d: auroc(model_scores[d], truth[d]) for d in DIAGNOSES}
-    phys["macro"] = macro_average([phys[d] for d in DIAGNOSES])
-    model["macro"] = macro_average([model[d] for d in DIAGNOSES])
-    return ComparisonResult(physician_auroc=phys, model_auroc=model, n_patients=len(cases))
+    compared = [i for i, reviews in enumerate(patient_reviews) if len(reviews) >= PHYSICIAN_MIN_REVIEWS]
+    scores = np.empty((2, len(compared), len(DIAGNOSES)))  # physician, model
+    truth = np.empty((len(compared), len(DIAGNOSES)), dtype=int)
+    for row, i in enumerate(compared):
+        reviews = list(patient_reviews[i])
+        held = reviews.pop(int(rng.integers(0, len(reviews))))
+        consensus = labels_mod.aggregate_reviews(reviews)
+        scores[0, row] = [5.0 - float(held.scores[diag]) for diag in DIAGNOSES]
+        truth[row] = [consensus[diag] for diag in DIAGNOSES]
+    scores[1] = np.asarray(probs, dtype=float)[compared]
+    cols, values = column_aurocs(scores, truth)
+    if cols.size < len(DIAGNOSES):
+        return []
+    physician, model = values.tolist()
+    physician.append(macro_average(physician))
+    model.append(macro_average(model))
+    return [(diag, p, m, len(compared)) for diag, p, m in zip(DIAGNOSES + ("macro",), physician, model)]

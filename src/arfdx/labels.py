@@ -3,8 +3,8 @@
 Two label routes exist: averaging 1-4 likelihood ratings from independent
 chart reviews, and a rule joining discharge diagnosis codes with disease-
 specific medication administration. This module also measures inter-rater
-agreement and prepares the held-out-reviewer benchmark used to compare
-models against a single physician.
+agreement; `evaluation.physician_comparison` holds out one reviewer against
+the consensus of the rest.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class LabelError(ValueError):
 
 
 class NoReviews(LabelError):
-    pass
-
-
-class TooFewReviews(LabelError):
     pass
 
 
@@ -113,26 +109,45 @@ class PhenotypeRuleset:
                 raise LabelError(f"ruleset missing diagnosis {diag!r}")
 
 
-def normalize_code(code: str) -> str:
-    return code.strip().upper()
+def normalize(term: str) -> str:
+    """An ICD code or a medication as the rules match it."""
+    return term.strip().upper()
 
 
-def normalize_medication(med: str) -> str:
-    return med.strip().upper()
+_RULE_KEYS = ("icd", "medications")
 
 
 def load_ruleset(path) -> PhenotypeRuleset:
-    """Load a ruleset from JSON: {"pneumonia": {"icd": [...], "medications": [...]}, ...}."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a ruleset from JSON: {"pneumonia": {"icd": [...], "medications": [...]}, ...}.
+
+    Each diagnosis maps to an object of exactly those two keys, each a
+    non-empty list of strings; besides the diagnoses only `save_ruleset`'s
+    `_provenance` may appear. Anything else is a `LabelError` naming the
+    file, and the diagnosis and key at fault.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise LabelError(f"ruleset {path} is not JSON ({exc})") from exc
+    if type(raw) is not dict:
+        raise LabelError(f"ruleset {path} is not a JSON object")
+    unknown = sorted(raw.keys() - {*DIAGNOSES, "_provenance"})
+    if unknown:
+        raise LabelError(f"ruleset {path} has unknown key {unknown[0]!r}; the diagnoses are {', '.join(DIAGNOSES)}")
     rules = {}
     for diag in DIAGNOSES:
+        where = f"ruleset {path} diagnosis {diag!r}"
         if diag not in raw:
-            raise LabelError(f"ruleset file missing diagnosis {diag!r}")
+            raise LabelError(f"{where} is missing")
         entry = raw[diag]
-        rules[diag] = PhenotypeRule(
-            icd_codes=frozenset(normalize_code(c) for c in entry["icd"]),
-            medications=frozenset(normalize_medication(m) for m in entry["medications"]),
-        )
+        if type(entry) is not dict or entry.keys() != set(_RULE_KEYS):
+            keys = sorted(entry) if type(entry) is dict else type(entry).__name__
+            raise LabelError(f"{where} must be an object of the keys 'icd' and 'medications', not {keys}")
+        for key in _RULE_KEYS:
+            terms = entry[key]
+            if type(terms) is not list or not terms or any(type(term) is not str for term in terms):
+                raise LabelError(f"{where} key {key!r} must be a non-empty list of strings, not {terms!r}")
+        rules[diag] = PhenotypeRule(*(frozenset(map(normalize, entry[key])) for key in _RULE_KEYS))
     return PhenotypeRuleset(rules=rules)
 
 
@@ -165,8 +180,8 @@ def code_med_label(stay, ruleset: PhenotypeRuleset) -> DiagnosisLabels:
 
     `stay` needs `icd_codes` and `medications` attributes (sets of strings).
     """
-    codes = {normalize_code(c) for c in stay.icd_codes}
-    meds = {normalize_medication(m) for m in stay.medications}
+    codes = set(map(normalize, stay.icd_codes))
+    meds = set(map(normalize, stay.medications))
     assigned = {}
     for diag in DIAGNOSES:
         rule = ruleset.rules[diag]
@@ -176,8 +191,8 @@ def code_med_label(stay, ruleset: PhenotypeRuleset) -> DiagnosisLabels:
 
 @dataclass(frozen=True)
 class AgreementResult:
-    kappa: Optional[float]  # None when chance agreement is 1 (unanimous one-sided calls)
-    raw_agreement: float
+    kappa: Optional[float]  # None when chance agreement is 1 (unanimous one-sided calls) or there is no pair
+    raw_agreement: Optional[float]  # None when there is no pair
     table: tuple[float, float, float, float]  # (a, b, c, d): ++, +-, -+, --
     n_pairs: float
 
@@ -221,44 +236,21 @@ def pooled_table(patient_reviews: Sequence[Sequence[ChartReview]], diagnosis: st
 
 def rater_agreement(patient_reviews: Sequence[Sequence[ChartReview]]) -> dict[str, AgreementResult]:
     """Pooled-pairs kappa and raw agreement per diagnosis; kappa is None where
-    the marginals leave it undefined, and raw agreement is still reported."""
-    if not any(len(reviews) >= 2 for reviews in patient_reviews):
-        raise LabelError("agreement needs at least one patient with two or more reviews")
+    the marginals leave it undefined, and raw agreement is still reported.
+
+    Only a patient with two or more reviews adds pairs. With no such patient
+    the table is empty: kappa and raw agreement are None and `n_pairs` is 0.
+    """
     results = {}
     for diag in DIAGNOSES:
-        a, b, c, d = pooled_table(patient_reviews, diag)
+        a, b, c, d = table = pooled_table(patient_reviews, diag)
+        n = a + b + c + d
+        if n == 0:
+            results[diag] = AgreementResult(kappa=None, raw_agreement=None, table=table, n_pairs=0)
+            continue
         try:
             kappa, raw = kappa_from_table(a, b, c, d)
         except DegenerateMarginals:
-            kappa, raw = None, (a + d) / (a + b + c + d)
-        results[diag] = AgreementResult(
-            kappa=kappa, raw_agreement=raw, table=(a, b, c, d), n_pairs=(a + b + c + d) / 2.0
-        )
+            kappa, raw = None, (a + d) / n
+        results[diag] = AgreementResult(kappa=kappa, raw_agreement=raw, table=table, n_pairs=n / 2.0)
     return results
-
-
-@dataclass(frozen=True)
-class PhysicianBenchmark:
-    held_out: ChartReview
-    ordinal_scores: Mapping[str, float]  # 5 - rating; higher = more likely
-    consensus: DiagnosisLabels
-
-
-def physician_benchmark(reviews: Sequence[ChartReview], rng: np.random.Generator) -> PhysicianBenchmark:
-    """Hold out one review at random; consensus comes from the remainder.
-
-    The held-out reviewer's prediction score per diagnosis is 5 - rating,
-    so higher scores mean the physician considered the diagnosis more
-    likely. Requires three or more reviews so the remaining consensus still
-    averages at least two opinions.
-    """
-    if len(reviews) < 3:
-        raise TooFewReviews(f"need >=3 reviews, got {len(reviews)}")
-    held_idx = int(rng.integers(0, len(reviews)))
-    held = reviews[held_idx]
-    rest = [r for i, r in enumerate(reviews) if i != held_idx]
-    return PhysicianBenchmark(
-        held_out=held,
-        ordinal_scores={diag: 5.0 - float(held.scores[diag]) for diag in DIAGNOSES},
-        consensus=aggregate_reviews(rest),
-    )

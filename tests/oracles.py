@@ -14,7 +14,8 @@ scalar AUROC per label column and permuted matrix, stay parsing by one
 `_require` call per field, window values by one scan of the events per
 variable, the pooled agreement table by a loop over every reviewer pair, and
 feature encoding by a numpy `searchsorted` per value along its own walk over
-the block offsets, and synthetic cohorts by one scalar draw per value.
+the block offsets, synthetic cohorts by one scalar draw per value, and the
+held-out physician comparison by one patient and one scalar AUROC at a time.
 """
 
 import math
@@ -32,7 +33,7 @@ from arfdx.cohort import (
     SupportKind,
     map_support_kind,
 )
-from arfdx.evaluation import SingleClass, auroc, dor_from_confusion
+from arfdx.evaluation import EvalError, SingleClass, auroc, dor_from_confusion
 from arfdx.imaging import ImageEmbedding
 from arfdx.labels import DIAGNOSES, ChartReview, LabelError
 
@@ -500,6 +501,37 @@ def pooled_table_loop(patient_reviews, diagnosis):
                 else:
                     d += 1
     return a, b, c, d
+
+
+def physician_comparison_reference(patient_reviews, probs, rng):
+    """The held-out physician against the model, as rows of (diagnosis,
+    physician AUROC, model AUROC, patients) for each diagnosis and "macro".
+
+    Patients with three or more reviews are compared, in order, each drawing
+    its held-out review with one `rng.integers` call; the physician scores
+    5 - rating and the mean of the other reviews' ratings, below 2.5, labels
+    both contenders. Raises `EvalError` where no row is defined: no patient
+    qualifies, or some diagnosis's consensus holds one class.
+    """
+    cases = [(list(reviews), dict(zip(DIAGNOSES, row.tolist())))
+             for reviews, row in zip(patient_reviews, np.asarray(probs, dtype=float)) if len(reviews) >= 3]
+    if not cases:
+        raise EvalError("physician comparison needs at least one case")
+    phys_scores = {d: [] for d in DIAGNOSES}
+    model_scores = {d: [] for d in DIAGNOSES}
+    truth = {d: [] for d in DIAGNOSES}
+    for reviews, model_probs in cases:
+        held_idx = int(rng.integers(0, len(reviews)))
+        rest = [r for i, r in enumerate(reviews) if i != held_idx]
+        for diag in DIAGNOSES:
+            phys_scores[diag].append(5.0 - float(reviews[held_idx].scores[diag]))
+            model_scores[diag].append(float(model_probs[diag]))
+            truth[diag].append(int(sum(float(r.scores[diag]) for r in rest) / len(rest) < 2.5))
+    phys = {d: auroc(phys_scores[d], truth[d]) for d in DIAGNOSES}  # SingleClass is an EvalError
+    model = {d: auroc(model_scores[d], truth[d]) for d in DIAGNOSES}
+    phys["macro"] = float(sum(phys[d] for d in DIAGNOSES)) / len(DIAGNOSES)
+    model["macro"] = float(sum(model[d] for d in DIAGNOSES)) / len(DIAGNOSES)
+    return [(diag, phys[diag], model[diag], len(cases)) for diag in DIAGNOSES + ("macro",)]
 
 
 def ids_with_role(assignment, role):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,24 @@ class TestPipelineStages:
             assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
         assert {path.name: path.stat().st_mtime_ns for path in inputs.iterdir()} == before
         assert (out / "cohort_rejects.txt").read_text() == ""
+
+
+class TestCohortOrder:
+    def test_reversed_cohort_writes_the_same_artifacts(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(MINI_CONFIG)
+        out, reversed_out = tmp_path / "out", tmp_path / "reversed"
+        run_stages(config, out, ("synth",))
+        shutil.copytree(out, reversed_out)
+        header, *body = (out / "cohort.ndjson").read_text().splitlines(keepends=True)
+        (reversed_out / "cohort.ndjson").write_text(header + "".join(reversed(body)))
+        stages = ("label", "featurize", "split", "train", "evaluate", "explain")
+        run_stages(config, out, stages)
+        run_stages(config, reversed_out, stages)
+        skipped = {"cohort.ndjson", "cohort_rejects.txt"}  # the input, and the rejects that name its lines
+        artifacts = sorted(path.name for path in out.iterdir() if path.name not in skipped)
+        assert sorted(path.name for path in reversed_out.iterdir() if path.name not in skipped) == artifacts
+        assert [name for name in artifacts if (out / name).read_bytes() != (reversed_out / name).read_bytes()] == []
 
 
 class TestArtifactTable:
@@ -267,6 +286,47 @@ class TestAgreementDegradation:
         assert cli.main(["label", "--out", str(out)]) == 0
         rows = [line.split(",") for line in (out / "agreement.csv").read_text().splitlines()[2:]]
         assert all(row[1] == "" and row[2] == "1.0" for row in rows)
+
+    def test_no_pairs_leave_kappa_and_raw_agreement_empty(self, tmp_path):
+        # one stay with a single review and one labelled by the code+medication rule
+        out = tmp_path / "out"
+        out.mkdir()
+        once = {**UNANIMOUS_STAY, "reviews": UNANIMOUS_STAY["reviews"][:1]}
+        never = {**UNANIMOUS_STAY, "patient_id": "p2", "reviews": []}
+        (out / "cohort.ndjson").write_text(json.dumps(once) + "\n" + json.dumps(never) + "\n")
+        labels.save_ruleset(out / "ruleset.json", synth.default_ruleset())
+        assert cli.main(["label", "--out", str(out)]) == 0
+        assert (out / "agreement.csv").read_text().splitlines()[1:] == [
+            "diagnosis,kappa,raw_agreement,n_pairs", "pneumonia,,,0", "heart_failure,,,0", "copd,,,0",
+        ]
+
+
+def edited_ruleset(edit):
+    """`synth`'s default ruleset as JSON text, with `edit` applied to its object."""
+    raw = {diag: {"icd": sorted(rule.icd_codes), "medications": sorted(rule.medications)}
+           for diag, rule in synth.default_ruleset().rules.items()}
+    edit(raw)
+    return json.dumps(raw)
+
+
+class TestBadRuleset:
+    @pytest.mark.parametrize("text, named", [
+        (edited_ruleset(lambda raw: raw["copd"].update(icd="J44.9")), ["'copd'", "'icd'"]),
+        (edited_ruleset(lambda raw: raw["pneumonia"].update(icd=[7])), ["'pneumonia'", "'icd'"]),
+        (edited_ruleset(lambda raw: raw.update(heart_failure=["I50.9"])), ["'heart_failure'", "'icd'", "list"]),
+        (edited_ruleset(lambda raw: raw["copd"].pop("icd")), ["'copd'", "'icd'"]),
+        ("{not json", ["is not JSON"]),
+    ], ids=["icd-is-a-string", "icd-holds-a-number", "diagnosis-is-a-list", "icd-missing", "not-json"])
+    def test_label_exits_1_naming_it_before_writing_anything(self, tmp_path, capsys, text, named):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "cohort.ndjson").write_text(json.dumps(UNANIMOUS_STAY) + "\n")
+        (out / "ruleset.json").write_text(text)
+        assert cli.main(["label", "--out", str(out)]) == cli.EXIT_MODULE_ERROR
+        err = capsys.readouterr().err
+        assert f"LabelError: ruleset {out / 'ruleset.json'} " in err
+        assert all(part in err for part in named), err
+        assert sorted(path.name for path in out.iterdir()) == ["cohort.ndjson", "ruleset.json"]
 
 
 class TestDuplicatePatients:

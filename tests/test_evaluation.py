@@ -13,7 +13,6 @@ from arfdx.evaluation import (
     EvalError,
     MetricsReport,
     NoPositives,
-    PhysicianCase,
     PPVUnattainable,
     SingleClass,
     aupr,
@@ -30,7 +29,7 @@ from arfdx.evaluation import (
     summarize_splits,
     threshold_at_ppv,
 )
-from arfdx.labels import ChartReview
+from arfdx.labels import DIAGNOSES, ChartReview
 from oracles import (
     aupr_loop,
     aupr_stepsum,
@@ -38,6 +37,7 @@ from oracles import (
     average_ranks_reference,
     ids_with_role,
     macro_auroc_reference,
+    physician_comparison_reference,
     roc_points_loop,
     threshold_at_ppv_loop,
 )
@@ -424,7 +424,7 @@ class TestMetricsReport:
         probs = np.full((10, 3), 0.5)
         labels = np.zeros((10, 3), dtype=int)
         labels[:5, 0] = 1  # only the first diagnosis has both classes
-        report = metrics_report(probs, labels)
+        report = metrics_report(probs, labels, probs, labels)
         per = report.per_diagnosis
         assert per["pneumonia"].auroc == 0.5
         assert per["heart_failure"].auroc is None
@@ -437,15 +437,9 @@ class TestMetricsReport:
         probs = np.full((10, 3), 0.5)
         labels = np.zeros((10, 3), dtype=int)
         labels[0, :] = 1  # prevalence 0.1 < target PPV at the only threshold
-        report = metrics_report(probs, labels)
+        report = metrics_report(probs, labels, probs, labels)
         assert report.per_diagnosis["pneumonia"].operating_point is None
 
-    def test_no_validation_data_skips_recalibration(self):
-        probs = np.tile([[0.2, 0.8, 0.5]], (10, 1))
-        labels = np.tile([[0, 1, 0]], (10, 1))
-        labels[0] = [1, 0, 1]
-        report = metrics_report(probs, labels)
-        assert all(cell.recalibration is None for cell in report.per_diagnosis.values())
 
 
 class SeqRng:
@@ -463,35 +457,65 @@ def review_all(rating, reviewer):
     )
 
 
+def comparison_by_diagnosis(rows):
+    return {diag: (physician, model, n) for diag, physician, model, n in rows}
+
+
+HALF_POINTS = [1.0 + 0.5 * k for k in range(7)]
+
+
+@st.composite
+def reviewed_test_patients(draw):
+    """1-4 half-point reviews for each of 0-20 patients, (n, 3) probabilities
+    from five values (heavy ties), and a generator seed."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    reviews = [
+        [ChartReview(f"r{j}", dict(zip(DIAGNOSES, draw(st.tuples(*[st.sampled_from(HALF_POINTS)] * 3)))))
+         for j in range(draw(st.integers(min_value=1, max_value=4)))]
+        for _ in range(n)
+    ]
+    probs = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=3 * n, max_size=3 * n))
+    return reviews, np.array(probs, dtype=float).reshape(n, 3), draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
 class TestPhysicianComparison:
-    def cases(self, held_ratings, other_ratings, model_probs):
-        cases = []
-        for held, other, prob in zip(held_ratings, other_ratings, model_probs):
-            reviews = [review_all(held, "held"), review_all(other, "r1"), review_all(other, "r2")]
-            cases.append(
-                PhysicianCase(
-                    reviews=reviews,
-                    model_probs={"pneumonia": prob, "heart_failure": prob, "copd": prob},
-                )
-            )
-        return cases
+    def patients(self, held_ratings, other_ratings, model_probs):
+        """Three reviews per patient, the first one the held-out review under `SeqRng([0, ...])`."""
+        reviews = [[review_all(held, "held"), review_all(other, "r1"), review_all(other, "r2")]
+                   for held, other in zip(held_ratings, other_ratings)]
+        return reviews, np.repeat(np.asarray(model_probs, dtype=float)[:, None], 3, axis=1)
 
     def test_concordant_physician_scores(self):
         # held-out ratings (1, 4, 2) vs consensus labels (1, 0, 1)
-        cases = self.cases([1.0, 4.0, 2.0], [1.0, 4.0, 2.0], [1.0, 0.0, 1.0])
-        result = physician_comparison(cases, SeqRng([0, 0, 0]))
-        assert result.physician_auroc["pneumonia"] == 1.0
-        assert result.physician_auroc["macro"] == 1.0
-        assert result.model_auroc["macro"] == 1.0
-        assert result.n_patients == 3
+        reviews, probs = self.patients([1.0, 4.0, 2.0], [1.0, 4.0, 2.0], [1.0, 0.0, 1.0])
+        rows = comparison_by_diagnosis(physician_comparison(reviews, probs, SeqRng([0, 0, 0])))
+        assert list(rows) == ["pneumonia", "heart_failure", "copd", "macro"]
+        assert rows["pneumonia"] == (1.0, 1.0, 3)
+        assert rows["macro"] == (1.0, 1.0, 3)
 
     def test_constant_physician_rating_is_chance(self):
-        cases = self.cases([2.0, 2.0, 2.0], [1.0, 4.0, 1.0], [0.9, 0.1, 0.8])
-        result = physician_comparison(cases, SeqRng([0, 0, 0]))
-        assert result.physician_auroc["pneumonia"] == 0.5
-        assert result.model_auroc["pneumonia"] == 1.0
+        reviews, probs = self.patients([2.0, 2.0, 2.0], [1.0, 4.0, 1.0], [0.9, 0.1, 0.8])
+        rows = comparison_by_diagnosis(physician_comparison(reviews, probs, SeqRng([0, 0, 0])))
+        assert rows["pneumonia"] == (0.5, 1.0, 3)
 
-    def test_single_class_propagates(self):
-        cases = self.cases([1.0, 2.0], [1.0, 1.0], [0.5, 0.5])
-        with pytest.raises(SingleClass):
-            physician_comparison(cases, SeqRng([0, 0]))
+    def test_single_class_consensus_writes_no_rows(self):
+        reviews, probs = self.patients([1.0, 2.0], [1.0, 1.0], [0.5, 0.5])
+        assert physician_comparison(reviews, probs, SeqRng([0, 0])) == []
+
+    def test_no_patient_with_three_reviews_writes_no_rows(self):
+        reviews = [[review_all(1.0, "a")], [review_all(4.0, "a"), review_all(4.0, "b")], []]
+        assert physician_comparison(reviews, np.full((3, 3), 0.5), SeqRng([])) == []
+        assert physician_comparison([], np.empty((0, 3)), SeqRng([])) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(reviewed_test_patients())
+    def test_matches_reference(self, case):
+        reviews, probs, seed = case
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = physician_comparison(reviews, probs, rng)
+        try:
+            expected = physician_comparison_reference(reviews, probs, reference_rng)
+        except EvalError:
+            expected = []
+        assert rows == expected  # bit for bit: == on every float
+        assert rng.bit_generator.state == reference_rng.bit_generator.state

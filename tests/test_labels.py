@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from arfdx.evaluation import physician_comparison
 from arfdx.labels import (
     DIAGNOSES,
+    AgreementResult,
     ChartReview,
     DegenerateMarginals,
     LabelError,
     NoReviews,
     PhenotypeRule,
     PhenotypeRuleset,
-    TooFewReviews,
     aggregate_reviews,
     code_med_label,
     kappa_from_table,
     load_ruleset,
-    physician_benchmark,
     pooled_table,
     rater_agreement,
     save_ruleset,
@@ -123,9 +123,9 @@ class TestCodeMedLabel:
 
     def test_ruleset_round_trip(self, tmp_path):
         path = tmp_path / "ruleset.json"
-        save_ruleset(path, small_ruleset())
-        loaded = load_ruleset(path)
-        assert loaded == small_ruleset()
+        for provenance in (None, "arfdx test"):  # the `_provenance` key `synth` writes is allowed
+            save_ruleset(path, small_ruleset(), provenance=provenance)
+            assert load_ruleset(path) == small_ruleset()
 
 
 class TestRaterAgreement:
@@ -158,8 +158,9 @@ class TestRaterAgreement:
             assert result.n_pairs == 1.0
 
     def test_needs_multiply_reviewed_patient(self):
-        with pytest.raises(LabelError):
-            rater_agreement([[review()], [review()]])
+        # no patient has two reviews: no pair, so kappa and raw agreement are undefined
+        for diag, result in rater_agreement([[review()], [review(1, 1, 1)], []]).items():
+            assert result == AgreementResult(kappa=None, raw_agreement=None, table=(0, 0, 0, 0), n_pairs=0), diag
 
     @given(
         st.tuples(
@@ -204,37 +205,63 @@ class FixedIndexRng:
         return self.index
 
 
+class ListedIndexRng:
+    """Stands in for a Generator that must make exactly the listed draws."""
+
+    def __init__(self, indices):
+        self.indices = list(indices)
+
+    def integers(self, low, high=None):
+        return self.indices.pop(0)
+
+
+def rated(*ratings):
+    """One review per rating, each rating every diagnosis alike."""
+    return [review(r, r, r, reviewer=f"r{i}") for i, r in enumerate(ratings)]
+
+
+def held_out_rows(patient_reviews, model_probs, rng):
+    """`physician_comparison` rows by diagnosis, with each patient's model
+    probability the same for every diagnosis."""
+    probs = np.repeat(np.asarray(model_probs, dtype=float)[:, None], len(DIAGNOSES), axis=1)
+    return {row[0]: row[1:] for row in physician_comparison(patient_reviews, probs, rng)}
+
+
 class TestPhysicianBenchmark:
+    """The held-out-reviewer benchmark, which `evaluation.physician_comparison`
+    runs on the consensus rule of `aggregate_reviews`."""
+
     def test_holding_out_the_outlier(self):
-        reviews = [review(pneumonia=1, reviewer="a"), review(pneumonia=1, reviewer="b"),
-                   review(pneumonia=4, reviewer="c")]
-        bench = physician_benchmark(reviews, FixedIndexRng(2))
-        assert bench.held_out.reviewer_id == "c"
-        assert bench.consensus.pneumonia is True  # remaining mean is 1
-        assert bench.ordinal_scores["pneumonia"] == 1.0  # 5 - 4
+        # the held-out fourth review disagrees with the other three's consensus,
+        # and the consensus of all four would call both patients negative
+        patients = [rated(1, 1, 4, 4), rated(4, 4, 1, 1)]
+        rows = held_out_rows(patients, [0.9, 0.1], FixedIndexRng(3))
+        for diag in DIAGNOSES + ("macro",):
+            assert rows[diag] == (0.0, 1.0, 2), diag  # physician 5 - 4 = 1 on the positive, 4 on the negative
 
     def test_identical_ratings_consensus_matches_any_holdout(self):
-        reviews = [review(pneumonia=2, reviewer=f"r{i}") for i in range(4)]
-        for held in range(4):
-            bench = physician_benchmark(reviews, FixedIndexRng(held))
-            assert bench.consensus.pneumonia is reviews[held].binary_call("pneumonia")
+        patients = [rated(2, 2, 2, 2), rated(3, 3, 3, 3)]
+        results = [held_out_rows(patients, [0.3, 0.7], FixedIndexRng(held)) for held in range(4)]
+        assert all(result == results[0] for result in results)
+        assert results[0]["macro"] == (1.0, 0.0, 2)
 
-    def test_two_reviews_raises(self):
-        with pytest.raises(TooFewReviews):
-            physician_benchmark([review(), review()], np.random.default_rng(0))
+    def test_two_reviews_are_not_compared(self):
+        # the patient with two reviews is skipped and draws nothing
+        patients = [rated(1, 1, 1), rated(1, 4), rated(4, 4, 4)]
+        rng = ListedIndexRng([0, 0])
+        rows = held_out_rows(patients, [0.9, 0.5, 0.1], rng)
+        assert rows["macro"] == (1.0, 1.0, 2)
+        assert rng.indices == []
 
     def test_ordinal_score_reverses_rating_order(self):
-        ratings = [1.0, 2.5, 4.0]
-        reviews = [review(pneumonia=r, reviewer=f"r{i}") for i, r in enumerate(ratings + [1.0])]
-        scores = [
-            physician_benchmark(reviews, FixedIndexRng(i)).ordinal_scores["pneumonia"]
-            for i in range(3)
-        ]
-        assert scores == sorted(scores, reverse=True)
-        assert all(1.0 <= s <= 4.0 for s in scores)
+        # the lowest held-out rating (most likely) scores highest
+        patients = [rated(1, 1, 1), rated(2.5, 2, 2), rated(4, 4, 4)]
+        rows = held_out_rows(patients, [0.5, 0.5, 0.5], FixedIndexRng(0))
+        assert rows["pneumonia"] == (1.0, 0.5, 3)
 
     def test_seeded_generator_is_reproducible(self):
-        reviews = [review(pneumonia=r, reviewer=f"r{i}") for i, r in enumerate([1, 2, 3, 4])]
-        picks = {physician_benchmark(reviews, np.random.default_rng(5)).held_out.reviewer_id
-                 for _ in range(3)}
-        assert len(picks) == 1
+        # any holdout leaves the first three patients positive and the rest negative
+        patients = [rated(1, 1, 1, 4), rated(1, 4, 1, 1), rated(2, 1, 1, 4), rated(4, 4, 4, 1), rated(4, 1, 4, 4)]
+        results = [held_out_rows(patients, [0.2, 0.4, 0.6, 0.8, 0.1], np.random.default_rng(5)) for _ in range(3)]
+        assert all(result == results[0] for result in results)
+        assert results[0]["macro"][2] == 5
