@@ -300,7 +300,7 @@ def _included_stay(record: dict) -> IncludedStay:
         raise ValueError("reviews must be a list")
     return IncludedStay(
         record["patient_id"], tuple(refs),
-        tuple(labels.ChartReview(r["reviewer_id"], dict(r["scores"])) for r in reviews),
+        tuple(labels.ChartReview(r["reviewer_id"], r["scores"]) for r in reviews),
     )
 
 
@@ -352,9 +352,15 @@ def _per_patient(cfg: RunConfig, name: str, parse: Callable[[list[str]], tuple[i
                        else f"missing from the {_written_by(name)} file")
             raise _malformed(cfg, name, f"is malformed (patient {pid} {problem})")
         table.append([value for _, value in cells])
-    if by_patient:
-        raise _malformed(cfg, name, f"is malformed (patient {next(iter(by_patient))} is not an included stay)")
+    _no_other_patients(cfg, name, by_patient)
     return table
+
+
+def _no_other_patients(cfg: RunConfig, name: str, left: dict) -> None:
+    """`left` holds what the artifact `name` gave the patients not yet taken
+    out for an included stay; any such patient makes the file malformed."""
+    if left:
+        raise _malformed(cfg, name, f"is malformed (patient {next(iter(left))} is not an included stay)")
 
 
 def label_matrix(cfg: RunConfig, patient_ids: Sequence[str]) -> np.ndarray:
@@ -366,7 +372,6 @@ def label_matrix(cfg: RunConfig, patient_ids: Sequence[str]) -> np.ndarray:
 class PipelineData:
     """Per-patient matrices shared by train/evaluate/explain."""
 
-    patient_ids: list[str]
     ehr: np.ndarray  # (n, d)
     emb: np.ndarray  # (m, e): every image of each patient's selected study, patient by patient
     image_counts: np.ndarray  # (n,): rows of `emb` per patient
@@ -415,9 +420,9 @@ def assemble_data(cfg: RunConfig) -> PipelineData:
             if ref not in embeddings:
                 raise ConfigError(f"image {ref} missing from the embedding file")
             emb_rows.append(embeddings[ref])
-        ehr_rows.append(features[stay.patient_id])
+        ehr_rows.append(features.pop(stay.patient_id))
+    _no_other_patients(cfg, "features.ndjson", features)
     return PipelineData(
-        patient_ids=patient_ids,
         ehr=np.stack(ehr_rows).astype(float),
         emb=np.stack(emb_rows).astype(float),
         image_counts=np.asarray([len(stay.image_refs) for stay in included]),
@@ -509,10 +514,8 @@ def run_train(cfg: RunConfig) -> None:
         for split_index in range(evaluation.N_SPLITS):
             seed = stage_seed(cfg.seed, f"train/{family}/split{split_index}")
             result = models.sweep(
-                family, cfg.grid,
-                dataset(data.split_indices(split_index, evaluation.ROLE_TRAIN)),
-                dataset(data.split_indices(split_index, evaluation.ROLE_VAL)),
-                seed=seed, ehr_dim=data.ehr.shape[1], emb_dim=data.emb.shape[1],
+                family, cfg.grid, dataset(data.split_indices(split_index, evaluation.ROLE_TRAIN)),
+                dataset(data.split_indices(split_index, evaluation.ROLE_VAL)), seed=seed,
             )
             results.append((family, split_index, seed, result))
 
@@ -531,12 +534,9 @@ def run_train(cfg: RunConfig) -> None:
 def run_evaluate(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
     families = cfg.families()
-    metric_rows = []
-    bin_rows = []
-    roc_rows = []
-    recal_rows = []
-    comparison_rows = []
+    tables: dict[str, list[list]] = {table: [] for table in evaluation.REPORT_COLUMNS}
     summary_values: dict[tuple[str, str, str], list[Optional[float]]] = {}
+    comparison_rows = []
 
     for family in families:
         for split_index in range(evaluation.N_SPLITS):
@@ -544,64 +544,23 @@ def run_evaluate(cfg: RunConfig) -> None:
             test_idx = data.split_indices(split_index, evaluation.ROLE_TEST)
             val_idx = data.split_indices(split_index, evaluation.ROLE_VAL)
             test_probs = data.predict(checkpoint, test_idx)
-            test_y = data.label_matrix[test_idx].astype(int)
             report = evaluation.metrics_report(
-                test_probs, test_y, data.predict(checkpoint, val_idx), data.label_matrix[val_idx].astype(int)
+                test_probs, data.label_matrix[test_idx], data.predict(checkpoint, val_idx), data.label_matrix[val_idx]
             )
-
-            for d_idx, diag in enumerate(labels.DIAGNOSES):
-                cell = report.per_diagnosis[diag]
-                op = cell.operating_point
-                for metric, value in (
-                    ("prevalence", cell.prevalence),
-                    ("auroc", cell.auroc),
-                    ("aupr", cell.aupr),
-                    ("ece", cell.ece),
-                    ("threshold", None if op is None else op.threshold),
-                    ("sensitivity", None if op is None else op.sensitivity),
-                    ("specificity", None if op is None else op.specificity),
-                    ("dor", None if op is None else op.dor),
-                    ("dor_corrected", None if op is None else float(op.corrected)),
-                ):
-                    metric_rows.append([family, split_index, diag, metric, value])
-                    if metric in ("auroc", "aupr", "ece"):
-                        summary_values.setdefault((family, diag, metric), []).append(value)
-                if cell.calibration is not None:
-                    for b_idx, (mean_pred, frac_pos, count) in enumerate(cell.calibration.bins):
-                        bin_rows.append([family, split_index, diag, b_idx, mean_pred, frac_pos, count])
-                slope, intercept = cell.recalibration if cell.recalibration else (None, None)
-                recal_rows.append([family, split_index, diag, slope, intercept])
-                try:
-                    for fpr, tpr, thr in evaluation.roc_points(test_probs[:, d_idx], test_y[:, d_idx]):
-                        roc_rows.append([family, split_index, diag, fpr, tpr, thr])
-                except evaluation.SingleClass:
-                    pass
-
-            for metric, value in (
-                ("auroc", report.macro_auroc),
-                ("aupr", report.macro_aupr),
-                ("ece", report.macro_ece),
-            ):
-                metric_rows.append([family, split_index, "macro", metric, value])
-                summary_values.setdefault((family, "macro", metric), []).append(value)
+            for table, rows in report.items():
+                tables[table].extend([family, split_index, *row] for row in rows)
+            for diag, metric, value in report["metrics"]:
+                if metric in evaluation.SUMMARIZED:
+                    summary_values.setdefault((family, diag, metric), []).append(value)
             if family == "combined":
                 rng = np.random.default_rng(stage_seed(cfg.seed, f"physician/split{split_index}"))
                 comparison = evaluation.physician_comparison([data.reviews[i] for i in test_idx], test_probs, rng)
                 comparison_rows.extend([split_index, *row] for row in comparison)
 
-    cfg.write_csv("metrics", ("model", "split", "diagnosis", "metric", "value"), metric_rows)
-    cfg.write_csv(
-        "calibration_bins",
-        ("model", "split", "diagnosis", "bin", "mean_prediction", "observed_fraction", "count"),
-        bin_rows,
-    )
-    cfg.write_csv("roc_points", ("model", "split", "diagnosis", "fpr", "tpr", "threshold"), roc_rows)
-    cfg.write_csv("recalibration", ("model", "split", "diagnosis", "slope", "intercept"), recal_rows)
-
-    summary_rows = []
-    for (family, diag, metric), values in sorted(summary_values.items()):
-        summary = (None, None, None) if None in values else evaluation.summarize_splits(values)
-        summary_rows.append([family, diag, metric, *summary])
+    for table, rows in tables.items():
+        cfg.write_csv(table, ("model", "split", *evaluation.REPORT_COLUMNS[table]), rows)
+    summary_rows = ([family, diag, metric, *evaluation.summarize_splits(values)]
+                    for (family, diag, metric), values in sorted(summary_values.items()))
     cfg.write_csv("cross_split_summary", ("model", "diagnosis", "metric", "median", "min", "max"), summary_rows)
     cfg.write_csv(
         "physician_comparison", ("split", "diagnosis", "physician_auroc", "model_auroc", "n_patients"), comparison_rows

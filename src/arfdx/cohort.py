@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from ._util import atomic_write_text
-from .labels import ChartReview
+from .labels import ChartReview, LabelError
 
 MINUTES_PER_HOUR = 60
 MINUTES_PER_DAY = 24 * MINUTES_PER_HOUR
@@ -204,10 +204,10 @@ def parse_stay(obj: Mapping) -> PatientStay:
     """Build and validate a PatientStay from one decoded NDJSON object.
 
     Times are integers (not bools), every list field is a JSON array, events
-    and studies are objects, an image ref or reviewer id is a non-empty
-    string, a unit code, ICD code or medication is a string, and an event
-    value is a finite number, a token string or null. A bad record raises
-    `CohortError` naming its first failed check.
+    and studies are objects, an image ref is a non-empty string, a unit
+    code, ICD code or medication is a string, an event value is a finite
+    number, a token string or null, and a review has `ChartReview`'s shape.
+    A bad record raises `CohortError` naming its first failed check.
     """
     if not isinstance(obj, Mapping):
         raise CohortError("record is not a JSON object")
@@ -293,12 +293,9 @@ def parse_stay(obj: Mapping) -> PatientStay:
     for raw in _list_field(obj, "reviews"):
         if type(raw) is not dict:
             raise CohortError("chart review must be an object")
-        reviewer_id = raw.get("reviewer_id")
-        if type(reviewer_id) is not str or reviewer_id == "":
-            raise CohortError("chart review reviewer_id missing or empty")
         try:
-            reviews.append(ChartReview(reviewer_id=reviewer_id, scores=dict(raw["scores"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # LabelError is a ValueError
+            reviews.append(ChartReview(reviewer_id=raw.get("reviewer_id"), scores=raw.get("scores")))
+        except LabelError as exc:
             raise CohortError(f"bad chart review: {exc}") from exc
     icd_codes, medications = _list_field(obj, "icd_codes"), _list_field(obj, "medications")
     if not all(type(item) is str for item in (*icd_codes, *medications)):

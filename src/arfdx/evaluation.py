@@ -10,7 +10,7 @@ the diagnostic odds ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -240,10 +240,13 @@ def macro_average(per_diagnosis_values: Sequence[float]) -> float:
     return float(sum(per_diagnosis_values)) / len(DIAGNOSES)
 
 
-def summarize_splits(values: Sequence[float]) -> tuple[float, float, float]:
-    """(median, min, max) over exactly `N_SPLITS` split values; median is exact."""
+def summarize_splits(values: Sequence[Optional[float]]) -> tuple[Optional[float], ...]:
+    """(median, min, max) over exactly `N_SPLITS` split values; median is exact.
+    All three are None when any split's value is."""
     if len(values) != N_SPLITS:
         raise EvalError(f"cross-split summary expects exactly {N_SPLITS} values")
+    if None in values:
+        return (None, None, None)
     ordered = sorted(float(v) for v in values)
     return (ordered[N_SPLITS // 2], ordered[0], ordered[-1])
 
@@ -302,25 +305,25 @@ def roc_points(scores, labels) -> list[tuple[float, float, float]]:
 
 # --- per-split report ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagnosisMetrics:
-    """One diagnosis's metrics on a test split; degenerate cells are None."""
+# The columns of each table `metrics_report` fills, after the (model, split)
+# prefix its caller adds. A cell that cannot be computed is None, an empty field.
+REPORT_COLUMNS = {
+    "metrics": ("diagnosis", "metric", "value"),
+    "calibration_bins": ("diagnosis", "bin", "mean_prediction", "observed_fraction", "count"),
+    "roc_points": ("diagnosis", "fpr", "tpr", "threshold"),
+    "recalibration": ("diagnosis", "slope", "intercept"),
+}
+# Each diagnosis's rows of `metrics`, in order; the last five read the operating point.
+METRICS = ("prevalence", "auroc", "aupr", "ece", "threshold", "sensitivity", "specificity", "dor", "dor_corrected")
+SUMMARIZED = ("auroc", "aupr", "ece")  # also macro-averaged per split, and summarized across splits
 
-    prevalence: Optional[float]
-    auroc: Optional[float]
-    aupr: Optional[float]
-    ece: Optional[float]
-    calibration: Optional[CalibrationResult]
-    operating_point: Optional[ThresholdResult]
-    recalibration: Optional[tuple[float, float]]  # (slope, intercept) fitted on validation
 
-
-@dataclass(frozen=True)
-class MetricsReport:
-    per_diagnosis: Mapping[str, DiagnosisMetrics]
-    macro_auroc: Optional[float]
-    macro_aupr: Optional[float]
-    macro_ece: Optional[float]
+def _or_none(compute: Callable, undefined, *args):
+    """`compute(*args)`, or None where it raises `undefined`: the value is not defined on these labels."""
+    try:
+        return compute(*args)
+    except undefined:
+        return None
 
 
 def metrics_report(
@@ -328,63 +331,38 @@ def metrics_report(
     test_labels: np.ndarray,
     val_probs: np.ndarray,
     val_labels: np.ndarray,
-) -> MetricsReport:
-    """Full discrimination/calibration/threshold report for one split.
+) -> dict[str, list[list]]:
+    """One split's rows of each table in `REPORT_COLUMNS`, diagnosis by diagnosis.
 
     A cell that cannot be computed (single-class labels, unattainable PPV,
-    too few samples) is reported as None instead of aborting the report;
-    macro averages are None whenever any constituent diagnosis is. The
-    recalibration line comes from the validation predictions.
+    too few samples) is None instead of aborting the report; a macro is None
+    whenever any diagnosis's value is, and a single-class diagnosis has no ROC
+    rows. The recalibration line comes from the validation predictions.
     """
     test_probs = np.atleast_2d(np.asarray(test_probs, dtype=float))
     test_labels = np.atleast_2d(np.asarray(test_labels, dtype=int))
     val_probs = np.atleast_2d(np.asarray(val_probs, dtype=float))
     val_labels = np.atleast_2d(np.asarray(val_labels, dtype=int))
-    per_diagnosis = {}
+    rows: dict[str, list[list]] = {table: [] for table in REPORT_COLUMNS}
     for idx, diagnosis in enumerate(DIAGNOSES):
-        scores = test_probs[:, idx]
-        y = test_labels[:, idx]
+        scores, y = test_probs[:, idx], test_labels[:, idx]
         prevalence = float(y.mean()) if y.size else None
-        try:
-            auroc_value = auroc(scores, y)
-        except SingleClass:
-            auroc_value = None
-        try:
-            aupr_value = aupr(scores, y)
-        except (NoPositives, EvalError):
-            aupr_value = None
-        try:
-            cal = calibration(scores, y)
-        except EvalError:
-            cal = None
-        try:
-            operating_point = threshold_at_ppv(scores, y)
-        except (PPVUnattainable, SingleClass):
-            operating_point = None
-        try:
-            val_cal = calibration(val_probs[:, idx], val_labels[:, idx])
-            recal = (val_cal.slope, val_cal.intercept)
-        except EvalError:
-            recal = None
-        per_diagnosis[diagnosis] = DiagnosisMetrics(
-            prevalence=prevalence,
-            auroc=auroc_value,
-            aupr=aupr_value,
-            ece=None if cal is None else cal.ece,
-            calibration=cal,
-            operating_point=operating_point,
-            recalibration=recal,
-        )
-
-    def macro_or_none(values):
-        return macro_average(values) if None not in values else None
-
-    return MetricsReport(
-        per_diagnosis=per_diagnosis,
-        macro_auroc=macro_or_none([per_diagnosis[d].auroc for d in DIAGNOSES]),
-        macro_aupr=macro_or_none([per_diagnosis[d].aupr for d in DIAGNOSES]),
-        macro_ece=macro_or_none([per_diagnosis[d].ece for d in DIAGNOSES]),
-    )
+        auroc_value = _or_none(auroc, SingleClass, scores, y)
+        aupr_value = _or_none(aupr, NoPositives, scores, y)
+        cal = _or_none(calibration, EvalError, scores, y)
+        op = _or_none(threshold_at_ppv, (PPVUnattainable, SingleClass), scores, y)
+        recal = _or_none(calibration, EvalError, val_probs[:, idx], val_labels[:, idx])
+        point = (None,) * 5 if op is None else (
+            op.threshold, op.sensitivity, op.specificity, op.dor, float(op.corrected))
+        cells = (prevalence, auroc_value, aupr_value, None if cal is None else cal.ece, *point)
+        rows["metrics"].extend([diagnosis, metric, value] for metric, value in zip(METRICS, cells))
+        rows["calibration_bins"].extend([diagnosis, b, *stats] for b, stats in enumerate(() if cal is None else cal.bins))
+        rows["roc_points"].extend([diagnosis, *p] for p in _or_none(roc_points, SingleClass, scores, y) or ())
+        rows["recalibration"].append([diagnosis, *((None, None) if recal is None else (recal.slope, recal.intercept))])
+    for metric in SUMMARIZED:
+        values = [value for _, name, value in rows["metrics"] if name == metric]
+        rows["metrics"].append(["macro", metric, None if None in values else macro_average(values)])
+    return rows
 
 
 # --- physician benchmark comparison ------------------------------------------

@@ -127,7 +127,6 @@ def rank_descending(drops: Mapping[str, float]) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class ImportanceReport:
-    groups: tuple[FeatureGroup, ...]
     per_split_drops: tuple[Mapping[str, float], ...]
     mean_rank: Mapping[str, float]
     mean_drop: Mapping[str, float]
@@ -152,7 +151,6 @@ def aggregate_ranks(
         gid: float(np.mean([drops[gid] for drops in per_split_drops])) for gid in group_ids
     }
     return ImportanceReport(
-        groups=tuple(groups),
         per_split_drops=tuple(dict(d) for d in per_split_drops),
         mean_rank=mean_rank,
         mean_drop=mean_drop,

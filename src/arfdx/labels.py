@@ -46,12 +46,19 @@ class DegenerateMarginals(LabelError):
 
 @dataclass(frozen=True)
 class ChartReview:
-    """One physician's likelihood ratings for all three diagnoses."""
+    """One physician's likelihood ratings for all three diagnoses.
+
+    The one home of a review's shape: a non-empty string reviewer id, and a
+    dict rating exactly the `DIAGNOSES`, each a number on the rating scale."""
 
     reviewer_id: str
-    scores: Mapping[str, float]
+    scores: dict[str, float]
 
     def __post_init__(self):
+        if type(self.reviewer_id) is not str or self.reviewer_id == "":
+            raise LabelError("reviewer_id missing or empty")
+        if type(self.scores) is not dict:
+            raise LabelError(f"review {self.reviewer_id!r} scores must be an object")
         for diag in DIAGNOSES:
             if diag not in self.scores:
                 raise LabelError(f"review {self.reviewer_id!r} missing rating for {diag!r}")
@@ -59,11 +66,15 @@ class ChartReview:
             # a rating is a number: bool is an int subclass and must not read as 1
             if type(rating) is bool or not isinstance(rating, _RATING_TYPES):
                 raise LabelError(f"review {self.reviewer_id!r} rating {rating!r} for {diag!r} is not a number")
-            if not (RATING_MIN <= float(rating) <= RATING_MAX):
+            # compared as given: an int too large for a float is outside the scale, not an OverflowError
+            if not (RATING_MIN <= rating <= RATING_MAX):
                 raise LabelError(
                     f"review {self.reviewer_id!r} rating {rating!r} for {diag!r} "
                     f"outside [{RATING_MIN}, {RATING_MAX}]"
                 )
+        if len(self.scores) != len(DIAGNOSES):
+            unknown = next(key for key in self.scores if key not in DIAGNOSES)
+            raise LabelError(f"review {self.reviewer_id!r} rates {unknown!r}, which is not a diagnosis")
 
     def binary_call(self, diagnosis: str) -> bool:
         """This reviewer's own yes/no call: rating strictly below the midpoint."""

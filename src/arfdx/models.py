@@ -434,18 +434,17 @@ def sweep(
     train_set: ArrayDataset,
     val_set: ArrayDataset,
     seed: int,
-    ehr_dim: int = 0,
-    emb_dim: int = 0,
 ) -> SweepResult:
     """Train every (architecture, hyperparameter) combination in a family and
     keep the best validation macro AUROC; ties go to the earlier grid entry.
 
     The grid is learning-rate-major, then momentum, weight decay and, innermost,
     architecture. Each architecture's configs train together in one
-    `train_stacked` call."""
+    `train_stacked` call. The input widths are those of `train_set`."""
     if family not in FAMILIES:
         raise ModelError(f"unknown model family {family!r}; expected one of {sorted(FAMILIES)}")
     hps = [HyperParams(*rates) for rates in product(grid.learning_rates, grid.momentums, grid.weight_decays)]
+    ehr_dim, emb_dim = (0 if x is None else x.shape[1] for x in (train_set.ehr, train_set.emb))
     specs = [ModelSpec(kind=kind, ehr_dim=ehr_dim, emb_dim=emb_dim) for kind in FAMILIES[family]]
     trained = [train_stacked(spec, hps, train_set, val_set, seed, grid.max_epochs) for spec in specs]
     best: Optional[SweepResult] = None
@@ -494,7 +493,6 @@ class Checkpoint:
     params: Params
     hp: HyperParams
     seed: int
-    val_metrics: Mapping[str, float]
 
 
 def save_checkpoint(path, spec: ModelSpec, params: Params, hp: HyperParams, max_epochs: int,
@@ -551,5 +549,4 @@ def load_checkpoint(path) -> Checkpoint:
         if not np.isfinite(params[name]).all():
             raise ModelError(f"checkpoint parameter {name!r} has a non-finite entry")
     hp = HyperParams(*(payload["hyper"][name] for name in HyperParams._fields))
-    return Checkpoint(spec=spec, params=params, hp=hp,
-                      seed=payload["seed"], val_metrics=payload["val_metrics"])
+    return Checkpoint(spec=spec, params=params, hp=hp, seed=payload["seed"])

@@ -14,8 +14,9 @@ scalar AUROC per label column and permuted matrix, stay parsing by one
 `_require` call per field, window values by one scan of the events per
 variable, the pooled agreement table by a loop over every reviewer pair, and
 feature encoding by a numpy `searchsorted` per value along its own walk over
-the block offsets, synthetic cohorts by one scalar draw per value, and the
-held-out physician comparison by one patient and one scalar AUROC at a time.
+the block offsets, synthetic cohorts by one scalar draw per value, the
+held-out physician comparison by one patient and one scalar AUROC at a time,
+and the per-split report by one try block per cell, unpacked field by field.
 """
 
 import math
@@ -33,7 +34,19 @@ from arfdx.cohort import (
     SupportKind,
     map_support_kind,
 )
-from arfdx.evaluation import EvalError, SingleClass, auroc, dor_from_confusion
+from arfdx.evaluation import (
+    EvalError,
+    NoPositives,
+    PPVUnattainable,
+    SingleClass,
+    aupr,
+    auroc,
+    calibration,
+    dor_from_confusion,
+    macro_average,
+    roc_points,
+    threshold_at_ppv,
+)
 from arfdx.imaging import ImageEmbedding
 from arfdx.labels import DIAGNOSES, ChartReview, LabelError
 
@@ -387,11 +400,16 @@ def parse_stay_reference(obj):
     reviews = []
     for raw in obj.get("reviews", []):
         reviewer_id = raw.get("reviewer_id")
-        _require(isinstance(reviewer_id, str) and reviewer_id != "", "chart review reviewer_id missing or empty")
+        _require(isinstance(reviewer_id, str) and reviewer_id != "", "bad chart review: reviewer_id missing or empty")
+        scores = raw.get("scores")
+        _require(isinstance(scores, dict), f"bad chart review: review {reviewer_id!r} scores must be an object")
         try:
-            reviews.append(ChartReview(reviewer_id=reviewer_id, scores=dict(raw["scores"])))
-        except (LabelError, KeyError, TypeError) as exc:
+            review = ChartReview(reviewer_id=reviewer_id, scores={d: scores[d] for d in scores if d in DIAGNOSES})
+        except LabelError as exc:
             raise CohortError(f"bad chart review: {exc}") from exc
+        for key in scores:
+            _require(key in DIAGNOSES, f"bad chart review: review {reviewer_id!r} rates {key!r}, which is not a diagnosis")
+        reviews.append(review)
 
     icd_codes = obj.get("icd_codes", [])
     _require(all(isinstance(c, str) for c in icd_codes), "icd_codes and medications must hold strings")
@@ -532,6 +550,73 @@ def physician_comparison_reference(patient_reviews, probs, rng):
     phys["macro"] = float(sum(phys[d] for d in DIAGNOSES)) / len(DIAGNOSES)
     model["macro"] = float(sum(model[d] for d in DIAGNOSES)) / len(DIAGNOSES)
     return [(diag, phys[diag], model[diag], len(cases)) for diag in DIAGNOSES + ("macro",)]
+
+
+def metrics_report_reference(test_probs, test_labels, val_probs, val_labels):
+    """One split's rows of `evaluation.metrics_report`'s four tables, each
+    diagnosis's values computed in its own try block, kept in named fields,
+    and unpacked into rows one metric name at a time. An undefined cell is
+    None, a macro is None when any diagnosis's value is, and a single-class
+    diagnosis has no ROC rows."""
+    test_probs = np.atleast_2d(np.asarray(test_probs, dtype=float))
+    test_labels = np.atleast_2d(np.asarray(test_labels, dtype=int))
+    val_probs = np.atleast_2d(np.asarray(val_probs, dtype=float))
+    val_labels = np.atleast_2d(np.asarray(val_labels, dtype=int))
+    metric_rows, bin_rows, roc_rows, recal_rows = [], [], [], []
+    macro = {"auroc": [], "aupr": [], "ece": []}
+    for idx, diag in enumerate(DIAGNOSES):
+        scores = test_probs[:, idx]
+        y = test_labels[:, idx]
+        prevalence = float(y.mean()) if y.size else None
+        try:
+            auroc_value = auroc(scores, y)
+        except SingleClass:
+            auroc_value = None
+        try:
+            aupr_value = aupr(scores, y)
+        except (NoPositives, EvalError):
+            aupr_value = None
+        try:
+            cal = calibration(scores, y)
+        except EvalError:
+            cal = None
+        try:
+            op = threshold_at_ppv(scores, y)
+        except (PPVUnattainable, SingleClass):
+            op = None
+        try:
+            val_cal = calibration(val_probs[:, idx], val_labels[:, idx])
+            recal = (val_cal.slope, val_cal.intercept)
+        except EvalError:
+            recal = None
+        ece = None if cal is None else cal.ece
+        for metric, value in (
+            ("prevalence", prevalence),
+            ("auroc", auroc_value),
+            ("aupr", aupr_value),
+            ("ece", ece),
+            ("threshold", None if op is None else op.threshold),
+            ("sensitivity", None if op is None else op.sensitivity),
+            ("specificity", None if op is None else op.specificity),
+            ("dor", None if op is None else op.dor),
+            ("dor_corrected", None if op is None else float(op.corrected)),
+        ):
+            metric_rows.append([diag, metric, value])
+            if metric in macro:
+                macro[metric].append(value)
+        if cal is not None:
+            for b_idx, (mean_pred, frac_pos, count) in enumerate(cal.bins):
+                bin_rows.append([diag, b_idx, mean_pred, frac_pos, count])
+        slope, intercept = recal if recal else (None, None)
+        recal_rows.append([diag, slope, intercept])
+        try:
+            for fpr, tpr, thr in roc_points(scores, y):
+                roc_rows.append([diag, fpr, tpr, thr])
+        except SingleClass:
+            pass
+    for metric, values in macro.items():
+        metric_rows.append(["macro", metric, macro_average(values) if None not in values else None])
+    return {"metrics": metric_rows, "calibration_bins": bin_rows, "roc_points": roc_rows, "recalibration": recal_rows}
 
 
 def ids_with_role(assignment, role):

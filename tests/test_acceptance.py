@@ -201,8 +201,7 @@ def test_criterion_07_combined_beats_unimodal():
         macro = {}
         for family in ("ehr", "image", "combined"):
             result = models.sweep(
-                family, grid, subsets[evaluation.ROLE_TRAIN], subsets[evaluation.ROLE_VAL],
-                seed=assignment.split_index, ehr_dim=bits.shape[1], emb_dim=emb.shape[1],
+                family, grid, subsets[evaluation.ROLE_TRAIN], subsets[evaluation.ROLE_VAL], seed=assignment.split_index
             )
             probs = models.forward(
                 result.spec, result.params,

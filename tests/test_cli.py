@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import arfdx
-from arfdx import cli, cohort, evaluation, explain, imaging, labels, synth
+from arfdx import cli, cohort, evaluation, explain, imaging, labels, models, synth
 from arfdx._util import stage_seed
+from oracles import physician_comparison_reference, predict_reference
 
 MINI_CONFIG = """\
 [run]
@@ -545,6 +546,12 @@ class TestIncludedStays:
              lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "reviews"})),
             ("split", cli.INCLUDED_STAYS,
              lambda line: json.dumps({**json.loads(line), "reviews": [{"reviewer_id": "r", "scores": {"copd": 1}}]})),
+            ("split", cli.INCLUDED_STAYS,
+             lambda line: json.dumps({**json.loads(line), "reviews": [{"reviewer_id": 5, "scores": dict.fromkeys(
+                 labels.DIAGNOSES, 1)}]})),
+            ("split", cli.INCLUDED_STAYS,
+             lambda line: json.dumps({**json.loads(line), "reviews": [{"reviewer_id": "r", "scores": dict.fromkeys(
+                 labels.DIAGNOSES, 10**400)}]})),
             ("featurize", cli.WINDOW_VALUES, lambda line: json.dumps({**json.loads(line), "window": [["var00", 1.0]]})),
             ("featurize", cli.WINDOW_VALUES, lambda line: json.dumps({**json.loads(line), "window": {"var00": [1.0]}})),
             ("featurize", cli.WINDOW_VALUES, lambda line: set_window_value(line, "var00", 10**400)),
@@ -560,6 +567,7 @@ class TestIncludedStays:
         ],
         ids=[
             "truncated", "not-an-object", "refs-string", "refs-empty", "no-reviews-field", "review-short",
+            "review-id-not-a-string", "review-rating-beyond-float",
             "window-not-an-object", "window-list-value", "window-value-beyond-float", "window-value-nan",
             "features-truncated", "features-no-bits",
             "features-too-wide", "splits-no-role", "splits-role-bogus", "splits-index-7", "labels-label-7",
@@ -589,9 +597,12 @@ class TestIncludedStays:
             ("train", "splits.csv", lambda text: text + "0,ghost,train\n", "patient ghost is not an included stay"),
             ("evaluate", "features.ndjson", lambda text: re.sub(r'(?m)^.*"patient_id": "p01".*\n', "", text),
              "patient p01 missing from the file"),
+            ("evaluate", "features.ndjson",
+             lambda text: text + re.sub(r'"patient_id": "\w+"', '"patient_id": "ghost"', text.splitlines()[-1]) + "\n",
+             "patient ghost is not an included stay"),
         ],
         ids=["featurizer-not-json", "featurizer-no-dim", "checkpoint-not-json", "checkpoint-not-an-object",
-             "splits-row-deleted", "splits-other-patient", "features-row-deleted"],
+             "splits-row-deleted", "splits-other-patient", "features-row-deleted", "features-other-patient"],
     )
     def test_corrupt_whole_artifact_exits_2_naming_it(self, mini_run, capsys, stage, name, corrupt, problem):
         config, out = mini_run
@@ -610,6 +621,36 @@ class TestIncludedStays:
         path.write_text("\n".join(lines + [lines[1]]) + "\n")
         assert cli.main(["split", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
         assert f"{path} line {len(lines) + 1} repeats patient" in capsys.readouterr().err
+
+
+class TestPhysicianComparisonRun:
+    def test_rows_match_reference_when_reviewers_disagree(self, tmp_path, monkeypatch):
+        # at the default noise every reviewer's call is the truth, so the held-out physician scores 1
+        monkeypatch.setattr(synth, "REVIEWER_NOISE", 1.5)
+        config = tmp_path / "run.ini"
+        config.write_text(
+            MINI_CONFIG.replace("families = ehr", "families = combined").replace("n_patients = 60", "n_patients = 200")
+        )
+        out = tmp_path / "out"
+        run_stages(config, out, ("synth", "label", "featurize", "split", "train", "evaluate"))
+
+        cfg = cli.load_config(str(config), None, str(out))
+        data = cli.assemble_data(cfg)
+        expected = []
+        for split_index in range(evaluation.N_SPLITS):
+            test_idx = data.split_indices(split_index, evaluation.ROLE_TEST)
+            checkpoint = models.load_checkpoint(out / cli.CHECKPOINT.format("combined", split_index))
+            probs = predict_reference(checkpoint.spec, checkpoint.params, data.ehr[test_idx], *data.images(test_idx))
+            rng = np.random.default_rng(stage_seed(cfg.seed, f"physician/split{split_index}"))
+            try:
+                rows = physician_comparison_reference([data.reviews[i] for i in test_idx], probs, rng)
+            except evaluation.EvalError:  # the reference raises where the stage writes no rows
+                rows = []
+            expected.extend([str(split_index), *map(str, row)] for row in rows)
+        with (out / "physician_comparison.csv").open(newline="") as handle:
+            written = list(csv.reader(handle))[2:]
+        assert written == expected
+        assert any(float(row[2]) < 1.0 for row in written)
 
 
 def _run_python(code, openblas_threads=None):

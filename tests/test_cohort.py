@@ -325,6 +325,8 @@ class TestIngestion:
             (("reviews", 0, "reviewer_id"), ""),
             (("reviews", 0, "reviewer_id"), 5),
             (("reviews", 0), {"scores": {"pneumonia": 1, "heart_failure": 4, "copd": 3.5}}),
+            (("reviews", 0, "scores"), [["pneumonia", 1], ["heart_failure", 4], ["copd", 3.5]]),
+            (("reviews", 0, "scores", "extra"), "x"),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else type(v).__name__,
     )

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from arfdx.evaluation import (
+    REPORT_COLUMNS,
     ROLE_TEST,
     ROLE_TRAIN,
     ROLE_VAL,
-    DiagnosisMetrics,
     EvalError,
-    MetricsReport,
     NoPositives,
     PPVUnattainable,
     SingleClass,
@@ -37,6 +36,7 @@ from oracles import (
     average_ranks_reference,
     ids_with_role,
     macro_auroc_reference,
+    metrics_report_reference,
     physician_comparison_reference,
     roc_points_loop,
     threshold_at_ppv_loop,
@@ -397,11 +397,28 @@ class TestRocPoints:
         assert roc_points(scores, labels) == roc_points_loop(scores, labels)
 
 
+def metric_cells(report):
+    """{(diagnosis, metric): value} of a report's `metrics` rows."""
+    return {(diag, metric): value for diag, metric, value in report["metrics"]}
+
+
+@st.composite
+def split_predictions(draw):
+    """Test and validation (n, 3) probabilities from five values (heavy ties)
+    and 0/1 labels, with 0-12 patients each, so calibration often has too
+    few samples and a label column is often single-class."""
+    def probs_and_labels():
+        n = draw(st.integers(min_value=0, max_value=12))
+        probs = draw(arrays(float, (n, 3), elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+        return probs, draw(arrays(int, (n, 3), elements=st.integers(min_value=0, max_value=1)))
+
+    return (*probs_and_labels(), *probs_and_labels())
+
+
 class TestMetricsReport:
     def test_type_hints_resolve(self):
-        for cls in (DiagnosisMetrics, MetricsReport):
-            hints = typing.get_type_hints(cls)
-            assert set(hints) == {f.name for f in cls.__dataclass_fields__.values()}
+        hints = typing.get_type_hints(metrics_report)
+        assert set(hints) == {"test_probs", "test_labels", "val_probs", "val_labels", "return"}
 
     def test_complete_report(self):
         rng = np.random.default_rng(41)
@@ -411,35 +428,44 @@ class TestMetricsReport:
         labels[1] = [0, 0, 0]
         probs = np.clip(labels * 0.6 + rng.random((n, 3)) * 0.4, 0.0, 1.0)
         report = metrics_report(probs, labels, probs, labels)
-        for diag, cell in report.per_diagnosis.items():
-            assert cell.auroc is not None
-            assert cell.aupr is not None
-            assert cell.ece == pytest.approx(cell.calibration.ece)
-            assert cell.recalibration is not None
-        assert report.macro_auroc == pytest.approx(
-            macro_average([report.per_diagnosis[d].auroc for d in report.per_diagnosis])
-        )
+        cells = metric_cells(report)
+        for diag in DIAGNOSES:
+            assert cells[(diag, "auroc")] is not None
+            assert cells[(diag, "aupr")] is not None
+            bins = [row[2:4] for row in report["calibration_bins"] if row[0] == diag]
+            assert cells[(diag, "ece")] == pytest.approx(np.mean([abs(mean - observed) for mean, observed in bins]))
+            assert None not in next(row for row in report["recalibration"] if row[0] == diag)
+        assert cells[("macro", "auroc")] == pytest.approx(macro_average([cells[(d, "auroc")] for d in DIAGNOSES]))
+        for table, rows in report.items():
+            assert all(len(row) == len(REPORT_COLUMNS[table]) for row in rows)
 
     def test_degenerate_cells_become_none(self):
         probs = np.full((10, 3), 0.5)
         labels = np.zeros((10, 3), dtype=int)
         labels[:5, 0] = 1  # only the first diagnosis has both classes
         report = metrics_report(probs, labels, probs, labels)
-        per = report.per_diagnosis
-        assert per["pneumonia"].auroc == 0.5
-        assert per["heart_failure"].auroc is None
-        assert per["copd"].aupr is None
-        assert report.macro_auroc is None
+        cells = metric_cells(report)
+        assert cells[("pneumonia", "auroc")] == 0.5
+        assert cells[("heart_failure", "auroc")] is None
+        assert cells[("copd", "aupr")] is None
+        assert cells[("macro", "auroc")] is None
         # calibration is still defined for a single-class column
-        assert per["heart_failure"].ece is not None
+        assert cells[("heart_failure", "ece")] is not None
+        assert {row[0] for row in report["roc_points"]} == {"pneumonia"}
 
     def test_unattainable_operating_point_is_none(self):
         probs = np.full((10, 3), 0.5)
         labels = np.zeros((10, 3), dtype=int)
         labels[0, :] = 1  # prevalence 0.1 < target PPV at the only threshold
-        report = metrics_report(probs, labels, probs, labels)
-        assert report.per_diagnosis["pneumonia"].operating_point is None
+        cells = metric_cells(metrics_report(probs, labels, probs, labels))
+        for metric in ("threshold", "sensitivity", "specificity", "dor", "dor_corrected"):
+            assert cells[("pneumonia", metric)] is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(split_predictions())
+    def test_matches_reference(self, split):
+        # repr tells every float bit and None apart, and ints from floats
+        assert repr(metrics_report(*split)) == repr(metrics_report_reference(*split))
 
 
 class SeqRng:

@@ -349,14 +349,14 @@ class TestSweep:
     def test_full_grid_size_per_architecture(self):
         rng = np.random.default_rng(25)
         data = _with_emb(separable_dataset(12, rng), rng)
-        result = sweep("image", SweepGrid(max_epochs=1), data, data, seed=0, emb_dim=3)
+        result = sweep("image", SweepGrid(max_epochs=1), data, data, seed=0)
         assert len(result.runs) == 6 * 2 * 4
 
     def test_enumeration_is_learning_rate_major(self):
         rng = np.random.default_rng(26)
         data = separable_dataset(12, rng)
         grid = SweepGrid(learning_rates=(1.0, 2.0), momentums=(0.8,), weight_decays=(0.1, 0.2), max_epochs=1)
-        runs = sweep("ehr", grid, data, data, seed=0, ehr_dim=4).runs
+        runs = sweep("ehr", grid, data, data, seed=0).runs
         flattened = [(run.hp.learning_rate, run.hp.weight_decay, run.spec.kind) for run in runs]
         assert flattened == [
             (1.0, 0.1, ModelKind.EHR_LINEAR),
@@ -374,8 +374,7 @@ class TestSweep:
         train_set = separable_dataset(20, rng)
         val_set = separable_dataset(10, rng)
         grid = SweepGrid(learning_rates=(0.2,), momentums=(0.9,), weight_decays=(1e-3,), max_epochs=4)
-        result = sweep("image", grid, _with_emb(train_set, rng), _with_emb(val_set, rng),
-                       seed=0, emb_dim=3)
+        result = sweep("image", grid, _with_emb(train_set, rng), _with_emb(val_set, rng), seed=0)
         assert result.spec.kind is ModelKind.IMAGE_LINEAR
         assert result.hp.learning_rate == 0.2
         assert len(result.runs) == 1
@@ -385,7 +384,7 @@ class TestSweep:
         train_set = separable_dataset(30, rng)
         val_set = separable_dataset(14, rng)
         grid = SweepGrid(learning_rates=(1e-12, 0.5), momentums=(0.9,), weight_decays=(1e-4,), max_epochs=8)
-        result = sweep("ehr", grid, train_set, val_set, seed=4, ehr_dim=4)
+        result = sweep("ehr", grid, train_set, val_set, seed=4)
         assert result.hp.learning_rate == 0.5
         assert len(result.runs) == 4  # 2 learning rates x 2 architectures
         assert result.val_auroc == max(run.val_auroc for run in result.runs)
@@ -395,7 +394,7 @@ class TestSweep:
         train_set, val_set = noisy_dataset(60, rng), noisy_dataset(30, rng)
         grid = SweepGrid(learning_rates=(1e-12, 0.5, 0.05), momentums=(0.9,), weight_decays=(1e-4, 1e-2),
                          max_epochs=10)
-        result = sweep("combined", grid, train_set, val_set, seed=6, ehr_dim=4, emb_dim=3)
+        result = sweep("combined", grid, train_set, val_set, seed=6)
         configs = [
             (kind, HyperParams(lr, momentum, wd))
             for lr in grid.learning_rates for momentum in grid.momentums for wd in grid.weight_decays
@@ -420,7 +419,7 @@ class TestSweep:
         train_set, val_set = noisy_dataset(40, rng), noisy_dataset(20, rng)
         # both learning rates leave the initial ranking in place: equal AUROC
         grid = SweepGrid(learning_rates=(1e-13, 1e-12), momentums=(0.9,), weight_decays=(1e-4,), max_epochs=4)
-        result = sweep("image", grid, train_set, val_set, seed=7, emb_dim=3)
+        result = sweep("image", grid, train_set, val_set, seed=7)
         assert result.runs[0].val_auroc == result.runs[1].val_auroc
         assert result.hp.learning_rate == 1e-13
 
