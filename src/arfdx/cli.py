@@ -145,10 +145,10 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
         path = Path(config_path)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
-        raw_text = path.read_text(encoding="utf-8")
         try:
+            raw_text = path.read_text(encoding="utf-8")
             parser.read_string(raw_text)
-        except configparser.Error as exc:
+        except (UnicodeDecodeError, configparser.Error) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     settings: dict[str, dict[str, object]] = {section: {} for section in CONFIG_KEYS}
     for section in parser.sections():
@@ -183,9 +183,12 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
 
 # --- per-run artifacts -------------------------------------------------------
 
-# `label` is the one stage that reads the cohort and applies its rules. Besides
-# `labels.csv` it writes two NDJSON files, each the provenance line and then
-# one compact JSON object per included stay, in `patient_id` order:
+# `label` is the one stage that reads the cohort and applies its rules, and it
+# sets the one patient order: included stays by increasing `patient_id`. Every
+# per-patient artifact keeps it (`labels.csv` diagnosis by diagnosis within a
+# patient, `splits.csv` split by split), and `read_artifact` rejects a record out
+# of place. Besides `labels.csv`, `label` writes two NDJSON files, each the
+# provenance line and then one compact JSON object per included stay:
 # - `included_stays.ndjson`: `patient_id`, the `image_refs` of the study
 #   nearest onset, and the chart `reviews` as parsed. `split`, `train`,
 #   `evaluate` and `explain` read it.
@@ -247,14 +250,15 @@ def _malformed(cfg: RunConfig, name: str, problem: str) -> ConfigError:
     return ConfigError(f"{cfg.out_dir / name} {problem}; rerun the {_written_by(name)} stage")
 
 
-def read_artifact(cfg: RunConfig, name: str, parse: Callable) -> object:
-    """`parse(path)` of the `.json` artifact `name`. Of an `.ndjson` one, `parse(record)`
-    of each line's object, by patient, one line per patient; of a `.csv` one, whose header
-    must equal `COLUMNS[name]`, the list of `parse(row)` of each patient's rows, by patient.
-    Patients keep file order. A missing or malformed file is a `ConfigError` (exit 2)
-    naming it, the line where there is one, and the stage that writes it."""
+def read_artifact(cfg: RunConfig, name: str, parse: Callable, keys: Optional[Sequence] = None) -> object:
+    """`parse(path)` of the `.json` artifact `name`. Of an `.ndjson` one, `parse(record)` of each
+    line's object; of a `.csv` one, whose header must equal `COLUMNS[name]`, `parse(row)` of each
+    row. That parse gives the record's key and value, and the values come back in file order.
+    The keys must equal `keys` or, without `keys`, be strictly increasing `patient_id`s. A missing
+    or malformed file, or a record out of place, is a `ConfigError` (exit 2) naming the file, the
+    line where there is one, and the stage that writes it."""
     path = _existing(cfg.out_dir / name, f"run the {_written_by(name)} stage first")
-    lineno, out = None, {}
+    lineno, values, previous, expected = None, [], "", iter(keys or ())
     try:
         if name.endswith(".json"):
             return parse(path)
@@ -266,45 +270,44 @@ def read_artifact(cfg: RunConfig, name: str, parse: Callable) -> object:
             lineno = rows.line_num or None
             if tuple(header) != columns:
                 raise ValueError(f"header {','.join(header)!r} is not {','.join(columns)!r}")
-            patient = columns.index("patient_id")
-            for row in rows:
-                lineno = rows.line_num
-                if len(row) != len(columns):
-                    raise ValueError(f"{len(row)} fields, not {len(columns)}")
-                out.setdefault(row[patient], []).append(parse(row))
-            return out
-        for lineno, line in enumerate(lines, start=1):
-            if not line or line.startswith("#"):
-                continue
-            record = json.loads(line)
-            if type(record) is not dict:
-                raise ValueError("record is not a JSON object")
-            patient_id = record["patient_id"]
-            if type(patient_id) is not str or not patient_id:
-                raise ValueError("patient_id missing or empty")
-            if patient_id in out:
-                raise _malformed(cfg, name, f"line {lineno} repeats patient {patient_id!r}")
-            out[patient_id] = parse(record)
-        return out
+            records = ((rows.line_num, row) for row in rows)
+        else:
+            records = ((n, line) for n, line in enumerate(lines, start=1) if line and not line.startswith("#"))
+        for lineno, record in records:
+            if name.endswith(".ndjson"):
+                record = json.loads(record)
+                if type(record) is not dict:
+                    raise ValueError("record is not a JSON object")
+            elif len(record) != len(columns):
+                raise ValueError(f"{len(record)} fields, not {len(columns)}")
+            key, value = parse(record)
+            if keys is not None and key != (want := next(expected, None)):
+                raise ValueError(f"found {key!r}, expected {'the end of the file' if want is None else repr(want)}")
+            if keys is None and (type(key) is not str or key <= previous):
+                raise ValueError(f"found {key!r}, expected a patient_id after {previous!r}")
+            previous = key
+            values.append(value)
+        lineno = None
+        if (want := next(expected, None)) is not None:
+            raise ValueError(f"found the end of the file, expected {want!r}")
+        return values
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError, LabelError, FeaturizeError, ModelError too
         where = "" if lineno is None else f"line {lineno} "
         reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
         raise _malformed(cfg, name, f"{where}is malformed ({reason})") from exc
 
 
-def _included_stay(record: dict) -> IncludedStay:
+def _included_stay(record: dict) -> tuple[str, IncludedStay]:
     refs, reviews = record["image_refs"], record["reviews"]
     if type(refs) is not list or not refs or any(type(ref) is not str for ref in refs):
         raise ValueError("image_refs must be a non-empty list of strings")
     if type(reviews) is not list:
         raise ValueError("reviews must be a list")
-    return IncludedStay(
-        record["patient_id"], tuple(refs),
-        tuple(labels.ChartReview(r["reviewer_id"], r["scores"]) for r in reviews),
-    )
+    reviews = tuple(labels.ChartReview(r["reviewer_id"], r["scores"]) for r in reviews)
+    return record["patient_id"], IncludedStay(record["patient_id"], tuple(refs), reviews)
 
 
-def _window(record: dict) -> dict[str, object]:
+def _window(record: dict) -> tuple[str, tuple[str, dict[str, object]]]:
     window = record["window"]
     if type(window) is not dict or any(type(value) not in _WINDOW_VALUE_TYPES for value in window.values()):
         raise ValueError("window must map each variable to a string, a number or null")
@@ -312,60 +315,39 @@ def _window(record: dict) -> dict[str, object]:
     for variable, value in window.items():
         if type(value) in (int, float) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
             raise ValueError(f"window value for {variable!r} is not finite")
-    return window
+    return record["patient_id"], (record["patient_id"], window)
 
 
 def read_included(cfg: RunConfig) -> list[IncludedStay]:
     """The included stays `label` wrote."""
-    return list(read_artifact(cfg, INCLUDED_STAYS, _included_stay).values())
+    return read_artifact(cfg, INCLUDED_STAYS, _included_stay)
 
 
-def _label_row(row: list[str]) -> tuple[int, int]:
-    diagnosis, label = row[1], row[4]
-    if diagnosis not in labels.DIAGNOSES:
-        raise ValueError(f"unknown diagnosis {diagnosis!r}")
-    if label not in ("0", "1"):
-        raise ValueError(f"label {label!r} is not 0 or 1")
-    return labels.DIAGNOSES.index(diagnosis), int(label)
+def _label_row(row: list[str]) -> tuple[tuple[str, str], int]:
+    if row[4] not in ("0", "1"):
+        raise ValueError(f"label {row[4]!r} is not 0 or 1")
+    return (row[0], row[1]), int(row[4])
 
 
-def _split_row(row: list[str]) -> tuple[int, str]:
-    split_index, role = int(row[0]), row[2]
-    if split_index not in range(evaluation.N_SPLITS):
-        raise ValueError(f"split index {split_index} is outside 0 to {evaluation.N_SPLITS - 1}")
-    if role not in (evaluation.ROLE_TRAIN, evaluation.ROLE_VAL, evaluation.ROLE_TEST):
-        raise ValueError(f"unknown role {role!r}")
-    return split_index, role
-
-
-def _per_patient(cfg: RunConfig, name: str, parse: Callable[[list[str]], tuple[int, object]],
-                 patient_ids: Sequence[str], keys: Sequence) -> list[list]:
-    """Row i: the values of patient `patient_ids[i]` in the CSV artifact `name`,
-    where `parse` gives each file row's position in `keys` and its value. Each
-    patient has exactly one row per key, and no other patient appears."""
-    by_patient = read_artifact(cfg, name, parse)
-    table = []
-    for pid in patient_ids:
-        cells = sorted(by_patient.pop(pid, ()))
-        if [k for k, _ in cells] != list(range(len(keys))):
-            problem = (f"needs one row for each of {', '.join(map(str, keys))}" if cells
-                       else f"missing from the {_written_by(name)} file")
-            raise _malformed(cfg, name, f"is malformed (patient {pid} {problem})")
-        table.append([value for _, value in cells])
-    _no_other_patients(cfg, name, by_patient)
-    return table
-
-
-def _no_other_patients(cfg: RunConfig, name: str, left: dict) -> None:
-    """`left` holds what the artifact `name` gave the patients not yet taken
-    out for an included stay; any such patient makes the file malformed."""
-    if left:
-        raise _malformed(cfg, name, f"is malformed (patient {next(iter(left))} is not an included stay)")
+def _split_row(row: list[str]) -> tuple[tuple[int, str], str]:
+    if row[2] not in (evaluation.ROLE_TRAIN, evaluation.ROLE_VAL, evaluation.ROLE_TEST):
+        raise ValueError(f"unknown role {row[2]!r}")
+    return (int(row[0]), row[1]), row[2]
 
 
 def label_matrix(cfg: RunConfig, patient_ids: Sequence[str]) -> np.ndarray:
     """(n, 3) `label` column of `labels.csv` for `patient_ids`, in that order."""
-    return np.asarray(_per_patient(cfg, "labels.csv", _label_row, patient_ids, labels.DIAGNOSES), dtype=float)
+    values = read_artifact(cfg, "labels.csv", _label_row, [(pid, d) for pid in patient_ids for d in labels.DIAGNOSES])
+    return np.asarray(values, dtype=float).reshape(-1, len(labels.DIAGNOSES))
+
+
+def read_checkpoint(cfg: RunConfig, family: str, split_index: int) -> models.Checkpoint:
+    """The checkpoint `train` wrote for `family` and split `split_index`, which must hold a model of that family."""
+    name = CHECKPOINT.format(family, split_index)
+    checkpoint = read_artifact(cfg, name, models.load_checkpoint)
+    if checkpoint.spec.kind not in models.FAMILIES[family]:
+        raise _malformed(cfg, name, f"is malformed (model kind {checkpoint.spec.kind.value} is not of family {family})")
+    return checkpoint
 
 
 @dataclass
@@ -376,7 +358,7 @@ class PipelineData:
     emb: np.ndarray  # (m, e): every image of each patient's selected study, patient by patient
     image_counts: np.ndarray  # (n,): rows of `emb` per patient
     label_matrix: np.ndarray  # (n, 3)
-    roles: np.ndarray  # (n, N_SPLITS): each patient's role in each split
+    roles: np.ndarray  # (N_SPLITS, n): each patient's role in each split
     reviews: list[tuple[labels.ChartReview, ...]]  # (n,): each patient's chart reviews
     fitted: featurize.FittedFeaturizer
 
@@ -400,7 +382,7 @@ class PipelineData:
 
     def split_indices(self, split_index: int, role: str) -> np.ndarray:
         """The patients with `role` in split `split_index`, in patient order."""
-        return np.flatnonzero(self.roles[:, split_index] == role)
+        return np.flatnonzero(self.roles[split_index] == role)
 
 
 def assemble_data(cfg: RunConfig) -> PipelineData:
@@ -408,26 +390,24 @@ def assemble_data(cfg: RunConfig) -> PipelineData:
     patient_ids = [stay.patient_id for stay in included]
     fitted = read_artifact(cfg, "featurizer.json",
                            lambda path: featurize.FittedFeaturizer.from_json(path.read_text(encoding="utf-8")))
-    features = read_artifact(cfg, "features.ndjson", lambda record: featurize.unpack_bits_hex(record["bits"], fitted.dim))
+    ehr_rows = read_artifact(cfg, "features.ndjson", lambda record: (
+        record["patient_id"], featurize.unpack_bits_hex(record["bits"], fitted.dim)), patient_ids)
     embeddings = imaging.load_embeddings(cfg.existing_input("embeddings"))
 
-    ehr_rows = []
     emb_rows = []
     for stay in included:
-        if stay.patient_id not in features:
-            raise _malformed(cfg, "features.ndjson", f"is malformed (patient {stay.patient_id} missing from the file)")
         for ref in stay.image_refs:
             if ref not in embeddings:
                 raise ConfigError(f"image {ref} missing from the embedding file")
             emb_rows.append(embeddings[ref])
-        ehr_rows.append(features.pop(stay.patient_id))
-    _no_other_patients(cfg, "features.ndjson", features)
+    split_keys = [(split_index, pid) for split_index in range(evaluation.N_SPLITS) for pid in patient_ids]
     return PipelineData(
         ehr=np.stack(ehr_rows).astype(float),
         emb=np.stack(emb_rows).astype(float),
         image_counts=np.asarray([len(stay.image_refs) for stay in included]),
         label_matrix=label_matrix(cfg, patient_ids),
-        roles=np.asarray(_per_patient(cfg, "splits.csv", _split_row, patient_ids, range(evaluation.N_SPLITS))),
+        roles=np.asarray(read_artifact(cfg, "splits.csv", _split_row, split_keys)).reshape(
+            evaluation.N_SPLITS, len(patient_ids)),
         reviews=[stay.reviews for stay in included],
         fitted=fitted,
     )
@@ -474,9 +454,9 @@ def run_featurize(cfg: RunConfig) -> None:
     windows = read_artifact(cfg, WINDOW_VALUES, _window)
     if not windows:
         raise ConfigError("cohort file contains no includable stays")
-    ids = list(windows)
+    ids = [pid for pid, _ in windows]
     diagnosis_labels = label_matrix(cfg, ids)
-    rows = list(windows.values())
+    rows = [window for _, window in windows]
     fitted = featurize.fit(rows, featurize.infer_config(rows))
     feature_bits = featurize.encode_rows(rows, fitted)
 
@@ -540,7 +520,7 @@ def run_evaluate(cfg: RunConfig) -> None:
 
     for family in families:
         for split_index in range(evaluation.N_SPLITS):
-            checkpoint = read_artifact(cfg, CHECKPOINT.format(family, split_index), models.load_checkpoint)
+            checkpoint = read_checkpoint(cfg, family, split_index)
             test_idx = data.split_indices(split_index, evaluation.ROLE_TEST)
             val_idx = data.split_indices(split_index, evaluation.ROLE_VAL)
             test_probs = data.predict(checkpoint, test_idx)
@@ -582,7 +562,7 @@ def run_explain(cfg: RunConfig) -> None:
         per_split = []
         for split_index in range(evaluation.N_SPLITS):
             test_idx = data.split_indices(split_index, evaluation.ROLE_TEST)
-            checkpoint = read_artifact(cfg, CHECKPOINT.format(family, split_index), models.load_checkpoint)
+            checkpoint = read_checkpoint(cfg, family, split_index)
             emb, image_counts = data.images(test_idx)
 
             def predict(features: np.ndarray) -> np.ndarray:

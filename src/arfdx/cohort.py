@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -314,8 +315,12 @@ def parse_stay(obj: Mapping) -> PatientStay:
     )
 
 
+_SURROGATE = re.compile("[\udc80-\udcff]")
+
+
 def load_cohort(path, rejects_path=None) -> list[PatientStay]:
-    """Read one stay per NDJSON line, skipping rejected lines.
+    """Read one stay per NDJSON line, skipping rejected lines: a line that is
+    not UTF-8, not JSON, or not a well-formed stay.
 
     Lines starting with '#' are provenance headers and are skipped. When
     `rejects_path` is given, a sidecar listing `line <n>: <reason>` for each
@@ -332,10 +337,14 @@ def load_cohort(path, rejects_path=None) -> list[PatientStay]:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with path.open("r", encoding="utf-8") as handle:
+        # bytes that are not UTF-8 decode to lone surrogates, which valid UTF-8 never gives
+        with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
+                    continue
+                if not stripped.isascii() and _SURROGATE.search(stripped):
+                    rejects.append(f"line {lineno}: not UTF-8")
                     continue
                 try:
                     obj = json.loads(stripped)

@@ -89,7 +89,7 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     if count and width < 1:
         raise FormatError(f"embedding file declares width {width} for {count} records")
     vector_starts: dict[str, int] = {}  # image id -> byte offset of its vector
-    for _ in range(count):
+    for record in range(1, count + 1):
         if len(data) < offset + 2:
             raise FormatError("truncated embedding record")
         (id_len,) = struct.unpack_from("<H", data, offset)
@@ -97,7 +97,10 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
         end = offset + id_len + 4 * width
         if len(data) < end:
             raise FormatError("truncated embedding record")
-        image_id = data[offset : offset + id_len].decode("utf-8")
+        try:
+            image_id = data[offset : offset + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"embedding record {record} of {count} has an id that is not UTF-8") from None
         if image_id in vector_starts:
             raise FormatError(f"duplicate embedding id {image_id!r}")
         vector_starts[image_id] = offset + id_len

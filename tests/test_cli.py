@@ -14,7 +14,7 @@ import pytest
 import arfdx
 from arfdx import cli, cohort, evaluation, explain, imaging, labels, models, synth
 from arfdx._util import stage_seed
-from oracles import physician_comparison_reference, predict_reference
+from oracles import physician_comparison_reference, pooled_table_loop, predict_reference
 
 MINI_CONFIG = """\
 [run]
@@ -245,6 +245,14 @@ class TestStrictConfig:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_bytes(MINI_CONFIG.encode() + b"# \xff\xfe\n")
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert f"cannot parse config {config}: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_example_runs(self, tmp_path):
         example = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
         config = tmp_path / "run.ini"
@@ -269,7 +277,9 @@ class TestFeaturizeLabels:
         dropped = lines[2].split(",")[0]
         (out / "labels.csv").write_text("".join(line for line in lines if not line.startswith(dropped + ",")))
         assert cli.main(["featurize", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
-        assert f"patient {dropped} missing from the label file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{out / 'labels.csv'} line 3 is malformed (found (" in err
+        assert f"expected ({dropped!r}, 'pneumonia'))" in err and "rerun the label stage" in err
         assert not (out / "features.ndjson").exists()
 
 
@@ -482,6 +492,25 @@ def set_window_value(line, variable, value):
     return json.dumps({**record, "window": {**record["window"], variable: value}})
 
 
+def as_image_checkpoint(text):
+    """The checkpoint `text` rewritten as a well-formed image-family model of the same run."""
+    payload = json.loads(text)
+    spec = models.ModelSpec(models.ModelKind.IMAGE_LINEAR, emb_dim=6)
+    payload["spec"].update(kind=spec.kind.value, ehr_dim=0, emb_dim=spec.emb_dim)
+    payload["params"] = {name: {"shape": list(shape), "data": [0.0] * int(np.prod(shape))}
+                         for name, shape in spec.param_shapes().items()}
+    return json.dumps(payload)
+
+
+def swap_lines(first, second):
+    """An edit that swaps two lines of a text, 0-based: every record stays, two in each other's place."""
+    def swap(text):
+        lines = text.splitlines(keepends=True)
+        lines[first], lines[second] = lines[second], lines[first]
+        return "".join(lines)
+    return swap
+
+
 class TestIncludedStays:
     def test_round_trip_matches_labels_order(self, tmp_path):
         out = tmp_path / "out"
@@ -587,22 +616,41 @@ class TestIncludedStays:
     @pytest.mark.parametrize(
         "stage, name, corrupt, problem",
         [
-            ("train", "featurizer.json", lambda text: "{not json", "Expecting property name"),
+            ("train", "featurizer.json", lambda text: "{not json", "is malformed (Expecting property name"),
             ("train", "featurizer.json",
-             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dim"}), "no key 'dim'"),
-            ("evaluate", "checkpoint_ehr_split0.json", lambda text: "{not json", "Expecting property name"),
-            ("evaluate", "checkpoint_ehr_split0.json", lambda text: "[]", "unrecognized checkpoint format"),
+             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dim"}),
+             "is malformed (no key 'dim')"),
+            ("evaluate", "checkpoint_ehr_split0.json", lambda text: "{not json",
+             "is malformed (Expecting property name"),
+            ("evaluate", "checkpoint_ehr_split0.json", lambda text: "[]",
+             "is malformed (unrecognized checkpoint format"),
+            ("evaluate", "checkpoint_ehr_split0.json", as_image_checkpoint,
+             "is malformed (model kind image_linear is not of family ehr)"),
+            ("explain", "checkpoint_ehr_split0.json", as_image_checkpoint,
+             "is malformed (model kind image_linear is not of family ehr)"),
             ("train", "splits.csv", lambda text: re.sub(r"(?m)^0,p03,.*\n", "", text),
-             "patient p03 needs one row for each of 0, 1, 2, 3, 4"),
-            ("train", "splits.csv", lambda text: text + "0,ghost,train\n", "patient ghost is not an included stay"),
+             "line 6 is malformed (found (0, 'p04'), expected (0, 'p03'))"),
+            ("train", "splits.csv", lambda text: text + "0,ghost,train\n",
+             "line 303 is malformed (found (0, 'ghost'), expected the end of the file)"),
             ("evaluate", "features.ndjson", lambda text: re.sub(r'(?m)^.*"patient_id": "p01".*\n', "", text),
-             "patient p01 missing from the file"),
+             "line 3 is malformed (found 'p02', expected 'p01')"),
             ("evaluate", "features.ndjson",
              lambda text: text + re.sub(r'"patient_id": "\w+"', '"patient_id": "ghost"', text.splitlines()[-1]) + "\n",
-             "patient ghost is not an included stay"),
+             "line 62 is malformed (found 'ghost', expected the end of the file)"),
+            ("split", cli.INCLUDED_STAYS, swap_lines(1, 2),
+             "line 3 is malformed (found 'p00', expected a patient_id after 'p01')"),
+            ("featurize", cli.WINDOW_VALUES, swap_lines(1, 2),
+             "line 3 is malformed (found 'p00', expected a patient_id after 'p01')"),
+            ("train", "features.ndjson", swap_lines(1, 2), "line 2 is malformed (found 'p01', expected 'p00')"),
+            ("train", "labels.csv", swap_lines(2, 5),
+             "line 3 is malformed (found ('p01', 'pneumonia'), expected ('p00', 'pneumonia'))"),
+            ("train", "splits.csv", swap_lines(2, 3), "line 3 is malformed (found (0, 'p01'), expected (0, 'p00'))"),
         ],
         ids=["featurizer-not-json", "featurizer-no-dim", "checkpoint-not-json", "checkpoint-not-an-object",
-             "splits-row-deleted", "splits-other-patient", "features-row-deleted", "features-other-patient"],
+             "checkpoint-of-another-family-evaluate", "checkpoint-of-another-family-explain",
+             "splits-row-deleted", "splits-other-patient", "features-row-deleted", "features-other-patient",
+             "included-stays-swapped", "window-values-swapped", "features-swapped", "labels-swapped",
+             "splits-swapped"],
     )
     def test_corrupt_whole_artifact_exits_2_naming_it(self, mini_run, capsys, stage, name, corrupt, problem):
         config, out = mini_run
@@ -611,8 +659,7 @@ class TestIncludedStays:
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         writer = "train" if name.startswith("checkpoint_") else cli.WRITTEN_BY[name]
-        # no line is named: the fault is in the whole file
-        assert f"{path} is malformed (" in err and problem in err and f"rerun the {writer} stage" in err
+        assert f"{path} {problem}" in err and f"rerun the {writer} stage" in err
 
     def test_repeated_patient_exits_2(self, mini_run, capsys):
         config, out = mini_run
@@ -620,7 +667,8 @@ class TestIncludedStays:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[1]]) + "\n")
         assert cli.main(["split", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
-        assert f"{path} line {len(lines) + 1} repeats patient" in capsys.readouterr().err
+        assert f"{path} line {len(lines) + 1} is malformed (found 'p00', expected a patient_id after 'p59')" in (
+            capsys.readouterr().err)
 
 
 class TestPhysicianComparisonRun:
@@ -651,6 +699,28 @@ class TestPhysicianComparisonRun:
             written = list(csv.reader(handle))[2:]
         assert written == expected
         assert any(float(row[2]) < 1.0 for row in written)
+
+
+class TestAgreementRun:
+    def test_rows_match_pooled_pairs_when_reviewers_disagree(self, tmp_path, monkeypatch):
+        # at the default noise every reviewer's call is the truth, so every kappa is 1
+        monkeypatch.setattr(synth, "REVIEWER_NOISE", 1.5)
+        config = tmp_path / "run.ini"
+        config.write_text(MINI_CONFIG.replace("n_patients = 60", "n_patients = 200"))
+        out = tmp_path / "out"
+        run_stages(config, out, ("synth", "label"))
+
+        included = [stay for stay in cohort.load_cohort(out / "cohort.ndjson")
+                    if cohort.include_stay(stay, cohort.CohortConfig())]
+        expected = []
+        for diag in labels.DIAGNOSES:
+            table = pooled_table_loop([stay.reviews for stay in included], diag)
+            kappa, raw_agreement = labels.kappa_from_table(*table)
+            expected.append([diag, str(kappa), str(raw_agreement), str(sum(table) / 2)])
+        with (out / "agreement.csv").open(newline="") as handle:
+            written = list(csv.reader(handle))[2:]
+        assert written == expected
+        assert any(0.0 < float(row[1]) < 1.0 for row in written)
 
 
 def _run_python(code, openblas_threads=None):

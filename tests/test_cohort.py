@@ -294,6 +294,15 @@ class TestIngestion:
         assert rejects[1].startswith("line 4:")
         assert "patient_id" in rejects[1]
 
+    def test_line_that_is_not_utf8_is_a_rejected_line(self, tmp_path):
+        path = tmp_path / "cohort.ndjson"
+        lines = [json.dumps({**self.good_record(), "patient_id": pid}).encode() for pid in ("p1", "p2", "p3")]
+        lines[1] = lines[1].replace(b'"p2"', b'"p2\xff\xfe"')
+        path.write_bytes(b"# header\n" + b"".join(line + b"\n" for line in lines))
+        stays = load_cohort(path, rejects_path=tmp_path / "rejects.txt")
+        assert [s.patient_id for s in stays] == ["p1", "p3"]
+        assert (tmp_path / "rejects.txt").read_text().splitlines() == ["line 3: not UTF-8"]
+
     @pytest.mark.parametrize(
         "path, bad",
         [

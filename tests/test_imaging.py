@@ -34,6 +34,13 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError, match="duplicate"):
             embeddings_to_bytes(records)
 
+    def test_id_that_is_not_utf8_rejected_naming_the_record(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        records = [ImageEmbedding(image_id, np.zeros(4, dtype=np.float32)) for image_id in ("img-a", "img-b")]
+        path.write_bytes(embeddings_to_bytes(records).replace(b"img-b", b"img\xff\xfe"))
+        with pytest.raises(FormatError, match="embedding record 2 of 2 has an id that is not UTF-8"):
+            load_embeddings(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "emb.bin"
         write_embeddings(path, [])
