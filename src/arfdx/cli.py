@@ -86,7 +86,7 @@ def _positive(raw: str) -> int:
 # the cohort rules, `featurize.RANGE_BINS`, `explain.GROUPING_THRESHOLD` and
 # `evaluation.N_SPLITS`, so none of them is a setting. `[synth]` and `[sweep]`
 # keys are `SynthSpec` and `SweepGrid` fields, which hold their defaults and
-# range rules.
+# range rules; `[explain] repeats` defaults to `explain.REPEATS`.
 CONFIG_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "run": {"seed": int},
     "paths": {"out_dir": Path, "cohort": Path, "embeddings": Path, "ruleset": Path},
@@ -298,13 +298,11 @@ def read_artifact(cfg: RunConfig, name: str, parse: Callable, keys: Optional[Seq
 
 
 def _included_stay(record: dict) -> tuple[str, IncludedStay]:
-    refs, reviews = record["image_refs"], record["reviews"]
-    if type(refs) is not list or not refs or any(type(ref) is not str for ref in refs):
-        raise ValueError("image_refs must be a non-empty list of strings")
+    refs, reviews = cohort.image_refs(record["image_refs"], "the selected study"), record["reviews"]
     if type(reviews) is not list:
         raise ValueError("reviews must be a list")
     reviews = tuple(labels.ChartReview(r["reviewer_id"], r["scores"]) for r in reviews)
-    return record["patient_id"], IncludedStay(record["patient_id"], tuple(refs), reviews)
+    return record["patient_id"], IncludedStay(record["patient_id"], refs, reviews)
 
 
 def _window(record: dict) -> tuple[str, tuple[str, dict[str, object]]]:
@@ -433,19 +431,9 @@ def run_label(cfg: RunConfig) -> None:
     rules = cohort.CohortConfig()
     parsed = cohort.load_cohort(cfg.existing_input("cohort"), cfg.out_dir / "cohort_rejects.txt")
     stays = sorted((stay for stay in parsed if cohort.include_stay(stay, rules)), key=lambda stay: stay.patient_id)
-    rows = []
-    for stay in stays:
-        chart = labels.aggregate_reviews(stay.reviews) if stay.reviews else None
-        codemed = labels.code_med_label(stay, ruleset)
-        used = chart if chart is not None else codemed
-        for diag in labels.DIAGNOSES:
-            chart_label = None if chart is None else int(chart[diag])
-            rows.append([stay.patient_id, diag, chart_label, int(codemed[diag]), int(used[diag]), used.source])
-    cfg.write_csv("labels", COLUMNS["labels.csv"], rows)
-
-    agreement = labels.rater_agreement([stay.reviews for stay in stays])
+    cfg.write_csv("labels", COLUMNS["labels.csv"], (row for stay in stays for row in labels.label_rows(stay, ruleset)))
     cfg.write_csv("agreement", ("diagnosis", "kappa", "raw_agreement", "n_pairs"),
-                  ([d, r.kappa, r.raw_agreement, r.n_pairs] for d, r in agreement.items()))
+                  labels.rater_agreement([stay.reviews for stay in stays]))
     write_included(cfg, stays)
     print(f"label: wrote labels for {len(stays)} patients")
 
@@ -474,13 +462,10 @@ def run_featurize(cfg: RunConfig) -> None:
 
 def run_split(cfg: RunConfig) -> None:
     ids = [stay.patient_id for stay in read_included(cfg)]
-    splits = evaluation.make_splits(ids, stage_seed(cfg.seed, "split"))
-    rows = []
-    for assignment in splits:
-        for pid in ids:
-            rows.append([assignment.split_index, pid, assignment.roles[pid]])
-    cfg.write_csv("splits", COLUMNS["splits.csv"], rows)
-    print(f"split: wrote {len(splits)} splits over {len(ids)} patients")
+    roles = evaluation.make_splits(len(ids), stage_seed(cfg.seed, "split"))
+    split_indices = np.repeat(np.arange(len(roles)), len(ids)).tolist()
+    cfg.write_csv("splits", COLUMNS["splits.csv"], zip(split_indices, ids * len(roles), roles.ravel().tolist()))
+    print(f"split: wrote {len(roles)} splits over {len(ids)} patients")
 
 
 def run_train(cfg: RunConfig) -> None:
@@ -550,7 +535,7 @@ def run_evaluate(cfg: RunConfig) -> None:
 
 def run_explain(cfg: RunConfig) -> None:
     data = assemble_data(cfg)
-    repeats = cfg.settings["explain"].get("repeats", 10)
+    repeats = cfg.settings["explain"].get("repeats", explain.REPEATS)
 
     # groups come from the full cohort so every split ranks the same partition
     signals = explain.variable_signal(data.ehr, data.fitted)
@@ -572,28 +557,11 @@ def run_explain(cfg: RunConfig) -> None:
             per_split.append(explain.permutation_importance(
                 predict, data.ehr[test_idx], data.label_matrix[test_idx], groups, data.fitted, rng, repeats=repeats,
             ))
-        report_rows = []
-        for d_idx, diag in enumerate(labels.DIAGNOSES):
-            per_split_drops = [drops[d_idx] for drops in per_split]
-            if any(d is None for d in per_split_drops):
-                report_rows.append([diag, "(single-class split; importance undefined)", None, None, None])
-                continue
-            report = explain.aggregate_ranks(groups, per_split_drops)
-            for gid in report.ranking:
-                report_rows.append(
-                    [
-                        diag,
-                        gid,
-                        report.mean_rank[gid],
-                        report.mean_drop[gid],
-                        ";".join(repr(drops[gid]) for drops in report.per_split_drops),
-                    ]
-                )
-        cfg.write_csv(
-            f"importance_{family}",
-            ("diagnosis", "group_members", "mean_rank", "mean_drop", "per_split_drops"),
-            report_rows,
-        )
+        # `zip(*per_split)` gives each diagnosis its drops in every split
+        rows = ([diag, *row] for diag, drops in zip(labels.DIAGNOSES, zip(*per_split))
+                for row in explain.aggregate_ranks(groups, drops))
+        columns = ("diagnosis", "group_members", "mean_rank", "mean_drop", "per_split_drops")
+        cfg.write_csv(f"importance_{family}", columns, rows)
     print("explain: wrote importance reports")
 
 

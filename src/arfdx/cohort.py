@@ -201,6 +201,19 @@ def _list_field(obj: Mapping, key: str):
     return raw
 
 
+def image_refs(refs: object, owner: str) -> tuple[str, ...]:
+    """`refs` as a study's image refs: a non-empty list of non-empty strings.
+    The one home of this rule, for `parse_stay` and for the included stays
+    `label` writes; a `CohortError` names `owner`."""
+    if not refs:
+        raise CohortError(f"{owner} has no image_refs")
+    if type(refs) not in _SEQUENCES:
+        raise CohortError(f"{owner} image_refs must be a list")
+    if not all(type(r) is str and r != "" for r in refs):
+        raise CohortError(f"{owner} image_refs must be non-empty strings")
+    return tuple(refs)
+
+
 def parse_stay(obj: Mapping) -> PatientStay:
     """Build and validate a PatientStay from one decoded NDJSON object.
 
@@ -261,14 +274,7 @@ def parse_stay(obj: Mapping) -> PatientStay:
             raise CohortError(f"study {study_id!r} time must be an integer")
         if time < admit_time:
             raise CohortError(f"study {study_id!r} precedes admission")
-        refs = raw.get("image_refs")
-        if not refs:
-            raise CohortError(f"study {study_id!r} has no image_refs")
-        if type(refs) not in _SEQUENCES:
-            raise CohortError(f"study {study_id!r} image_refs must be a list")
-        if not all(type(r) is str and r != "" for r in refs):
-            raise CohortError(f"study {study_id!r} image_refs must be non-empty strings")
-        studies.append(ImagingStudy(study_id, time, tuple(refs)))
+        studies.append(ImagingStudy(study_id, time, image_refs(raw.get("image_refs"), f"study {study_id!r}")))
 
     intervals_by_unit: dict[str, list[tuple[int, int]]] = {}
     unit_intervals = []

@@ -1,7 +1,9 @@
 """Patient-level splits and the discrimination/calibration/threshold metrics.
 
-AUROC follows the Mann-Whitney pairwise definition (ties count half), AUPR is
-the step-summed average precision with tied scores processed as one block,
+`make_splits` gives each patient a role in each of the `N_SPLITS` splits, as
+the (split, patient) array that `splits.csv` lists row by row. AUROC follows
+the Mann-Whitney pairwise definition (ties count half), AUPR is the
+step-summed average precision with tied scores processed as one block,
 calibration uses prediction quintiles, and the operating point fixes a target
 positive predictive value before reading off sensitivity, specificity, and
 the diagnostic odds ratio.
@@ -10,7 +12,7 @@ the diagnostic odds ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,40 +45,25 @@ CALIBRATION_BINS = 5  # prediction quintiles
 OPERATING_PPV = 0.5  # the paper's operating point fixes PPV at 50%
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
-    split_index: int
-    roles: Mapping[str, str]  # patient_id -> train/val/test
-
-
-def make_splits(patient_ids: Sequence[str], seed: int) -> list[SplitAssignment]:
-    """Five independent seeded shuffles into 60/20/20 train/val/test.
+def make_splits(n: int, seed: int) -> np.ndarray:
+    """(N_SPLITS, n) roles of n patients in patient order: five independent
+    seeded shuffles into 60/20/20 train/val/test, split by split as `splits.csv`
+    lists them.
 
     Validation and test each take floor(0.2 n) patients; the remainder goes
     to training, keeping every fraction within one patient of its target.
     """
-    ids = list(patient_ids)
-    n = len(ids)
     if n < N_SPLITS:
         raise EvalError(f"need at least {N_SPLITS} patients, got {n}")
-    if len(set(ids)) != n:
-        raise EvalError("patient ids must be unique")
     n_val = n // 5
     n_test = n // 5
     n_train = n - n_val - n_test
-    splits = []
+    roles = np.full((N_SPLITS, n), ROLE_TRAIN)
     for split_index in range(N_SPLITS):
-        rng = np.random.default_rng([seed, split_index])
-        order = [ids[i] for i in rng.permutation(n)]
-        roles = {}
-        for pid in order[:n_train]:
-            roles[pid] = ROLE_TRAIN
-        for pid in order[n_train : n_train + n_val]:
-            roles[pid] = ROLE_VAL
-        for pid in order[n_train + n_val :]:
-            roles[pid] = ROLE_TEST
-        splits.append(SplitAssignment(split_index=split_index, roles=roles))
-    return splits
+        order = np.random.default_rng([seed, split_index]).permutation(n)
+        roles[split_index, order[n_train : n_train + n_val]] = ROLE_VAL
+        roles[split_index, order[n_train + n_val :]] = ROLE_TEST
+    return roles
 
 
 def _validate_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@ Highly correlated variables (|Pearson r| above `GROUPING_THRESHOLD` on a
 per-variable scalar signal) are grouped by connected components and shuffled
 jointly, so the importance of redundant measurements is not split between
 them. Drops in AUROC rank the groups within each split; ranks average across
-splits.
+splits, and `aggregate_ranks` gives one diagnosis's rows of
+`importance_<family>.csv` in that ranking.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ class ExplainError(ValueError):
 
 
 GROUPING_THRESHOLD = 0.6  # |Pearson r| above which two variables share a group
+REPEATS = 10  # shuffles per group and split, unless `[explain] repeats` sets another count
 
 
 @dataclass(frozen=True)
@@ -119,40 +121,27 @@ def permutation_importance(
     return drops
 
 
-def rank_descending(drops: Mapping[str, float]) -> dict[str, float]:
-    """Rank 1 = largest drop; ties share the average of their positions."""
-    ranks = average_ranks(-np.asarray(list(drops.values()), dtype=float))
-    return dict(zip(drops, ranks.tolist()))
-
-
-@dataclass(frozen=True)
-class ImportanceReport:
-    per_split_drops: tuple[Mapping[str, float], ...]
-    mean_rank: Mapping[str, float]
-    mean_drop: Mapping[str, float]
-    ranking: tuple[str, ...]  # every group id, smallest mean rank first
-
-
 def aggregate_ranks(
     groups: Sequence[FeatureGroup],
-    per_split_drops: Sequence[Mapping[str, float]],
-) -> ImportanceReport:
-    """Average per-split descending-drop ranks; the ranking orders the
-    groups by mean rank, ties broken lexicographically by group id."""
+    per_split_drops: Sequence[Optional[Mapping[str, float]]],
+) -> list[list]:
+    """One diagnosis's `importance_<family>.csv` rows from its per-split
+    {group_id: drop}: group, mean rank, mean drop and the per-split drops,
+    smallest mean rank first, ties broken lexicographically by group id.
+
+    Within a split, rank 1 is the largest drop and tied drops share the
+    average of their positions. A split that is single-class for the
+    diagnosis (None) leaves its importance undefined: one row says so.
+    """
+    if any(drops is None for drops in per_split_drops):
+        return [["(single-class split; importance undefined)", None, None, None]]
     group_ids = [g.group_id for g in groups]
     for drops in per_split_drops:
         if set(drops) != set(group_ids):
             raise ExplainError("every split must report drops for the same groups")
-    per_split_ranks = [rank_descending(drops) for drops in per_split_drops]
-    mean_rank = {
-        gid: float(np.mean([ranks[gid] for ranks in per_split_ranks])) for gid in group_ids
-    }
-    mean_drop = {
-        gid: float(np.mean([drops[gid] for drops in per_split_drops])) for gid in group_ids
-    }
-    return ImportanceReport(
-        per_split_drops=tuple(dict(d) for d in per_split_drops),
-        mean_rank=mean_rank,
-        mean_drop=mean_drop,
-        ranking=tuple(sorted(group_ids, key=lambda gid: (mean_rank[gid], gid))),
-    )
+    table = np.array([[drops[gid] for drops in per_split_drops] for gid in group_ids], dtype=float)  # (groups, splits)
+    mean_rank = average_ranks(-table.T).mean(axis=0).tolist()
+    mean_drop = table.mean(axis=1).tolist()
+    ranking = sorted(range(len(group_ids)), key=lambda g: (mean_rank[g], group_ids[g]))
+    return [[group_ids[g], mean_rank[g], mean_drop[g], ";".join(repr(drops[group_ids[g]]) for drops in per_split_drops)]
+            for g in ranking]

@@ -2,9 +2,11 @@
 
 Two label routes exist: averaging 1-4 likelihood ratings from independent
 chart reviews, and a rule joining discharge diagnosis codes with disease-
-specific medication administration. This module also measures inter-rater
-agreement; `evaluation.physician_comparison` holds out one reviewer against
-the consensus of the rest.
+specific medication administration. `label_rows` holds the choice between
+them: the chart-review consensus when a stay has reviews, else code+medication.
+This module also measures inter-rater agreement (`rater_agreement`, the rows
+of `agreement.csv`); `evaluation.physician_comparison` holds out one reviewer
+against the consensus of the rest.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ class DiagnosisLabels:
     pneumonia: bool
     heart_failure: bool
     copd: bool
-    source: str
 
     def __getitem__(self, diagnosis: str) -> bool:
         if diagnosis not in DIAGNOSES:
@@ -183,7 +184,7 @@ def aggregate_reviews(reviews: Sequence[ChartReview]) -> DiagnosisLabels:
     for diag in DIAGNOSES:
         mean = sum(float(r.scores[diag]) for r in reviews) / len(reviews)
         assigned[diag] = mean < ASSIGN_BELOW
-    return DiagnosisLabels(source=SOURCE_CHART_REVIEW, **assigned)
+    return DiagnosisLabels(**assigned)
 
 
 def code_med_label(stay, ruleset: PhenotypeRuleset) -> DiagnosisLabels:
@@ -197,15 +198,19 @@ def code_med_label(stay, ruleset: PhenotypeRuleset) -> DiagnosisLabels:
     for diag in DIAGNOSES:
         rule = ruleset.rules[diag]
         assigned[diag] = bool(codes & rule.icd_codes) and bool(meds & rule.medications)
-    return DiagnosisLabels(source=SOURCE_CODE_MED, **assigned)
+    return DiagnosisLabels(**assigned)
 
 
-@dataclass(frozen=True)
-class AgreementResult:
-    kappa: Optional[float]  # None when chance agreement is 1 (unanimous one-sided calls) or there is no pair
-    raw_agreement: Optional[float]  # None when there is no pair
-    table: tuple[float, float, float, float]  # (a, b, c, d): ++, +-, -+, --
-    n_pairs: float
+def label_rows(stay, ruleset: PhenotypeRuleset) -> list[list]:
+    """The stay's `labels.csv` rows, one per diagnosis: patient_id, diagnosis,
+    chart-review consensus (None without reviews), code+medication label, the
+    label used and its source. The label is the chart-review consensus when the
+    stay has reviews, else the code+medication rule."""
+    chart = aggregate_reviews(stay.reviews) if stay.reviews else None
+    codemed = code_med_label(stay, ruleset)
+    used, source = (codemed, SOURCE_CODE_MED) if chart is None else (chart, SOURCE_CHART_REVIEW)
+    return [[stay.patient_id, diag, None if chart is None else int(chart[diag]), int(codemed[diag]), int(used[diag]),
+             source] for diag in DIAGNOSES]
 
 
 def kappa_from_table(a: float, b: float, c: float, d: float) -> tuple[float, float]:
@@ -245,23 +250,24 @@ def pooled_table(patient_reviews: Sequence[Sequence[ChartReview]], diagnosis: st
     return a, mixed, mixed, d
 
 
-def rater_agreement(patient_reviews: Sequence[Sequence[ChartReview]]) -> dict[str, AgreementResult]:
-    """Pooled-pairs kappa and raw agreement per diagnosis; kappa is None where
-    the marginals leave it undefined, and raw agreement is still reported.
+def rater_agreement(patient_reviews: Sequence[Sequence[ChartReview]]) -> list[list]:
+    """The `agreement.csv` rows: per diagnosis, pooled-pairs kappa, raw
+    agreement and the number of reviewer pairs. Kappa is None where the
+    marginals leave it undefined (unanimous one-sided calls), and raw agreement
+    is still reported.
 
     Only a patient with two or more reviews adds pairs. With no such patient
     the table is empty: kappa and raw agreement are None and `n_pairs` is 0.
     """
-    results = {}
+    rows = []
     for diag in DIAGNOSES:
-        a, b, c, d = table = pooled_table(patient_reviews, diag)
+        a, b, c, d = pooled_table(patient_reviews, diag)
         n = a + b + c + d
-        if n == 0:
-            results[diag] = AgreementResult(kappa=None, raw_agreement=None, table=table, n_pairs=0)
-            continue
-        try:
-            kappa, raw = kappa_from_table(a, b, c, d)
-        except DegenerateMarginals:
-            kappa, raw = None, (a + d) / n
-        results[diag] = AgreementResult(kappa=kappa, raw_agreement=raw, table=table, n_pairs=n / 2.0)
-    return results
+        kappa = raw = None
+        if n:
+            try:
+                kappa, raw = kappa_from_table(a, b, c, d)
+            except DegenerateMarginals:
+                raw = (a + d) / n
+        rows.append([diag, kappa, raw, n / 2.0 if n else 0])
+    return rows

@@ -158,16 +158,13 @@ class ArrayDataset:
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> Params:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) per layer, biases included."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) per layer, biases included.
+    `param_shapes` lists each weight right before its bias, which reuses the weight's bound."""
     params: Params = {}
     for name, shape in spec.param_shapes().items():
         if name.startswith("W"):
             bound = 1.0 / np.sqrt(shape[1])
-            params[name] = rng.uniform(-bound, bound, size=shape)
-        else:
-            matching_w = "W" + name[1:]
-            fan_in = spec.param_shapes()[matching_w][1]
-            params[name] = rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape)
+        params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 

@@ -16,7 +16,9 @@ variable, the pooled agreement table by a loop over every reviewer pair, and
 feature encoding by a numpy `searchsorted` per value along its own walk over
 the block offsets, synthetic cohorts by one scalar draw per value, the
 held-out physician comparison by one patient and one scalar AUROC at a time,
-and the per-split report by one try block per cell, unpacked field by field.
+the per-split report by one try block per cell, unpacked field by field,
+splits by one patient role at a time, and importance rows by one
+`np.unique` ranking per split and one `np.mean` per group.
 """
 
 import math
@@ -35,6 +37,10 @@ from arfdx.cohort import (
     map_support_kind,
 )
 from arfdx.evaluation import (
+    N_SPLITS,
+    ROLE_TEST,
+    ROLE_TRAIN,
+    ROLE_VAL,
     EvalError,
     NoPositives,
     PPVUnattainable,
@@ -619,9 +625,37 @@ def metrics_report_reference(test_probs, test_labels, val_probs, val_labels):
     return {"metrics": metric_rows, "calibration_bins": bin_rows, "roc_points": roc_rows, "recalibration": recal_rows}
 
 
-def ids_with_role(assignment, role):
-    """The patient ids a split assigns to `role`, in assignment order."""
-    return [pid for pid, r in assignment.roles.items() if r == role]
+def importance_rows_reference(groups, per_split_drops):
+    """`explain.aggregate_ranks` by a {group: rank} dict per split and a
+    `np.mean` per group over lists, sorted by (mean rank, group id)."""
+    if any(drops is None for drops in per_split_drops):
+        return [["(single-class split; importance undefined)", None, None, None]]
+    group_ids = [g.group_id for g in groups]
+    per_split_ranks = []
+    for drops in per_split_drops:
+        ranks = average_ranks_reference(-np.asarray([drops[gid] for gid in group_ids], dtype=float))
+        per_split_ranks.append(dict(zip(group_ids, ranks.tolist())))
+    mean_rank = {gid: float(np.mean([ranks[gid] for ranks in per_split_ranks])) for gid in group_ids}
+    mean_drop = {gid: float(np.mean([drops[gid] for drops in per_split_drops])) for gid in group_ids}
+    return [
+        [gid, mean_rank[gid], mean_drop[gid], ";".join(repr(drops[gid]) for drops in per_split_drops)]
+        for gid in sorted(group_ids, key=lambda gid: (mean_rank[gid], gid))
+    ]
+
+
+def make_splits_reference(n, seed):
+    """`evaluation.make_splits` one patient at a time: per split, a {patient index:
+    role} dict filled train, val, test along that split's shuffled order."""
+    n_val = n_test = n // 5
+    n_train = n - n_val - n_test
+    splits = []
+    for split_index in range(N_SPLITS):
+        order = [int(i) for i in np.random.default_rng([seed, split_index]).permutation(n)]
+        roles = {}
+        for position, i in enumerate(order):
+            roles[i] = ROLE_TRAIN if position < n_train else ROLE_VAL if position < n_train + n_val else ROLE_TEST
+        splits.append(roles)
+    return splits
 
 
 def generate_reference(spec):

@@ -122,21 +122,38 @@ class TestPipelineStages:
 
 
 class TestCohortOrder:
-    def test_reversed_cohort_writes_the_same_artifacts(self, tmp_path):
+    @staticmethod
+    def assert_input_order_is_moot(tmp_path, input_name, reorder):
+        """Every artifact from the synth inputs equals the one from a copy whose
+        input `input_name` holds the same records in the order `reorder` gives."""
         config = tmp_path / "run.ini"
         config.write_text(MINI_CONFIG)
         out, reversed_out = tmp_path / "out", tmp_path / "reversed"
         run_stages(config, out, ("synth",))
         shutil.copytree(out, reversed_out)
-        header, *body = (out / "cohort.ndjson").read_text().splitlines(keepends=True)
-        (reversed_out / "cohort.ndjson").write_text(header + "".join(reversed(body)))
+        reorder(out / input_name, reversed_out / input_name)
+        assert (reversed_out / input_name).read_bytes() != (out / input_name).read_bytes()
         stages = ("label", "featurize", "split", "train", "evaluate", "explain")
         run_stages(config, out, stages)
         run_stages(config, reversed_out, stages)
-        skipped = {"cohort.ndjson", "cohort_rejects.txt"}  # the input, and the rejects that name its lines
+        skipped = {input_name, "cohort_rejects.txt"}  # the input, and the rejects that name the cohort's lines
         artifacts = sorted(path.name for path in out.iterdir() if path.name not in skipped)
         assert sorted(path.name for path in reversed_out.iterdir() if path.name not in skipped) == artifacts
         assert [name for name in artifacts if (out / name).read_bytes() != (reversed_out / name).read_bytes()] == []
+
+    def test_reversed_cohort_writes_the_same_artifacts(self, tmp_path):
+        def reverse(source, dest):
+            header, *body = source.read_text().splitlines(keepends=True)
+            dest.write_text(header + "".join(reversed(body)))
+
+        self.assert_input_order_is_moot(tmp_path, "cohort.ndjson", reverse)
+
+    def test_reversed_embeddings_write_the_same_artifacts(self, tmp_path):
+        def reverse(source, dest):
+            records = imaging.load_embeddings(source).items()
+            imaging.write_embeddings(dest, [imaging.ImageEmbedding(key, vector) for key, vector in reversed(records)])
+
+        self.assert_input_order_is_moot(tmp_path, "embeddings.bin", reverse)
 
 
 class TestArtifactTable:
@@ -571,6 +588,7 @@ class TestIncludedStays:
             ("split", cli.INCLUDED_STAYS, lambda line: "[]"),
             ("split", cli.INCLUDED_STAYS, lambda line: json.dumps({**json.loads(line), "image_refs": "p0-s0-i0"})),
             ("split", cli.INCLUDED_STAYS, lambda line: json.dumps({**json.loads(line), "image_refs": []})),
+            ("split", cli.INCLUDED_STAYS, lambda line: json.dumps({**json.loads(line), "image_refs": [""]})),
             ("split", cli.INCLUDED_STAYS,
              lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "reviews"})),
             ("split", cli.INCLUDED_STAYS,
@@ -595,7 +613,7 @@ class TestIncludedStays:
             ("featurize", "labels.csv", lambda line: line.replace(",pneumonia,", ",asthma,")),
         ],
         ids=[
-            "truncated", "not-an-object", "refs-string", "refs-empty", "no-reviews-field", "review-short",
+            "truncated", "not-an-object", "refs-string", "refs-empty", "refs-empty-string", "no-reviews-field", "review-short",
             "review-id-not-a-string", "review-rating-beyond-float",
             "window-not-an-object", "window-list-value", "window-value-beyond-float", "window-value-nan",
             "features-truncated", "features-no-bits",

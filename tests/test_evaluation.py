@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from arfdx.evaluation import (
+    N_SPLITS,
     REPORT_COLUMNS,
     ROLE_TEST,
     ROLE_TRAIN,
@@ -34,7 +35,7 @@ from oracles import (
     aupr_stepsum,
     auroc_bruteforce,
     average_ranks_reference,
-    ids_with_role,
+    make_splits_reference,
     macro_auroc_reference,
     metrics_report_reference,
     physician_comparison_reference,
@@ -56,38 +57,38 @@ def tied_scores_and_labels(draw, max_size=40):
 
 class TestMakeSplits:
     def test_exact_60_20_20(self):
-        ids = [f"p{i}" for i in range(100)]
-        for split in make_splits(ids, seed=0):
-            assert len(ids_with_role(split, ROLE_TRAIN)) == 60
-            assert len(ids_with_role(split, ROLE_VAL)) == 20
-            assert len(ids_with_role(split, ROLE_TEST)) == 20
+        for roles in make_splits(100, seed=0):
+            assert np.count_nonzero(roles == ROLE_TRAIN) == 60
+            assert np.count_nonzero(roles == ROLE_VAL) == 20
+            assert np.count_nonzero(roles == ROLE_TEST) == 20
 
     def test_remainder_goes_to_train(self):
-        ids = [f"p{i}" for i in range(101)]
-        split = make_splits(ids, seed=0)[0]
-        assert len(ids_with_role(split, ROLE_TRAIN)) == 61
-        assert len(ids_with_role(split, ROLE_VAL)) == 20
-        assert len(ids_with_role(split, ROLE_TEST)) == 20
+        roles = make_splits(101, seed=0)[0]
+        assert np.count_nonzero(roles == ROLE_TRAIN) == 61
+        assert np.count_nonzero(roles == ROLE_VAL) == 20
+        assert np.count_nonzero(roles == ROLE_TEST) == 20
 
     def test_same_seed_identical(self):
-        ids = [f"p{i}" for i in range(37)]
-        first = make_splits(ids, seed=5)
-        second = make_splits(ids, seed=5)
-        assert [s.roles for s in first] == [s.roles for s in second]
+        assert np.array_equal(make_splits(37, seed=5), make_splits(37, seed=5))
 
     def test_roles_partition_patients(self):
-        ids = [f"p{i}" for i in range(41)]
-        for split in make_splits(ids, seed=2):
-            assert sorted(split.roles) == sorted(ids)
+        roles = make_splits(41, seed=2)
+        assert roles.shape == (N_SPLITS, 41)
+        assert set(roles.ravel().tolist()) == {ROLE_TRAIN, ROLE_VAL, ROLE_TEST}
 
     def test_five_splits_are_not_all_identical(self):
-        ids = [f"p{i}" for i in range(20)]
-        splits = make_splits(ids, seed=3)
-        assert len({tuple(sorted(s.roles.items())) for s in splits}) > 1
+        splits = make_splits(20, seed=3)
+        assert len({tuple(roles) for roles in splits.tolist()}) > 1
 
-    def test_duplicate_ids_rejected(self):
+    def test_too_few_patients_rejected(self):
         with pytest.raises(EvalError):
-            make_splits(["a", "a", "b", "c", "d"], seed=0)
+            make_splits(N_SPLITS - 1, seed=0)
+
+    @pytest.mark.parametrize("n", [5, 9, 41, 100, 101])
+    def test_matches_one_patient_at_a_time(self, n):
+        for seed in (0, 7, 2**63):
+            expected = [[split[i] for i in range(n)] for split in make_splits_reference(n, seed)]
+            assert make_splits(n, seed).tolist() == expected
 
 
 class TestAuroc:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arfdx.explain import (
     ExplainError,
@@ -7,11 +8,10 @@ from arfdx.explain import (
     aggregate_ranks,
     correlation_groups,
     permutation_importance,
-    rank_descending,
     variable_signal,
 )
 from arfdx.featurize import FeaturizerConfig, encode_rows, fit
-from oracles import permutation_importance_reference
+from oracles import importance_rows_reference, permutation_importance_reference
 
 
 def fitted_featurizer(var_names, rows):
@@ -204,30 +204,45 @@ class TestPermutationImportance:
         assert np.array_equal(bits, before)
 
 
+@st.composite
+def drop_tables(draw):
+    """Groups and per-split drops, heavy in ties, some splits single-class (None)."""
+    names = draw(st.integers(1, 9).flatmap(lambda n: st.permutations([f"g{i}" for i in range(n)])))
+    groups = [FeatureGroup(name, (name,)) for name in names]
+    drop = st.floats(-0.5, 0.5) | st.sampled_from([0.0, 0.1, 0.25])
+    splits = st.none() | st.fixed_dictionaries({g.group_id: drop for g in groups})
+    return groups, draw(st.lists(splits, min_size=1, max_size=12))
+
+
+def mean_ranks(rows):
+    """{group: mean rank} of `aggregate_ranks` rows."""
+    return {row[0]: row[1] for row in rows}
+
+
 class TestRankAggregation:
     def test_tied_drops_share_average_rank(self):
-        ranks = rank_descending({"a": 0.3, "b": 0.3, "c": 0.1})
-        assert ranks == {"a": 1.5, "b": 1.5, "c": 3.0}
+        groups = [FeatureGroup(g, (g,)) for g in ("a", "b", "c")]
+        rows = aggregate_ranks(groups, [{"a": 0.3, "b": 0.3, "c": 0.1}])
+        assert mean_ranks(rows) == {"a": 1.5, "b": 1.5, "c": 3.0}
 
     def test_dominant_group_ranks_first_everywhere(self):
         groups = [FeatureGroup(g, (g,)) for g in ("a", "b", "c")]
         per_split = [{"a": 0.5, "b": 0.2, "c": 0.1} for _ in range(5)]
-        report = aggregate_ranks(groups, per_split)
-        assert report.mean_rank["a"] == 1.0
-        assert report.ranking[0] == "a"
+        rows = aggregate_ranks(groups, per_split)
+        assert rows[0][:2] == ["a", 1.0]
 
     def test_identical_orderings_keep_common_ranks(self):
         groups = [FeatureGroup(g, (g,)) for g in ("a", "b")]
         per_split = [{"a": 0.4, "b": 0.3}] * 5
-        report = aggregate_ranks(groups, per_split)
-        assert report.mean_rank == {"a": 1.0, "b": 2.0}
+        rows = aggregate_ranks(groups, per_split)
+        assert mean_ranks(rows) == {"a": 1.0, "b": 2.0}
 
     def test_ranks_sum_to_triangular_number(self):
         rng = np.random.default_rng(70)
         names = [f"g{i}" for i in range(7)]
         drops = {name: float(rng.choice([0.1, 0.2, 0.2, 0.3])) for name in names}
-        ranks = rank_descending(drops)
-        assert sum(ranks.values()) == pytest.approx(7 * 8 / 2)
+        rows = aggregate_ranks([FeatureGroup(name, (name,)) for name in names], [drops])
+        assert sum(mean_ranks(rows).values()) == pytest.approx(7 * 8 / 2)
 
     def test_mismatched_groups_rejected(self):
         groups = [FeatureGroup("a", ("a",))]
@@ -237,6 +252,13 @@ class TestRankAggregation:
     def test_top5_ties_break_lexicographically(self):
         groups = [FeatureGroup(g, (g,)) for g in ("z", "y", "a", "b", "c", "d")]
         per_split = [{g.group_id: 0.2 for g in groups}]
-        report = aggregate_ranks(groups, per_split)
-        assert report.ranking[:5] == ("a", "b", "c", "d", "y")
-        assert report.ranking == ("a", "b", "c", "d", "y", "z")
+        rows = aggregate_ranks(groups, per_split)
+        assert [row[0] for row in rows][:5] == ["a", "b", "c", "d", "y"]
+        assert [row[0] for row in rows] == ["a", "b", "c", "d", "y", "z"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(drop_tables())
+    def test_rows_match_dict_per_split_reference(self, table):
+        groups, per_split = table
+        # repr pins every float bit for bit, as the CSV writes it
+        assert repr(aggregate_ranks(groups, per_split)) == repr(importance_rows_reference(groups, per_split))

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 from arfdx.evaluation import physician_comparison
 from arfdx.labels import (
     DIAGNOSES,
-    AgreementResult,
+    SOURCE_CHART_REVIEW,
+    SOURCE_CODE_MED,
     ChartReview,
     DegenerateMarginals,
     LabelError,
@@ -15,6 +16,7 @@ from arfdx.labels import (
     aggregate_reviews,
     code_med_label,
     kappa_from_table,
+    label_rows,
     load_ruleset,
     pooled_table,
     rater_agreement,
@@ -33,9 +35,11 @@ def review(pneumonia=4.0, heart_failure=4.0, copd=4.0, reviewer="r"):
 
 
 class FakeStay:
-    def __init__(self, icd_codes=(), medications=()):
+    def __init__(self, icd_codes=(), medications=(), reviews=()):
+        self.patient_id = "p1"
         self.icd_codes = set(icd_codes)
         self.medications = set(medications)
+        self.reviews = list(reviews)
 
 
 def small_ruleset():
@@ -128,6 +132,24 @@ class TestCodeMedLabel:
             assert load_ruleset(path) == small_ruleset()
 
 
+class TestLabelRows:
+    def test_chart_review_consensus_when_reviewed(self):
+        stay = FakeStay({"J18.9"}, {"VANCOMYCIN 1 GM IVPB"}, [review(copd=1), review(copd=2)])
+        assert label_rows(stay, small_ruleset()) == [
+            ["p1", "pneumonia", 0, 1, 0, SOURCE_CHART_REVIEW],
+            ["p1", "heart_failure", 0, 0, 0, SOURCE_CHART_REVIEW],
+            ["p1", "copd", 1, 0, 1, SOURCE_CHART_REVIEW],
+        ]
+
+    def test_code_med_fallback_without_reviews(self):
+        stay = FakeStay({"J18.9"}, {"VANCOMYCIN 1 GM IVPB"})
+        assert label_rows(stay, small_ruleset()) == [
+            ["p1", "pneumonia", None, 1, 1, SOURCE_CODE_MED],
+            ["p1", "heart_failure", None, 0, 0, SOURCE_CODE_MED],
+            ["p1", "copd", None, 0, 0, SOURCE_CODE_MED],
+        ]
+
+
 class TestRaterAgreement:
     def test_hand_worked_table(self):
         kappa, raw = kappa_from_table(40, 10, 10, 40)
@@ -144,23 +166,25 @@ class TestRaterAgreement:
             [review(1, 1, 2, reviewer="a"), review(2, 1, 2, reviewer="b")],
             [review(4, 3, 4, reviewer="a"), review(3, 4, 3, reviewer="b")],
         ]
-        for diag, result in rater_agreement(patients).items():
-            assert result.kappa == pytest.approx(1.0), diag
-            assert result.raw_agreement == pytest.approx(1.0), diag
+        for diag, kappa, raw_agreement, _ in rater_agreement(patients):
+            assert kappa == pytest.approx(1.0), diag
+            assert raw_agreement == pytest.approx(1.0), diag
 
     def test_degenerate_marginals(self):
         # unanimous one-sided calls: chance agreement is 1, so kappa is undefined
         patients = [[review(1, 1, 1, reviewer="a"), review(1, 1, 1, reviewer="b")]]
-        for diag, result in rater_agreement(patients).items():
-            assert result.kappa is None, diag
-            assert result.raw_agreement == 1.0
-            assert result.table == (2, 0, 0, 0)
-            assert result.n_pairs == 1.0
+        for diag, kappa, raw_agreement, n_pairs in rater_agreement(patients):
+            assert kappa is None, diag
+            assert raw_agreement == 1.0
+            assert pooled_table(patients, diag) == (2, 0, 0, 0)
+            assert n_pairs == 1.0
 
     def test_needs_multiply_reviewed_patient(self):
         # no patient has two reviews: no pair, so kappa and raw agreement are undefined
-        for diag, result in rater_agreement([[review()], [review(1, 1, 1)], []]).items():
-            assert result == AgreementResult(kappa=None, raw_agreement=None, table=(0, 0, 0, 0), n_pairs=0), diag
+        patients = [[review()], [review(1, 1, 1)], []]
+        assert rater_agreement(patients) == [[diag, None, None, 0] for diag in DIAGNOSES]
+        for diag in DIAGNOSES:
+            assert pooled_table(patients, diag) == (0, 0, 0, 0)
 
     @given(
         st.tuples(

@@ -7,7 +7,7 @@ from arfdx import featurize, models, synth
 from arfdx.evaluation import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, auroc, make_splits
 from arfdx.imaging import embeddings_to_bytes
 from arfdx.labels import DIAGNOSES, aggregate_reviews, code_med_label
-from oracles import generate_reference, ids_with_role
+from oracles import generate_reference
 
 
 def serialize(generated):
@@ -121,10 +121,8 @@ class TestNoSignalNull:
         bits = featurize.encode_rows(rows, fitted).astype(float)
         truth = np.array([generated.truth[s.patient_id] for s in generated.stays], dtype=float)
 
-        split = make_splits([s.patient_id for s in generated.stays], seed=0)[0]
-        idx = {pid: i for i, pid in enumerate(s.patient_id for s in generated.stays)}
-        role_idx = lambda role: np.array([idx[p] for p in ids_with_role(split, role)])
-        train_i, val_i, test_i = role_idx(ROLE_TRAIN), role_idx(ROLE_VAL), role_idx(ROLE_TEST)
+        roles = make_splits(len(generated.stays), seed=0)[0]
+        train_i, val_i, test_i = (np.flatnonzero(roles == role) for role in (ROLE_TRAIN, ROLE_VAL, ROLE_TEST))
 
         model_spec = models.ModelSpec(models.ModelKind.EHR_LINEAR, ehr_dim=bits.shape[1])
         hp = models.HyperParams(learning_rate=0.1, weight_decay=1e-3)
