@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, atomic writes, provenance headers."""
+"""Small shared helpers: seed derivation, atomic writes, and the CSV text `cli.write_artifact` writes."""
 
 from __future__ import annotations
 

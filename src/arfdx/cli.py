@@ -29,7 +29,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -123,10 +123,6 @@ class RunConfig:
     def existing_input(self, key: str) -> Path:
         return _existing(self.input_file(key), f"set [paths] {key}")
 
-    def write_csv(self, name: str, columns: Sequence[str], rows) -> None:
-        """The artifact `<name>.csv`, under this run's provenance line."""
-        atomic_write_text(self.out_dir / f"{name}.csv", csv_text(self.provenance, columns, rows))
-
     def families(self) -> tuple[str, ...]:
         return self.settings["train"].get("families", tuple(models.FAMILIES))
 
@@ -183,118 +179,45 @@ def load_config(config_path: Optional[str], seed_flag: Optional[int], out_flag: 
 
 # --- per-run artifacts -------------------------------------------------------
 
-# `label` is the one stage that reads the cohort and applies its rules, and it
-# sets the one patient order: included stays by increasing `patient_id`. Every
-# per-patient artifact keeps it (`labels.csv` diagnosis by diagnosis within a
-# patient, `splits.csv` split by split), and `read_artifact` rejects a record out
-# of place. Besides `labels.csv`, `label` writes two NDJSON files, each the
-# provenance line and then one compact JSON object per included stay:
+# `ARTIFACTS` holds each file a stage writes: its stage, a CSV's columns or an
+# NDJSON line's encoder, and, for the seven files read back, the record parser.
+# `write_artifact` writes each CSV and NDJSON file as the provenance line and
+# then its rows; the JSON files keep their writers (`FittedFeaturizer.to_json`,
+# `models.save_checkpoint`). `label` is the one stage that reads the cohort and
+# applies its rules, and it sets the one patient order: included stays by
+# increasing `patient_id`. Every per-patient artifact keeps it (`labels.csv`
+# diagnosis by diagnosis within a patient, `splits.csv` split by split), and
+# `read_artifact` rejects a record out of place. `label` writes two NDJSON files:
 # - `included_stays.ndjson`: `patient_id`, the `image_refs` of the study
-#   nearest onset, and the chart `reviews` as parsed. `split`, `train`,
-#   `evaluate` and `explain` read it.
+#   nearest onset, and the chart `reviews` as parsed, for `split` and later.
 # - `window_values.ndjson`: `patient_id` and `window`, each variable the stay
-#   records mapped to its latest in-window value or null. `featurize` reads it.
+#   records mapped to its latest in-window value or null, for `featurize`.
 
 INCLUDED_STAYS = "included_stays.ndjson"
 WINDOW_VALUES = "window_values.ndjson"
 CHECKPOINT = "checkpoint_{}_split{}.json"  # family, split index
 
-# The stage that writes each artifact a later stage reads, by name or, for the
-# checkpoints, by glob pattern.
-WRITTEN_BY = {
-    "labels.csv": "label",
-    INCLUDED_STAYS: "label",
-    WINDOW_VALUES: "label",
-    "featurizer.json": "featurize",
-    "features.ndjson": "featurize",
-    "splits.csv": "split",
-    CHECKPOINT.format("*", "*"): "train",
-}
-
-# The header of each CSV artifact a later stage reads; its parsers take fields by these positions.
-COLUMNS = {
-    "labels.csv": ("patient_id", "diagnosis", "chart_review", "code_med", "label", "source"),
-    "splits.csv": ("split_index", "patient_id", "role"),
-}
-
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
 _WINDOW_VALUE_TYPES = (str, int, float, type(None))
 _FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
-class IncludedStay:
+class IncludedStay(NamedTuple):
     patient_id: str
     image_refs: tuple[str, ...]
     reviews: tuple[labels.ChartReview, ...]
 
 
-def write_included(cfg: RunConfig, stays: Sequence[cohort.PatientStay]) -> None:
-    header = f"# {cfg.provenance}\n"
-    included, windows = [header], [header]
-    for stay in stays:
-        reviews = [{"reviewer_id": r.reviewer_id, "scores": r.scores} for r in stay.reviews]
-        record = {"patient_id": stay.patient_id, "image_refs": cohort.select_study(stay).image_refs, "reviews": reviews}
-        window = {"patient_id": stay.patient_id, "window": cohort.window_values(stay)}
-        included.append(_compact_json(record) + "\n")
-        windows.append(_compact_json(window) + "\n")
-    atomic_write_text(cfg.out_dir / INCLUDED_STAYS, "".join(included))
-    atomic_write_text(cfg.out_dir / WINDOW_VALUES, "".join(windows))
+class Artifact(NamedTuple):
+    stage: str  # the stage that writes the file
+    layout: tuple[str, ...] | Callable | None = None  # a CSV's columns, or an NDJSON row's encoder to one line
+    parse: Optional[Callable] = None  # (key, value) of a record; of a `.json` file, its value from the path
 
 
-def _written_by(name: str) -> str:
-    return next(stage for pattern, stage in WRITTEN_BY.items() if fnmatch.fnmatchcase(name, pattern))
-
-
-def _malformed(cfg: RunConfig, name: str, problem: str) -> ConfigError:
-    return ConfigError(f"{cfg.out_dir / name} {problem}; rerun the {_written_by(name)} stage")
-
-
-def read_artifact(cfg: RunConfig, name: str, parse: Callable, keys: Optional[Sequence] = None) -> object:
-    """`parse(path)` of the `.json` artifact `name`. Of an `.ndjson` one, `parse(record)` of each
-    line's object; of a `.csv` one, whose header must equal `COLUMNS[name]`, `parse(row)` of each
-    row. That parse gives the record's key and value, and the values come back in file order.
-    The keys must equal `keys` or, without `keys`, be strictly increasing `patient_id`s. A missing
-    or malformed file, or a record out of place, is a `ConfigError` (exit 2) naming the file, the
-    line where there is one, and the stage that writes it."""
-    path = _existing(cfg.out_dir / name, f"run the {_written_by(name)} stage first")
-    lineno, values, previous, expected = None, [], "", iter(keys or ())
-    try:
-        if name.endswith(".json"):
-            return parse(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if name.endswith(".csv"):
-            rows = csv.reader(lines)
-            columns = COLUMNS[name]
-            header = next((row for row in rows if row and not row[0].startswith("#")), [])
-            lineno = rows.line_num or None
-            if tuple(header) != columns:
-                raise ValueError(f"header {','.join(header)!r} is not {','.join(columns)!r}")
-            records = ((rows.line_num, row) for row in rows)
-        else:
-            records = ((n, line) for n, line in enumerate(lines, start=1) if line and not line.startswith("#"))
-        for lineno, record in records:
-            if name.endswith(".ndjson"):
-                record = json.loads(record)
-                if type(record) is not dict:
-                    raise ValueError("record is not a JSON object")
-            elif len(record) != len(columns):
-                raise ValueError(f"{len(record)} fields, not {len(columns)}")
-            key, value = parse(record)
-            if keys is not None and key != (want := next(expected, None)):
-                raise ValueError(f"found {key!r}, expected {'the end of the file' if want is None else repr(want)}")
-            if keys is None and (type(key) is not str or key <= previous):
-                raise ValueError(f"found {key!r}, expected a patient_id after {previous!r}")
-            previous = key
-            values.append(value)
-        lineno = None
-        if (want := next(expected, None)) is not None:
-            raise ValueError(f"found the end of the file, expected {want!r}")
-        return values
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError, LabelError, FeaturizeError, ModelError too
-        where = "" if lineno is None else f"line {lineno} "
-        reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
-        raise _malformed(cfg, name, f"{where}is malformed ({reason})") from exc
+def _encode_included(stay: IncludedStay) -> str:
+    reviews = [{"reviewer_id": r.reviewer_id, "scores": r.scores} for r in stay.reviews]
+    return _compact_json({"patient_id": stay.patient_id, "image_refs": stay.image_refs, "reviews": reviews})
 
 
 def _included_stay(record: dict) -> tuple[str, IncludedStay]:
@@ -316,11 +239,6 @@ def _window(record: dict) -> tuple[str, tuple[str, dict[str, object]]]:
     return record["patient_id"], (record["patient_id"], window)
 
 
-def read_included(cfg: RunConfig) -> list[IncludedStay]:
-    """The included stays `label` wrote."""
-    return read_artifact(cfg, INCLUDED_STAYS, _included_stay)
-
-
 def _label_row(row: list[str]) -> tuple[tuple[str, str], int]:
     if row[4] not in ("0", "1"):
         raise ValueError(f"label {row[4]!r} is not 0 or 1")
@@ -333,16 +251,112 @@ def _split_row(row: list[str]) -> tuple[tuple[int, str], str]:
     return (int(row[0]), row[1]), row[2]
 
 
+# Each file by name or, for the checkpoints and importance tables, by glob pattern.
+ARTIFACTS = {
+    "truth_labels.csv": Artifact("synth", ("patient_id", *labels.DIAGNOSES)),
+    "cohort_rejects.txt": Artifact("label"),
+    "labels.csv": Artifact("label", ("patient_id", "diagnosis", "chart_review", "code_med", "label", "source"),
+                           _label_row),
+    "agreement.csv": Artifact("label", ("diagnosis", "kappa", "raw_agreement", "n_pairs")),
+    INCLUDED_STAYS: Artifact("label", _encode_included, _included_stay),
+    WINDOW_VALUES: Artifact("label", lambda row: _compact_json({"patient_id": row[0], "window": row[1]}), _window),
+    "featurizer.json": Artifact(
+        "featurize", parse=lambda path: featurize.FittedFeaturizer.from_json(path.read_text(encoding="utf-8"))),
+    # a row is a patient_id and its feature bits; the parser takes the featurizer's width
+    "features.ndjson": Artifact(
+        "featurize", lambda row: _sorted_json({"patient_id": row[0], "bits": featurize.pack_bits_hex(row[1])}),
+        lambda record, dim: (record["patient_id"], featurize.unpack_bits_hex(record["bits"], dim))),
+    "missingness.csv": Artifact("featurize", ("variable", "diagnosis", "spearman")),
+    "splits.csv": Artifact("split", ("split_index", "patient_id", "role"), _split_row),
+    CHECKPOINT.format("*", "*"): Artifact("train", parse=models.load_checkpoint),
+    "sweep_log.csv": Artifact("train", ("family", "split", "kind", *models.HyperParams._fields, "val_macro_auroc")),
+    **{f"{table}.csv": Artifact("evaluate", ("model", "split", *columns))
+       for table, columns in evaluation.REPORT_COLUMNS.items()},
+    "cross_split_summary.csv": Artifact("evaluate", ("model", "diagnosis", "metric", "median", "min", "max")),
+    "physician_comparison.csv": Artifact(
+        "evaluate", ("split", "diagnosis", "physician_auroc", "model_auroc", "n_patients")),
+    "importance_*.csv": Artifact(
+        "explain", ("diagnosis", "group_members", "mean_rank", "mean_drop", "per_split_drops")),
+}
+
+
+def _artifact(name: str) -> Artifact:
+    return ARTIFACTS.get(name) or next(entry for key, entry in ARTIFACTS.items() if fnmatch.fnmatchcase(name, key))
+
+
+def _malformed(cfg: RunConfig, name: str, problem: str) -> ConfigError:
+    return ConfigError(f"{cfg.out_dir / name} {problem}; rerun the {_artifact(name).stage} stage")
+
+
+def write_artifact(cfg: RunConfig, name: str, rows: Iterable) -> None:
+    """The `.csv` or `.ndjson` artifact `name`: the provenance line, then `rows` under its columns or
+    each through its encoder."""
+    layout = _artifact(name).layout
+    if name.endswith(".csv"):
+        text = csv_text(cfg.provenance, layout, rows)
+    else:
+        text = "".join([f"# {cfg.provenance}\n", *(layout(row) + "\n" for row in rows)])
+    atomic_write_text(cfg.out_dir / name, text)
+
+
+def read_artifact(cfg: RunConfig, name: str, keys: Optional[Sequence] = None, *context) -> object:
+    """The values of the artifact `name`, parsed by its `ARTIFACTS` entry. A `.json` file is one
+    value. Of an `.ndjson` one, the parser takes each line's object, and of a `.csv` one, whose
+    header must equal the entry's columns, each row; `context` follows the record. The parser gives
+    the record's key and value, and the values come back in file order. The keys must equal `keys`
+    or, without `keys`, be strictly increasing `patient_id`s. A missing or malformed file, or a
+    record out of place, is a `ConfigError` (exit 2) naming the file, the line where there is one,
+    and the stage that writes it."""
+    stage, columns, parse = _artifact(name)
+    path = _existing(cfg.out_dir / name, f"run the {stage} stage first")
+    lineno, values, previous, expected = None, [], "", iter(keys or ())
+    try:
+        if name.endswith(".json"):
+            return parse(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if name.endswith(".csv"):
+            rows = csv.reader(lines)
+            header = next((row for row in rows if row and not row[0].startswith("#")), [])
+            lineno = rows.line_num or None
+            if tuple(header) != columns:
+                raise ValueError(f"header {','.join(header)!r} is not {','.join(columns)!r}")
+            records = ((rows.line_num, row) for row in rows)
+        else:
+            records = ((n, line) for n, line in enumerate(lines, start=1) if line and not line.startswith("#"))
+        for lineno, record in records:
+            if name.endswith(".ndjson"):
+                record = json.loads(record)
+                if type(record) is not dict:
+                    raise ValueError("record is not a JSON object")
+            elif len(record) != len(columns):
+                raise ValueError(f"{len(record)} fields, not {len(columns)}")
+            key, value = parse(record, *context) if context else parse(record)  # no argument tuple per record
+            if keys is not None and key != (want := next(expected, None)):
+                raise ValueError(f"found {key!r}, expected {'the end of the file' if want is None else repr(want)}")
+            if keys is None and (type(key) is not str or key <= previous):
+                raise ValueError(f"found {key!r}, expected a patient_id after {previous!r}")
+            previous = key
+            values.append(value)
+        lineno = None
+        if (want := next(expected, None)) is not None:
+            raise ValueError(f"found the end of the file, expected {want!r}")
+        return values
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError, LabelError, FeaturizeError, ModelError too
+        where = "" if lineno is None else f"line {lineno} "
+        reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise _malformed(cfg, name, f"{where}is malformed ({reason})") from exc
+
+
 def label_matrix(cfg: RunConfig, patient_ids: Sequence[str]) -> np.ndarray:
     """(n, 3) `label` column of `labels.csv` for `patient_ids`, in that order."""
-    values = read_artifact(cfg, "labels.csv", _label_row, [(pid, d) for pid in patient_ids for d in labels.DIAGNOSES])
+    values = read_artifact(cfg, "labels.csv", [(pid, d) for pid in patient_ids for d in labels.DIAGNOSES])
     return np.asarray(values, dtype=float).reshape(-1, len(labels.DIAGNOSES))
 
 
 def read_checkpoint(cfg: RunConfig, family: str, split_index: int) -> models.Checkpoint:
     """The checkpoint `train` wrote for `family` and split `split_index`, which must hold a model of that family."""
     name = CHECKPOINT.format(family, split_index)
-    checkpoint = read_artifact(cfg, name, models.load_checkpoint)
+    checkpoint = read_artifact(cfg, name)
     if checkpoint.spec.kind not in models.FAMILIES[family]:
         raise _malformed(cfg, name, f"is malformed (model kind {checkpoint.spec.kind.value} is not of family {family})")
     return checkpoint
@@ -384,12 +398,10 @@ class PipelineData:
 
 
 def assemble_data(cfg: RunConfig) -> PipelineData:
-    included = read_included(cfg)
+    included = read_artifact(cfg, INCLUDED_STAYS)
     patient_ids = [stay.patient_id for stay in included]
-    fitted = read_artifact(cfg, "featurizer.json",
-                           lambda path: featurize.FittedFeaturizer.from_json(path.read_text(encoding="utf-8")))
-    ehr_rows = read_artifact(cfg, "features.ndjson", lambda record: (
-        record["patient_id"], featurize.unpack_bits_hex(record["bits"], fitted.dim)), patient_ids)
+    fitted = read_artifact(cfg, "featurizer.json")
+    ehr_rows = read_artifact(cfg, "features.ndjson", patient_ids, fitted.dim)
     embeddings = imaging.load_embeddings(cfg.existing_input("embeddings"))
 
     emb_rows = []
@@ -404,7 +416,7 @@ def assemble_data(cfg: RunConfig) -> PipelineData:
         emb=np.stack(emb_rows).astype(float),
         image_counts=np.asarray([len(stay.image_refs) for stay in included]),
         label_matrix=label_matrix(cfg, patient_ids),
-        roles=np.asarray(read_artifact(cfg, "splits.csv", _split_row, split_keys)).reshape(
+        roles=np.asarray(read_artifact(cfg, "splits.csv", split_keys)).reshape(
             evaluation.N_SPLITS, len(patient_ids)),
         reviews=[stay.reviews for stay in included],
         fitted=fitted,
@@ -421,7 +433,7 @@ def run_synth(cfg: RunConfig) -> None:
         cfg.input_file("embeddings"), [generated.embeddings[key] for key in sorted(generated.embeddings)]
     )
     truth_rows = ([pid] + [int(b) for b in generated.truth[pid]] for pid in sorted(generated.truth))
-    cfg.write_csv("truth_labels", ("patient_id",) + labels.DIAGNOSES, truth_rows)
+    write_artifact(cfg, "truth_labels.csv", truth_rows)
     labels.save_ruleset(cfg.input_file("ruleset"), generated.ruleset, provenance=cfg.provenance)
     print(f"synth: wrote {len(generated.stays)} stays to {cfg.input_file('cohort')}")
 
@@ -431,17 +443,20 @@ def run_label(cfg: RunConfig) -> None:
     rules = cohort.CohortConfig()
     parsed = cohort.load_cohort(cfg.existing_input("cohort"), cfg.out_dir / "cohort_rejects.txt")
     stays = sorted((stay for stay in parsed if cohort.include_stay(stay, rules)), key=lambda stay: stay.patient_id)
-    cfg.write_csv("labels", COLUMNS["labels.csv"], (row for stay in stays for row in labels.label_rows(stay, ruleset)))
-    cfg.write_csv("agreement", ("diagnosis", "kappa", "raw_agreement", "n_pairs"),
-                  labels.rater_agreement([stay.reviews for stay in stays]))
-    write_included(cfg, stays)
+    if not stays:
+        raise cohort.CohortError(f"{cfg.input_file('cohort')} holds no includable stay")
+    write_artifact(cfg, "labels.csv", (row for stay in stays for row in labels.label_rows(stay, ruleset)))
+    write_artifact(cfg, "agreement.csv", labels.rater_agreement([stay.reviews for stay in stays]))
+    write_artifact(cfg, INCLUDED_STAYS, (IncludedStay(stay.patient_id, cohort.select_study(stay).image_refs,
+                                                      tuple(stay.reviews)) for stay in stays))
+    write_artifact(cfg, WINDOW_VALUES, ((stay.patient_id, cohort.window_values(stay)) for stay in stays))
     print(f"label: wrote labels for {len(stays)} patients")
 
 
 def run_featurize(cfg: RunConfig) -> None:
-    windows = read_artifact(cfg, WINDOW_VALUES, _window)
+    windows = read_artifact(cfg, WINDOW_VALUES)
     if not windows:
-        raise ConfigError("cohort file contains no includable stays")
+        raise _malformed(cfg, WINDOW_VALUES, "holds no stay")  # `label` writes at least one
     ids = [pid for pid, _ in windows]
     diagnosis_labels = label_matrix(cfg, ids)
     rows = [window for _, window in windows]
@@ -449,22 +464,22 @@ def run_featurize(cfg: RunConfig) -> None:
     feature_bits = featurize.encode_rows(rows, fitted)
 
     atomic_write_text(cfg.out_dir / "featurizer.json", fitted.to_json(provenance=cfg.provenance) + "\n")
-    featurize.write_features(cfg.out_dir / "features.ndjson", ids, feature_bits, header=cfg.provenance)
+    write_artifact(cfg, "features.ndjson", zip(ids, feature_bits))
     correlations = featurize.missingness_correlation(feature_bits, diagnosis_labels, fitted, labels.DIAGNOSES)
     missing_rows = [
         [var, diag, correlations[(var, diag)]]
         for var in fitted.config.variables
         for diag in labels.DIAGNOSES
     ]
-    cfg.write_csv("missingness", ("variable", "diagnosis", "spearman"), missing_rows)
+    write_artifact(cfg, "missingness.csv", missing_rows)
     print(f"featurize: {len(ids)} patients encoded to {fitted.dim} bits")
 
 
 def run_split(cfg: RunConfig) -> None:
-    ids = [stay.patient_id for stay in read_included(cfg)]
+    ids = [stay.patient_id for stay in read_artifact(cfg, INCLUDED_STAYS)]
     roles = evaluation.make_splits(len(ids), stage_seed(cfg.seed, "split"))
     split_indices = np.repeat(np.arange(len(roles)), len(ids)).tolist()
-    cfg.write_csv("splits", COLUMNS["splits.csv"], zip(split_indices, ids * len(roles), roles.ravel().tolist()))
+    write_artifact(cfg, "splits.csv", zip(split_indices, ids * len(roles), roles.ravel().tolist()))
     print(f"split: wrote {len(roles)} splits over {len(ids)} patients")
 
 
@@ -492,7 +507,7 @@ def run_train(cfg: RunConfig) -> None:
             val_metrics={"macro_auroc": result.val_auroc, "best_epoch": result.history.best_epoch},
         )
         log_rows.extend([family, split_index, run.spec.kind.value, *run.hp, run.val_auroc] for run in result.runs)
-    cfg.write_csv("sweep_log", ("family", "split", "kind", *models.HyperParams._fields, "val_macro_auroc"), log_rows)
+    write_artifact(cfg, "sweep_log.csv", log_rows)
     print(f"train: wrote {len(results)} checkpoints")
 
 
@@ -523,13 +538,11 @@ def run_evaluate(cfg: RunConfig) -> None:
                 comparison_rows.extend([split_index, *row] for row in comparison)
 
     for table, rows in tables.items():
-        cfg.write_csv(table, ("model", "split", *evaluation.REPORT_COLUMNS[table]), rows)
+        write_artifact(cfg, f"{table}.csv", rows)
     summary_rows = ([family, diag, metric, *evaluation.summarize_splits(values)]
                     for (family, diag, metric), values in sorted(summary_values.items()))
-    cfg.write_csv("cross_split_summary", ("model", "diagnosis", "metric", "median", "min", "max"), summary_rows)
-    cfg.write_csv(
-        "physician_comparison", ("split", "diagnosis", "physician_auroc", "model_auroc", "n_patients"), comparison_rows
-    )
+    write_artifact(cfg, "cross_split_summary.csv", summary_rows)
+    write_artifact(cfg, "physician_comparison.csv", comparison_rows)
     print(f"evaluate: wrote metrics for families {', '.join(families)}")
 
 
@@ -560,8 +573,7 @@ def run_explain(cfg: RunConfig) -> None:
         # `zip(*per_split)` gives each diagnosis its drops in every split
         rows = ([diag, *row] for diag, drops in zip(labels.DIAGNOSES, zip(*per_split))
                 for row in explain.aggregate_ranks(groups, drops))
-        columns = ("diagnosis", "group_members", "mean_rank", "mean_drop", "per_split_drops")
-        cfg.write_csv(f"importance_{family}", columns, rows)
+        write_artifact(cfg, f"importance_{family}.csv", rows)
     print("explain: wrote importance reports")
 
 

@@ -228,6 +228,8 @@ def parse_stay(obj: Mapping) -> PatientStay:
     patient_id = obj.get("patient_id")
     if not isinstance(patient_id, str) or patient_id == "":
         raise CohortError("patient_id missing or empty")
+    if not patient_id.isprintable():  # `labels.csv` and `splits.csv` hold it, one line per record
+        raise CohortError(f"patient_id {patient_id!r} holds an unprintable character")
     admit_time = obj.get("admit_time")
     if type(admit_time) is not int:
         raise CohortError("admit_time must be an integer minute count")

@@ -19,8 +19,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text
-
 
 class FeaturizeError(ValueError):
     pass
@@ -268,16 +266,3 @@ def unpack_bits_hex(hex_text: str, dim: int) -> np.ndarray:
         raise FeaturizeError("packed feature vector does not match the expected width")
     return bits[:dim]
 
-
-# One encoder for every line (json.dumps with options builds a new one per call).
-_encode_line = json.JSONEncoder(sort_keys=True).encode
-
-
-def write_features(path, patient_ids: Sequence[str], feature_bits: np.ndarray,
-                   header: str | None = None) -> None:
-    lines = []
-    if header:
-        lines.append("# " + header)
-    for pid, bits in zip(patient_ids, feature_bits):
-        lines.append(_encode_line({"patient_id": pid, "bits": pack_bits_hex(bits)}))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))

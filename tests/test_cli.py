@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import fnmatch
 import json
 import os
 import re
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import arfdx
-from arfdx import cli, cohort, evaluation, explain, imaging, labels, models, synth
+from arfdx import cli, cohort, evaluation, explain, featurize, imaging, labels, models, synth
 from arfdx._util import stage_seed
 from oracles import physician_comparison_reference, pooled_table_loop, predict_reference
 
@@ -158,18 +161,120 @@ class TestCohortOrder:
 
 class TestArtifactTable:
     def test_each_artifact_first_appears_after_its_writing_stage(self, tmp_path):
+        """After each stage, every file in the output directory is an input or an
+        `ARTIFACTS` entry of that stage or an earlier one, each entry of those
+        stages has a file, and each CSV's header is its entry's columns."""
         config = tmp_path / "run.ini"
         config.write_text(MINI_CONFIG)
         out = tmp_path / "out"
-        checkpoints = [cli.CHECKPOINT.format("ehr", k) for k in range(evaluation.N_SPLITS)]
-        for done, stage in enumerate(("synth", "label", "featurize", "split", "train"), start=1):
+        for done, stage in enumerate(cli.STAGES, start=1):
             assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
-            for pattern, writer in cli.WRITTEN_BY.items():
-                assert bool(list(out.glob(pattern))) == (writer in cli.STAGES[:done]), (stage, pattern)
-            assert all((out / name).exists() == (stage == "train") for name in checkpoints)
-        for name, columns in cli.COLUMNS.items():
-            with (out / name).open(newline="") as handle:
-                assert tuple(list(csv.reader(handle))[1]) == columns
+            for path in out.iterdir():
+                if path.name in cli.INPUT_FILES.values():
+                    continue
+                [entry] = [entry for key, entry in cli.ARTIFACTS.items() if fnmatch.fnmatchcase(path.name, key)]
+                assert entry.stage in cli.STAGES[:done], (stage, path.name)
+                if path.suffix == ".csv":
+                    with path.open(newline="") as handle:
+                        assert tuple(list(csv.reader(handle))[1]) == entry.layout, path.name
+            for key, entry in cli.ARTIFACTS.items():
+                assert bool(list(out.glob(key))) == (entry.stage in cli.STAGES[:done]), (stage, key)
+
+
+PATIENT_IDS = st.lists(
+    st.text(st.characters(exclude_categories=("C", "Z"), include_characters=" "), min_size=1), max_size=5, unique=True,
+).map(sorted)
+NUMBERS = st.integers(-(2**63), 2**63) | st.floats(allow_nan=False, allow_infinity=False)
+REVIEWS = st.lists(st.builds(
+    labels.ChartReview, st.text(min_size=1),
+    st.fixed_dictionaries({diag: st.integers(1, 4) | st.floats(1, 4) for diag in labels.DIAGNOSES}),
+), max_size=3).map(tuple)
+
+
+@st.composite
+def fitted_featurizers(draw):
+    names = draw(st.lists(st.text(min_size=1), max_size=6, unique=True))
+    cut = draw(st.integers(0, len(names)))
+    edges = {var: tuple(sorted(set(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4)))))
+             for var in names[:cut]}
+    vocabularies = tuple((var, tuple(draw(st.lists(st.text(), min_size=1, max_size=3, unique=True))))
+                         for var in names[cut:])
+    return featurize.FittedFeaturizer(featurize.FeaturizerConfig(tuple(names[:cut]), vocabularies), edges)
+
+
+@pytest.fixture(scope="module")
+def artifact_cfg(tmp_path_factory):
+    return cli.load_config(None, None, str(tmp_path_factory.mktemp("artifacts")))
+
+
+class TestArtifactRoundTrip:
+    """What an artifact's writer writes, `read_artifact` reads back as the same values."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(PATIENT_IDS, st.data())
+    def test_labels(self, artifact_cfg, ids, data):
+        keys = [(pid, diag) for pid in ids for diag in labels.DIAGNOSES]
+        fields = st.tuples(st.sampled_from((None, 0, 1)), st.integers(0, 1), st.integers(0, 1),
+                           st.sampled_from((labels.SOURCE_CHART_REVIEW, labels.SOURCE_CODE_MED)))
+        rows = [[pid, diag, *data.draw(fields)] for pid, diag in keys]
+        cli.write_artifact(artifact_cfg, "labels.csv", rows)
+        assert cli.read_artifact(artifact_cfg, "labels.csv", keys) == [row[4] for row in rows]
+
+    @settings(max_examples=50, deadline=None)
+    @given(PATIENT_IDS, st.data())
+    def test_splits(self, artifact_cfg, ids, data):
+        keys = [(split_index, pid) for split_index in range(evaluation.N_SPLITS) for pid in ids]
+        roles = data.draw(st.lists(st.sampled_from((evaluation.ROLE_TRAIN, evaluation.ROLE_VAL, evaluation.ROLE_TEST)),
+                                   min_size=len(keys), max_size=len(keys)))
+        cli.write_artifact(artifact_cfg, "splits.csv", [(*key, role) for key, role in zip(keys, roles)])
+        assert cli.read_artifact(artifact_cfg, "splits.csv", keys) == roles
+
+    @settings(max_examples=50, deadline=None)
+    @given(PATIENT_IDS, st.data())
+    def test_included_stays(self, artifact_cfg, ids, data):
+        refs = st.lists(st.text(min_size=1), min_size=1, max_size=3).map(tuple)
+        stays = [cli.IncludedStay(pid, data.draw(refs), data.draw(REVIEWS)) for pid in ids]
+        cli.write_artifact(artifact_cfg, cli.INCLUDED_STAYS, stays)
+        assert cli.read_artifact(artifact_cfg, cli.INCLUDED_STAYS) == stays
+
+    @settings(max_examples=50, deadline=None)
+    @given(PATIENT_IDS, st.data())
+    def test_window_values(self, artifact_cfg, ids, data):
+        windows = [(pid, data.draw(st.dictionaries(st.text(), st.none() | st.text() | NUMBERS))) for pid in ids]
+        cli.write_artifact(artifact_cfg, cli.WINDOW_VALUES, windows)
+        assert cli.read_artifact(artifact_cfg, cli.WINDOW_VALUES) == windows
+
+    @settings(max_examples=50, deadline=None)
+    @given(PATIENT_IDS, st.integers(0, 40), st.data())
+    def test_features(self, artifact_cfg, ids, dim, data):
+        bits = [np.array(data.draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)), dtype=np.uint8)
+                for _ in ids]
+        cli.write_artifact(artifact_cfg, "features.ndjson", zip(ids, bits))
+        read = cli.read_artifact(artifact_cfg, "features.ndjson", ids, dim)
+        assert [row.tolist() for row in read] == [row.tolist() for row in bits]
+
+    @settings(max_examples=50, deadline=None)
+    @given(fitted_featurizers())
+    def test_featurizer(self, artifact_cfg, fitted):
+        # `featurize`'s writer of the file
+        (artifact_cfg.out_dir / "featurizer.json").write_text(fitted.to_json(provenance=artifact_cfg.provenance) + "\n")
+        assert cli.read_artifact(artifact_cfg, "featurizer.json") == fitted
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(list(models.ModelKind)), st.integers(1, 3), st.integers(1, 3),
+           st.builds(models.HyperParams, *[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+           st.integers(0, 2**64 - 1), st.data())
+    def test_checkpoint(self, artifact_cfg, kind, ehr_dim, emb_dim, hp, seed, data):
+        spec = models.ModelSpec(kind, ehr_dim, emb_dim)
+        params = {name: data.draw(arrays(float, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+                  for name, shape in spec.param_shapes().items()}
+        name = cli.CHECKPOINT.format("ehr", 0)
+        models.save_checkpoint(artifact_cfg.out_dir / name, spec, params, hp, 3, seed=seed,
+                               val_metrics={}, provenance=artifact_cfg.provenance)
+        checkpoint = cli.read_artifact(artifact_cfg, name)
+        assert (checkpoint.spec, checkpoint.hp, checkpoint.seed) == (spec, hp, seed)
+        assert checkpoint.params.keys() == params.keys()
+        assert all(np.array_equal(checkpoint.params[key], params[key]) for key in params)
 
 
 class TestErrorHandling:
@@ -227,6 +332,18 @@ class TestErrorHandling:
         code = cli.main(["label", "--config", str(config), "--out", str(tmp_path / "empty")])
         assert code == cli.EXIT_CONFIG_ERROR
 
+    def test_cohort_without_an_included_stay_stops_label(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(MINI_CONFIG)
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        cohort_path = out / "cohort.ndjson"
+        cohort_path.write_text(cohort_path.read_text().splitlines(keepends=True)[0])  # the provenance line alone
+        written = sorted(path.name for path in out.iterdir())
+        assert cli.main(["label", "--config", str(config), "--out", str(out)]) == cli.EXIT_MODULE_ERROR
+        assert f"CohortError: {cohort_path} holds no includable stay" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == sorted(written + ["cohort_rejects.txt"])
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -281,6 +398,10 @@ class TestStrictConfig:
     def test_readme_lists_every_accepted_key(self):
         listed = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", README.read_text(), re.MULTILINE)
         assert sorted(listed) == sorted((section, key) for section, keys in cli.CONFIG_KEYS.items() for key in keys)
+
+    def test_readme_lists_every_artifact_with_its_stage(self):
+        listed = re.findall(r"^\| `([\w*.]+)` \| (\w+) \|", README.read_text(), re.MULTILINE)
+        assert sorted(listed) == sorted((name, entry.stage) for name, entry in cli.ARTIFACTS.items())
 
 
 class TestFeaturizeLabels:
@@ -537,7 +658,7 @@ class TestIncludedStays:
         labels.save_ruleset(out / "ruleset.json", ruleset)
         assert cli.main(["label", "--out", str(out)]) == 0
 
-        included = cli.read_included(cli.load_config(None, None, str(out)))
+        included = cli.read_artifact(cli.load_config(None, None, str(out)), cli.INCLUDED_STAYS)
         expected = [
             cli.IncludedStay(stay.patient_id, cohort.select_study(stay).image_refs, tuple(stay.reviews))
             for stay in stays
@@ -629,7 +750,7 @@ class TestIncludedStays:
         path.write_text("\n".join(lines) + "\n")
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
-        assert f"{path} line 3 is malformed" in err and f"rerun the {cli.WRITTEN_BY[name]} stage" in err
+        assert f"{path} line 3 is malformed" in err and f"rerun the {cli.ARTIFACTS[name].stage} stage" in err
 
     @pytest.mark.parametrize(
         "stage, name, corrupt, problem",
@@ -659,6 +780,7 @@ class TestIncludedStays:
              "line 3 is malformed (found 'p00', expected a patient_id after 'p01')"),
             ("featurize", cli.WINDOW_VALUES, swap_lines(1, 2),
              "line 3 is malformed (found 'p00', expected a patient_id after 'p01')"),
+            ("featurize", cli.WINDOW_VALUES, lambda text: text.splitlines(keepends=True)[0], "holds no stay"),
             ("train", "features.ndjson", swap_lines(1, 2), "line 2 is malformed (found 'p01', expected 'p00')"),
             ("train", "labels.csv", swap_lines(2, 5),
              "line 3 is malformed (found ('p01', 'pneumonia'), expected ('p00', 'pneumonia'))"),
@@ -667,7 +789,7 @@ class TestIncludedStays:
         ids=["featurizer-not-json", "featurizer-no-dim", "checkpoint-not-json", "checkpoint-not-an-object",
              "checkpoint-of-another-family-evaluate", "checkpoint-of-another-family-explain",
              "splits-row-deleted", "splits-other-patient", "features-row-deleted", "features-other-patient",
-             "included-stays-swapped", "window-values-swapped", "features-swapped", "labels-swapped",
+             "included-stays-swapped", "window-values-swapped", "window-values-empty", "features-swapped", "labels-swapped",
              "splits-swapped"],
     )
     def test_corrupt_whole_artifact_exits_2_naming_it(self, mini_run, capsys, stage, name, corrupt, problem):
@@ -676,7 +798,7 @@ class TestIncludedStays:
         path.write_text(corrupt(path.read_text()))
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
-        writer = "train" if name.startswith("checkpoint_") else cli.WRITTEN_BY[name]
+        writer = "train" if name.startswith("checkpoint_") else cli.ARTIFACTS[name].stage
         assert f"{path} {problem}" in err and f"rerun the {writer} stage" in err
 
     def test_repeated_patient_exits_2(self, mini_run, capsys):

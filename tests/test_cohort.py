@@ -257,6 +257,12 @@ class TestIngestion:
         with pytest.raises(CohortError, match="finite"):
             parse_stay(record)
 
+    @pytest.mark.parametrize("patient_id", ["p\n1", "p\r1", "p\u20281", "p\x001", "p\t1"])
+    def test_unprintable_patient_id_rejected(self, patient_id):
+        # a line break in it would split its `labels.csv` and `splits.csv` rows
+        with pytest.raises(CohortError, match="unprintable"):
+            parse_stay({**self.good_record(), "patient_id": patient_id})
+
     def test_round_trip(self):
         stay = parse_stay(self.good_record())
         again = parse_stay(json.loads(stay_to_json(stay)))
